@@ -68,11 +68,9 @@ from .solvers import (
 from .spectral import (
     DavisKahanReport,
     EigenResult,
-    GapInfo,
     davis_kahan_check,
     eig_hermitian,
     smallest_eigvec,
-    spectral_gap,
 )
 from .xcorr import (
     CrossCorrMatrix,

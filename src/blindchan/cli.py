@@ -2,8 +2,9 @@
 
 Subcommands: gap, trial, sweep, phase, check.  Configurations are JSON files
 (kebab-case keys, documented in the README); `--seed` overrides the config
-file's seed, `--threads` sizes the worker pool (0 = auto) without affecting
-results, and every run echoes its resolved spec to a `.provenance.json`
+file's seed.  The Monte Carlo commands (trial, sweep, phase) also take
+`--format` and `--threads`, which sizes the worker pool (0 = auto) without
+affecting results, and echo their resolved spec to a `.provenance.json`
 sidecar next to the output.
 """
 
@@ -65,9 +66,9 @@ def cmd_gap(args):
     h = complex_gaussian(streams.stream("channels"), n_channels, filter_len)
     ys = [convolve_short(x, h[m]) for m in range(n_channels)]
     gram = cross_corr_matrix(ys, filter_len).dense
-    spectrum = eig_hermitian(gram, compute_vectors=False).eigenvalues
-    spectrum = spectrum / spectrum[0]
-    print(f"unconstrained gap_ratio: {spectrum[-2]:.6e}")
+    eig = eig_hermitian(gram)
+    spectrum = eig.eigenvalues / eig.lambda_max
+    print(f"unconstrained gap_ratio: {eig.gap_ratio:.6e}")
 
     if dim is not None:
         dim = int(dim)
@@ -86,9 +87,9 @@ def cmd_gap(args):
                     @ model.bases[m]
                 )
                 compressed[n * dim : (n + 1) * dim, m * dim : (m + 1) * dim] = blk
-        spectrum = eig_hermitian(compressed, compute_vectors=False).eigenvalues
-        spectrum = spectrum / spectrum[0]
-        print(f"subspace-constrained gap_ratio (d={dim}): {spectrum[-2]:.6e}")
+        eig = eig_hermitian(compressed)
+        spectrum = eig.eigenvalues / eig.lambda_max
+        print(f"subspace-constrained gap_ratio (d={dim}): {eig.gap_ratio:.6e}")
 
     with open(args.out, "w", newline="") as fh:
         for value in spectrum:
@@ -153,30 +154,24 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_out=True):
+    def add_common(p):
         p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        if needs_out:
-            p.add_argument("--out", required=True, help="output file path")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--threads", type=int, default=None,
-                       help=f"worker threads (0 = auto; env {THREADS_ENV})")
+        p.add_argument("--out", required=True, help="output file path")
+        return p
 
-    p_gap = sub.add_parser("gap", help="eigenvalue spectrum of a noiseless instance")
-    add_common(p_gap)
+    p_gap = add_common(sub.add_parser("gap", help="eigenvalue spectrum of a noiseless instance"))
     p_gap.set_defaults(fn=cmd_gap)
-
-    p_trial = sub.add_parser("trial", help="per-trial errors at one parameter point")
-    add_common(p_trial)
-    p_trial.set_defaults(fn=cmd_trial)
-
-    p_sweep = sub.add_parser("sweep", help="1-D parameter sweep")
-    add_common(p_sweep)
-    p_sweep.set_defaults(fn=cmd_sweep)
-
-    p_phase = sub.add_parser("phase", help="2-D (D/K, L/K) grid")
-    add_common(p_phase)
-    p_phase.set_defaults(fn=cmd_phase)
+    for name, fn, text in (
+        ("trial", cmd_trial, "per-trial errors at one parameter point"),
+        ("sweep", cmd_sweep, "1-D parameter sweep"),
+        ("phase", cmd_phase, "2-D (D/K, L/K) grid"),
+    ):
+        p_run = add_common(sub.add_parser(name, help=text))
+        p_run.add_argument("--format", choices=("csv", "json"), default="csv")
+        p_run.add_argument("--threads", type=int, default=None,
+                           help=f"worker threads (0 = auto; env {THREADS_ENV})")
+        p_run.set_defaults(fn=fn)
 
     p_check = sub.add_parser("check", help="run the named invariant suite")
     p_check.add_argument("--level", choices=("fast", "full"), default="fast")

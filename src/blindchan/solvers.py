@@ -14,7 +14,7 @@ import numpy as np
 
 from .exceptions import ConfigurationError, DimensionError
 from .sigops import as_signal
-from .spectral import canonical_phase, eig_hermitian, is_degenerate
+from .spectral import canonical_phase, eig_hermitian
 from .xcorr import cross_corr_matrix, noise_gram_mean
 
 #: Below length ratio L/K = 3 the estimators degrade; they are not disabled,
@@ -57,24 +57,15 @@ def _warn_short(signal_len, filter_len):
         )
 
 
-def _smallest_pair(matrix):
-    """Smallest eigenpair plus (gap_ratio, degenerate) from a full decomposition."""
-    res = eig_hermitian(matrix)
-    lam = res.eigenvalues
-    lam_max = lam[0]
-    gap_ratio = float(lam[-2] / lam_max) if lam_max != 0 else np.inf
-    return lam[-1], res.eigenvectors[:, -1], gap_ratio, is_degenerate(lam)
-
-
 def solve_cross_conv(ys, filter_len):
     """Classical estimator: smallest eigenvector of the cross-correlation Gram."""
     ys = [as_signal(y) for y in ys]
     _warn_short(len(ys[0]), filter_len)
     gram = cross_corr_matrix(ys, filter_len)
-    lam_min, v, gap_ratio, degen = _smallest_pair(gram.dense)
+    eig = eig_hermitian(gram.dense)
     return Estimate(
-        h_hat=_normalize(v), u_hat=None, lambda_min=float(lam_min),
-        gap_ratio=gap_ratio, degenerate=degen,
+        h_hat=_normalize(eig.vector), u_hat=None, lambda_min=eig.lambda_min,
+        gap_ratio=eig.gap_ratio, degenerate=eig.degenerate,
     )
 
 
@@ -103,10 +94,10 @@ def solve_subspace_cross_conv(ys, model, noise_var):
             if n == m and shift != 0:
                 blk -= shift * (model.bases[n].conj().T @ model.bases[n])
             compressed[n * D : (n + 1) * D, m * D : (m + 1) * D] = blk
-    lam_min, u, gap_ratio, degen = _smallest_pair(compressed)
+    eig = eig_hermitian(compressed)
     return Estimate(
-        h_hat=_normalize(model.apply(u)), u_hat=u, lambda_min=float(lam_min),
-        gap_ratio=gap_ratio, degenerate=degen,
+        h_hat=_normalize(model.apply(eig.vector)), u_hat=eig.vector, lambda_min=eig.lambda_min,
+        gap_ratio=eig.gap_ratio, degenerate=eig.degenerate,
     )
 
 
@@ -185,7 +176,8 @@ def solve_linearized_ls(ys, model):
         gram -= w @ w.conj().T
         bases_hat.append(ghat)
 
-    lam_min, s, gap_ratio, degen = _smallest_pair(gram)
+    eig = eig_hermitian(gram)
+    s = eig.vector
     filters = np.array([np.fft.ifft(yhat[m] * s)[:K] for m in range(M)])
     u_hat = np.array(
         [np.linalg.lstsq(bases_hat[m], yhat[m] * s, rcond=None)[0] for m in range(M)]
@@ -193,7 +185,7 @@ def solve_linearized_ls(ys, model):
     condition = float(np.sqrt(bin_energy.max() / bin_energy.min())) if bin_energy.min() > 0 else np.inf
     return Estimate(
         h_hat=_normalize(filters.reshape(-1)), u_hat=u_hat.reshape(-1),
-        lambda_min=float(lam_min), gap_ratio=gap_ratio, degenerate=degen,
+        lambda_min=eig.lambda_min, gap_ratio=eig.gap_ratio, degenerate=eig.degenerate,
         condition=condition, ill_posed=ill_posed,
     )
 

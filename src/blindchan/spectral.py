@@ -1,11 +1,12 @@
-"""Hermitian eigendecomposition services.
+"""Hermitian eigen service.
 
-The dense path delegates to LAPACK (numpy.linalg.eigh), which resolves the
-1e-5-scale relative gaps these matrices exhibit.  An opt-in iterative path
-runs shifted power iteration for the smallest eigenpair and never
-materializes the operator, for use at scales where the dense decomposition
-is too costly.  All returned eigenvectors are phase-canonicalized (largest-
-magnitude entry made real and positive) so results are deterministic.
+`eig_hermitian` returns the full spectrum plus the smallest eigenpair by
+shifted inverse iteration; opt-in power iteration (`smallest_eigvec`) serves
+matrix-free operators.  The spectrum comes from LAPACK (numpy.linalg.eigvalsh),
+which resolves the 1e-5-scale relative gaps these matrices exhibit; only the
+one eigenvector the estimators read is ever formed.  Returned eigenvectors
+are phase-canonicalized (largest-magnitude entry made real and positive) so
+results are deterministic.
 """
 
 from dataclasses import dataclass
@@ -31,18 +32,37 @@ def canonical_phase(v):
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Full Hermitian spectrum, eigenvalues sorted descending."""
+    """Full Hermitian spectrum (sorted descending) and the smallest eigenpair.
+
+    `vector` is the unit, phase-canonicalized eigenvector of `lambda_min`.
+    """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None
-    residual: float
+    vector: np.ndarray
 
+    @property
+    def lambda_min(self):
+        return float(self.eigenvalues[-1])
 
-@dataclass(frozen=True)
-class GapInfo:
-    lambda_min: float
-    lambda_second: float
-    gap_ratio: float
+    @property
+    def lambda_second(self):
+        return float(self.eigenvalues[-2])
+
+    @property
+    def lambda_max(self):
+        return float(self.eigenvalues[0])
+
+    @property
+    def gap_ratio(self):
+        """lambda_second / lambda_max (inf for the zero matrix)."""
+        lam_max = self.eigenvalues[0]
+        return float(self.eigenvalues[-2] / lam_max) if lam_max != 0 else np.inf
+
+    @property
+    def degenerate(self):
+        """Two smallest eigenvalues equal within DEGENERACY_RTOL * |lambda_max|."""
+        w = self.eigenvalues
+        return bool(w[-2] - w[-1] <= DEGENERACY_RTOL * abs(w[0]))
 
 
 @dataclass(frozen=True)
@@ -63,28 +83,31 @@ def _check_matrix(A):
     return (A + A.conj().T) / 2
 
 
-def eig_hermitian(A, compute_vectors=True):
-    """Full eigendecomposition of a Hermitian matrix.
+def eig_hermitian(A):
+    """Full spectrum and smallest eigenpair of a Hermitian matrix (dimension >= 2).
 
-    The input is symmetrized first; eigenvalues are returned in descending
-    order with matching phase-canonicalized eigenvector columns. `residual`
-    is max_i ||A v_i - lambda_i v_i||_2 / ||A||_F.
+    The input is symmetrized first.  Eigenvalues come from eigvalsh, sorted
+    descending.  The eigenvector of lambda_min comes from two steps of
+    inverse iteration shifted to sigma = lambda_min - 4 n eps |lambda|_max:
+    A - sigma I stays nonsingular even when A is exactly singular, and each
+    step shrinks the error by about 4 n eps |lambda|_max / gap.
     """
     A = _check_matrix(A)
-    if not compute_vectors:
-        w = np.linalg.eigvalsh(A)[::-1]
-        return EigenResult(eigenvalues=w, eigenvectors=None, residual=0.0)
-    w, V = np.linalg.eigh(A)
-    w = w[::-1].copy()
-    V = V[:, ::-1].copy()
-    for j in range(V.shape[1]):
-        V[:, j] = canonical_phase(V[:, j])
-    norm_a = np.linalg.norm(A)
-    if norm_a > 0:
-        residual = float(np.max(np.linalg.norm(A @ V - V * w[None, :], axis=0)) / norm_a)
-    else:
-        residual = 0.0
-    return EigenResult(eigenvalues=w, eigenvectors=V, residual=residual)
+    n = A.shape[0]
+    if n < 2:
+        raise InputError("need dimension >= 2 for the smallest eigenpair and its gap")
+    w = np.linalg.eigvalsh(A)
+    scale = max(abs(w[0]), abs(w[-1]))
+    # fixed quadratic-phase chirp start: equal-modulus entries sharing no
+    # symmetry (constant, alternating, real) with structured eigenvectors
+    k = np.arange(n)
+    v = np.exp(1j * np.pi * k * k / n) / np.sqrt(n)
+    if scale > 0:  # the zero matrix takes every vector as an eigenvector
+        A[np.diag_indices(n)] -= w[0] - 4 * n * np.finfo(float).eps * scale  # A is our copy
+        for _ in range(2):
+            v = np.linalg.solve(A, v)
+            v /= np.linalg.norm(v)
+    return EigenResult(eigenvalues=w[::-1], vector=canonical_phase(v))
 
 
 def _as_apply(A, dim):
@@ -99,7 +122,7 @@ def _as_apply(A, dim):
 def smallest_eigvec(A, dim=None, method="dense", tol=1e-10, max_iter=10000, rng=None):
     """Smallest eigenpair (lambda_min, unit eigenvector) of a Hermitian PSD operator.
 
-    method="dense" (default) takes the full decomposition.  method="power"
+    method="dense" (default) reads the eig_hermitian service.  method="power"
     estimates lambda_max with 50 power steps, then runs power iteration on
     the reflected operator sigma*I - A with sigma = 1.01 * lambda_max,
     stopping when successive iterates have sin-angle < tol.  The iterative
@@ -109,7 +132,7 @@ def smallest_eigvec(A, dim=None, method="dense", tol=1e-10, max_iter=10000, rng=
     """
     if method == "dense":
         res = eig_hermitian(A)
-        return float(res.eigenvalues[-1]), res.eigenvectors[:, -1]
+        return res.lambda_min, res.vector
     if method != "power":
         raise InputError(f"unknown method {method!r}")
     apply_a, n = _as_apply(A, dim)
@@ -145,24 +168,6 @@ def smallest_eigvec(A, dim=None, method="dense", tol=1e-10, max_iter=10000, rng=
     )
 
 
-def spectral_gap(A):
-    """Two smallest eigenvalues and the ratio lambda_second / lambda_max."""
-    A = _check_matrix(A)
-    if A.shape[0] < 2:
-        raise InputError("need dimension >= 2 for a spectral gap")
-    w = np.linalg.eigvalsh(A)
-    lam_max = w[-1]
-    ratio = float(w[1] / lam_max) if lam_max != 0 else np.inf
-    return GapInfo(lambda_min=float(w[0]), lambda_second=float(w[1]), gap_ratio=ratio)
-
-
-def is_degenerate(eigenvalues_desc, rtol=DEGENERACY_RTOL):
-    """True when the two smallest eigenvalues coincide within rtol * lambda_max."""
-    w = np.asarray(eigenvalues_desc)
-    scale = abs(w[0])
-    return bool(w[-2] - w[-1] <= rtol * scale)
-
-
 def davis_kahan_check(A, E):
     """Evaluate the sin-theta perturbation bound for the smallest eigenvector.
 
@@ -178,14 +183,12 @@ def davis_kahan_check(A, E):
 
     A = _check_matrix(A)
     E = _check_matrix(E)
-    w, V = np.linalg.eigh(A)
-    q = V[:, 0]
-    gap = float(w[1] - w[0])
+    res = eig_hermitian(A)
+    q = res.vector
+    gap = res.lambda_second - res.lambda_min
     e_norm = float(np.linalg.norm(E, 2))
     premise = e_norm <= gap / 5
-    _, Vp = np.linalg.eigh(A + E)
-    q_hat = Vp[:, 0]
-    lhs = sin_angle(q, q_hat) if np.linalg.norm(q_hat) > 0 else 0.0
+    lhs = sin_angle(q, eig_hermitian(A + E).vector)
     rhs = 4 * float(np.linalg.norm(E @ q)) / gap if gap > 0 else np.inf
     if e_norm == 0:
         lhs, rhs = 0.0, 0.0

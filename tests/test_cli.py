@@ -45,10 +45,37 @@ class TestGapCommand:
         assert "subspace-constrained gap_ratio" in printed
 
     def test_shipped_gap_config_parses(self, tmp_path):
+        # the eigen service must not move a byte of the spectrum dump: rebuild
+        # the shipped instance and format LAPACK's eigvalsh spectrum directly
+        from blindchan.models import (
+            RngStreams, gen_channels_in_subspace, gen_gaussian_subspace, gen_source,
+        )
+        from blindchan.sigops import convolve_short
+
         out = tmp_path / "spectrum.txt"
         code = main(["gap", "--config", str(REPRODUCE / "spectral_gap.json"),
                      "--out", str(out)])
         assert code == 0
+        cfg = json.loads((REPRODUCE / "spectral_gap.json").read_text())
+        K, M, D = cfg["k"], cfg["m"], cfg["d"]
+        streams = RngStreams(cfg["seed"])
+        x = gen_source("gaussian", cfg["l-over-k"] * K, 1.0, streams.stream("source"))
+        model = gen_gaussian_subspace(K, D, M, streams.stream("basis"))
+        _, channels = gen_channels_in_subspace(model, streams.stream("subspace-channels"))
+        gram = xcorr.cross_corr_matrix([convolve_short(x, f) for f in channels.filters], K)
+        compressed = np.block([[model.bases[n].conj().T @ gram.block(n, m) @ model.bases[m]
+                                for m in range(M)] for n in range(M)])
+        w = np.linalg.eigvalsh((compressed + compressed.conj().T) / 2)[::-1]
+        expected = "".join(format(float(v), ".12g") + "\n" for v in w / w[0])
+        assert out.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("flag", [["--format", "json"], ["--threads", "2"]])
+    def test_gap_rejects_run_only_flags(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["gap", "--config", str(REPRODUCE / "spectral_gap.json"),
+                  "--out", str(tmp_path / "spectrum.txt"), *flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestRunCommands:

@@ -14,6 +14,7 @@ from blindchan.models import (
     SubspaceModel,
 )
 from blindchan.sigops import convolve_short
+from blindchan.spectral import EigenResult, canonical_phase
 from blindchan import solvers
 
 from conftest import make_instance
@@ -247,3 +248,29 @@ def test_noise_variance_estimator_on_bandpass(rng):
     ]
     got = solvers.estimate_noise_variance(ys)
     assert 0.3 * true_var <= got <= 3.0 * true_var
+
+
+def eigh_reference(matrix):
+    """The eigen service's contract computed by LAPACK's full eigh."""
+    w, vecs = np.linalg.eigh((matrix + matrix.conj().T) / 2)
+    return EigenResult(eigenvalues=w[::-1], vector=canonical_phase(vecs[:, 0]))
+
+
+@pytest.mark.parametrize("method", ["cc", "sccc", "ls"])
+def test_estimator_matches_full_eigh_reference(monkeypatch, method):
+    # the inverse-iteration eigenpair must leave every estimate where the
+    # full decomposition puts it
+    for seed in (77, 78, 79):
+        model, _, _, ys = bandpass_instance(seed, snr_db=20.0)
+        noise_var = solvers.estimate_noise_variance(ys)
+        run = {
+            "cc": lambda: solvers.solve_cross_conv(ys, 32),
+            "sccc": lambda: solvers.solve_subspace_cross_conv(ys, model, noise_var),
+            "ls": lambda: solvers.solve_linearized_ls(ys, model),
+        }[method]
+        fast = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "eig_hermitian", eigh_reference)
+            full = run()
+        assert sin_angle(fast.h_hat, full.h_hat) <= 1e-9
+        assert fast.degenerate == full.degenerate

@@ -17,12 +17,17 @@ def random_gapped_psd(rng, n, floor=0.0, gap=0.3):
     return (q * lam) @ q.conj().T, q[:, 0]
 
 
+def eigenpair_residual(a, res):
+    """||A v - lambda_min v|| / ||A||_F of the service's smallest eigenpair."""
+    v = res.vector
+    return np.linalg.norm(a @ v - res.lambda_min * v) / np.linalg.norm(a)
+
+
 class TestEigHermitian:
     def test_diagonal_example(self):
         res = spectral.eig_hermitian(np.diag([3.0, 1.0, 2.0]))
         np.testing.assert_allclose(res.eigenvalues, [3, 2, 1], atol=1e-14)
-        expected = np.eye(3)[:, [0, 2, 1]]
-        np.testing.assert_allclose(np.abs(res.eigenvectors), expected, atol=1e-14)
+        np.testing.assert_allclose(np.abs(res.vector), [0, 1, 0], atol=1e-14)
 
     def test_construct_then_decompose(self, rng):
         n = 12
@@ -31,7 +36,7 @@ class TestEigHermitian:
         a = (q * lam) @ q.conj().T
         res = spectral.eig_hermitian(a)
         np.testing.assert_allclose(res.eigenvalues, lam, atol=1e-10)
-        assert res.residual <= 1e-9
+        assert eigenpair_residual(a, res) <= 1e-9
 
     def test_reconstruction_and_trace(self, rng):
         for _ in range(10):
@@ -39,8 +44,7 @@ class TestEigHermitian:
             g = complex_gaussian(rng, n, n)
             a = (g + g.conj().T) / 2
             res = spectral.eig_hermitian(a)
-            rec = (res.eigenvectors * res.eigenvalues[None, :]) @ res.eigenvectors.conj().T
-            assert np.linalg.norm(a - rec) <= 1e-9 * np.linalg.norm(a)
+            assert eigenpair_residual(a, res) <= 1e-9
             assert abs(res.eigenvalues.sum() - np.trace(a).real) <= 1e-9 * np.linalg.norm(a) * n
 
     def test_noiseless_gram_has_null_vector(self, rng):
@@ -56,11 +60,87 @@ class TestEigHermitian:
 
     def test_phase_canonicalization_deterministic(self, rng):
         a, _ = random_gapped_psd(rng, 8)
-        v1 = spectral.eig_hermitian(a).eigenvectors
-        v2 = spectral.eig_hermitian(a.copy()).eigenvectors
+        v1 = spectral.eig_hermitian(a).vector
+        v2 = spectral.eig_hermitian(a.copy()).vector
         np.testing.assert_array_equal(v1, v2)
-        pivots = v1[np.argmax(np.abs(v1), axis=0), np.arange(8)]
-        assert np.all(np.abs(pivots.imag) <= 1e-12 * np.abs(pivots.real))
+        pivot = v1[np.argmax(np.abs(v1))]
+        assert abs(pivot.imag) <= 1e-12 * abs(pivot.real)
+        assert pivot.real > 0
+
+
+def pca_dense_matrices():
+    """The cc, sccc and ls matrices of one noisy K=32, M=16, D=6, L=640, 20 dB instance."""
+    from blindchan import solvers
+    from blindchan.models import (
+        bandpass_pulse, gen_channels_in_subspace, gen_pca_subspace, sigma_for_snr,
+    )
+    from blindchan.sigops import convolve_short
+
+    K, M, D, L = 32, 16, 6, 640
+    rng = np.random.default_rng(640)
+    model = gen_pca_subspace(bandpass_pulse, K, D, 50 * D, rng, n_channels=M)
+    u, channels = gen_channels_in_subspace(model, rng)
+    x = complex_gaussian(rng, L)
+    noise_var = sigma_for_snr(100.0, K, L, M, x, u)
+    ys = [convolve_short(x, channels.filters[m]) + complex_gaussian(rng, L, var=noise_var)
+          for m in range(M)]
+    captured = []
+
+    def capture(a):
+        captured.append(np.array(a))
+        return spectral.eig_hermitian(a)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "eig_hermitian", capture)
+        solvers.solve_cross_conv(ys, K)
+        solvers.solve_subspace_cross_conv(ys, model, noise_var)
+        solvers.solve_linearized_ls(ys, model)
+    return captured
+
+
+class TestSmallestPairOracle:
+    """The inverse-iteration shortcut pinned to the dense eigh oracle."""
+
+    def assert_matches_eigh(self, a):
+        w, vecs = np.linalg.eigh((a + a.conj().T) / 2)
+        res = spectral.eig_hermitian(a)
+        assert np.max(np.abs(res.eigenvalues[::-1] - w)) <= 1e-13 * abs(w).max()
+        assert sin_angle(res.vector, vecs[:, 0]) <= 1e-10
+        assert np.linalg.norm(res.vector) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 16, 64, 200, 512, 700])
+    def test_random_gapped_psd(self, rng, n):
+        for floor in (0.0, 0.5):
+            a, _ = random_gapped_psd(rng, n, floor=floor, gap=0.3)
+            self.assert_matches_eigh(a)
+
+    def test_noisy_estimator_matrices(self):
+        matrices = pca_dense_matrices()
+        assert [len(a) for a in matrices] == [512, 96, 640]
+        for a in matrices:
+            self.assert_matches_eigh(a)
+
+    @pytest.mark.parametrize("name", ["shifted_diagonal", "zero", "identical_channels"])
+    def test_singular_inputs(self, rng, name):
+        if name == "shifted_diagonal":
+            a = np.diag(np.array([3.0, 1.0, 2.0]) - 1.0)
+        elif name == "zero":
+            a = np.zeros((5, 5))
+        else:
+            from blindchan.sigops import convolve_short
+            from blindchan.xcorr import cross_corr_matrix
+
+            y = convolve_short(complex_gaussian(rng, 16), complex_gaussian(rng, 4))
+            a = cross_corr_matrix([y, y.copy()], 4).dense
+        res = spectral.eig_hermitian(a)
+        v = res.vector
+        assert np.all(np.isfinite(v))
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(a @ v - res.lambda_min * v) <= 1e-9 * np.linalg.norm(a)
+        if name == "shifted_diagonal":
+            np.testing.assert_allclose(np.abs(v), [0, 1, 0], atol=1e-14)
+        if name == "identical_channels":
+            assert res.degenerate
 
 
 class TestSmallestEigvec:
@@ -99,10 +179,11 @@ class TestSmallestEigvec:
 
 class TestSpectralGap:
     def test_diagonal_example(self):
-        info = spectral.spectral_gap(np.diag([0.0, 1.0, 5.0]))
-        assert info.lambda_min == pytest.approx(0.0, abs=1e-14)
-        assert info.lambda_second == pytest.approx(1.0)
-        assert info.gap_ratio == pytest.approx(0.2)
+        res = spectral.eig_hermitian(np.diag([0.0, 1.0, 5.0]))
+        assert res.lambda_min == pytest.approx(0.0, abs=1e-14)
+        assert res.lambda_second == pytest.approx(1.0)
+        assert res.lambda_max == pytest.approx(5.0)
+        assert res.gap_ratio == pytest.approx(0.2)
 
     def test_unconstrained_gap_is_tiny(self, rng):
         # scaled-down analogue of the headline spectrum: the second-smallest
@@ -110,8 +191,8 @@ class TestSpectralGap:
         from blindchan.xcorr import cross_corr_matrix
 
         _, _, _, _, ys = make_instance(rng, 4, 64, 256)
-        info = spectral.spectral_gap(cross_corr_matrix(ys, 64).dense)
-        assert info.gap_ratio <= 1e-3
+        res = spectral.eig_hermitian(cross_corr_matrix(ys, 64).dense)
+        assert res.gap_ratio <= 1e-3
 
     def test_subspace_compression_opens_gap(self, rng):
         # compressing the same kind of matrix by a random 8-dimensional model
@@ -128,12 +209,12 @@ class TestSpectralGap:
                 compressed[n * D : (n + 1) * D, m * D : (m + 1) * D] = (
                     phi[n].conj().T @ gram[n * K : (n + 1) * K, m * K : (m + 1) * K] @ phi[m]
                 )
-        info = spectral.spectral_gap(compressed)
-        assert info.gap_ratio >= 0.05
+        res = spectral.eig_hermitian(compressed)
+        assert res.gap_ratio >= 0.05
 
     def test_needs_dimension_two(self):
         with pytest.raises(InputError):
-            spectral.spectral_gap(np.array([[1.0]]))
+            spectral.eig_hermitian(np.array([[1.0]]))
 
 
 class TestShiftInvariance:
