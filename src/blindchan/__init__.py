@@ -14,7 +14,6 @@ from .exceptions import (
     ConfigurationError,
     DimensionError,
     InputError,
-    PowerIterationError,
 )
 from .harness import (
     ExperimentSpec,
@@ -70,11 +69,10 @@ from .spectral import (
     EigenResult,
     davis_kahan_check,
     eig_hermitian,
-    smallest_eigvec,
 )
 from .xcorr import (
     CrossCorrMatrix,
-    apply_cross_corr,
+    compressed_cross_corr,
     cross_corr_matrix,
     cross_relation_matrix,
 )

@@ -12,7 +12,7 @@ import hashlib
 import numpy as np
 
 from . import harness, metrics, sigops, spectral, xcorr
-from .models import complex_gaussian
+from .models import SubspaceModel, complex_gaussian
 
 DEFAULT_SEED = 20240817
 
@@ -201,6 +201,28 @@ def check_xcorr_fast_vs_explicit(rng):
     return worst <= 1e-10, f"max relative Frobenius error {worst:.2e}"
 
 
+def explicit_compressed_gram(ys, model):
+    """block_diag()^H A^H A block_diag() with A the explicit cross-relation
+    matrix: the oracle of xcorr.compressed_cross_corr."""
+    reduced = xcorr.cross_relation_matrix(ys, model.filter_len) @ model.block_diag()
+    return reduced.conj().T @ reduced
+
+
+def check_compress_vs_explicit(rng):
+    worst = 0.0
+    for _ in range(20):
+        M = int(rng.integers(2, 5))
+        K = int(rng.integers(1, 9))
+        D = int(rng.integers(1, K + 1))
+        L = int(rng.integers(K, 4 * K + 2))
+        ys = [complex_gaussian(rng, L) for _ in range(M)]
+        model = SubspaceModel(bases=complex_gaussian(rng, M, K, D))
+        oracle = explicit_compressed_gram(ys, model)
+        fast = xcorr.compressed_cross_corr(ys, model.bases)
+        worst = max(worst, np.linalg.norm(fast - oracle) / np.linalg.norm(oracle))
+    return worst <= 1e-12, f"max relative Frobenius error {worst:.2e}"
+
+
 def check_xcorr_hermitian_psd(rng):
     worst_herm = 0.0
     worst_neg = 0.0
@@ -271,8 +293,8 @@ def check_shift_invariance(rng):
         lam = np.concatenate([[0.0], rng.uniform(0.1, 1.0, n - 1)])
         a = (q * lam) @ q.conj().T
         sigma = float(rng.uniform(-1, 3))
-        _, v1 = spectral.smallest_eigvec(a)
-        _, v2 = spectral.smallest_eigvec(a + sigma * np.eye(n))
+        v1 = spectral.eig_hermitian(a).vector
+        v2 = spectral.eig_hermitian(a + sigma * np.eye(n)).vector
         worst = max(worst, metrics.sin_angle(v1, v2))
     return worst <= 1e-10, f"max sin-angle {worst:.2e}"
 
@@ -357,6 +379,7 @@ FAST_CHECKS = (
     ("adjoint_conv_matrix", check_adjoint_conv_matrix),
     ("adjoint_restrictions", check_adjoint_restrictions),
     ("xcorr_fast_vs_explicit", check_xcorr_fast_vs_explicit),
+    ("compress_vs_explicit", check_compress_vs_explicit),
     ("xcorr_hermitian_psd", check_xcorr_hermitian_psd),
     ("noiseless_null_vector", check_noiseless_null_vector),
     ("eig_reconstruction", check_eig_reconstruction),

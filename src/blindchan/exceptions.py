@@ -16,14 +16,3 @@ class ConfigurationError(BlindchanError, ValueError):
 class InputError(BlindchanError, ValueError):
     """An input value is unusable (non-finite, zero where nonzero needed)."""
 
-
-class PowerIterationError(BlindchanError, RuntimeError):
-    """Iterative eigensolver failed to converge.
-
-    Carries the final successive-iterate residual so the caller can decide
-    whether to fall back to the dense path.
-    """
-
-    def __init__(self, message, residual):
-        super().__init__(message)
-        self.residual = float(residual)

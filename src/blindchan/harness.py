@@ -36,8 +36,52 @@ from .solvers import (
     solve_subspace_cross_conv,
 )
 
-METHODS = ("cc", "sccc", "oracle", "ls")
+#: Each method's estimator as a function of one instance (observations,
+#: source, model, noise variance).  The solvers are looked up at call time,
+#: so rebinding one of this module's attributes reaches every trial.
+_SOLVERS = {
+    "cc": lambda ys, x, model, noise_var: solve_cross_conv(ys, model.filter_len),
+    "sccc": lambda ys, x, model, noise_var: solve_subspace_cross_conv(ys, model, noise_var),
+    "oracle": lambda ys, x, model, noise_var: solve_oracle_ls(ys, x, model),
+    "ls": lambda ys, x, model, noise_var: solve_linearized_ls(ys, model),
+}
 
+METHODS = tuple(_SOLVERS)
+
+#: Each basis kind's subspace model as a function of (K, D, M, rng).
+_BASES = {
+    "gaussian": lambda K, D, M, rng: gen_gaussian_subspace(K, D, M, rng),
+    "pca": lambda K, D, M, rng: gen_pca_subspace(
+        bandpass_pulse, K, D, default_train_size(D), rng, n_channels=M
+    ),
+}
+
+BASES = tuple(_BASES)
+SOURCES = ("gaussian", "flat_spectrum")
+NORM_PROFILES = ("flat", "spiky")
+
+
+def _parse_snr(value):
+    return None if value in (None, "noiseless") else float(value)
+
+
+#: JSON key -> (ExperimentSpec field, parser, default or None if required).
+_SPEC_FIELDS = {
+    "k": ("filter_len", int, None),
+    "m": ("n_channels", int, None),
+    "d": ("subspace_dim", int, None),
+    "l-over-k": ("l_over_k", float, 20),
+    "snr-db": ("snr_db", _parse_snr, "noiseless"),
+    "trials": ("trials", int, 200),
+    "methods": ("methods", tuple, ("cc", "sccc")),
+    "basis": ("basis", str, "gaussian"),
+    "source": ("source", str, "gaussian"),
+    "norm-profile": ("norm_profile", str, "flat"),
+    "percentile": ("percentile", float, 95),
+    "seed": ("seed", int, 0),
+}
+
+#: Keys a 1-D sweep may vary; each value is parsed like the key's spec value.
 SWEEP_PARAMS = ("d", "m", "l-over-k", "snr-db")
 
 #: Floor applied before taking log10 of a percentile error in grid output.
@@ -73,13 +117,19 @@ class ExperimentSpec:
     sweep: Sweep | Grid | None = None
 
     def validate(self):
+        """Check the spec and every cell it expands to; raise ConfigurationError."""
         if self.trials < 1:
             raise ConfigurationError(f"need trials >= 1, got {self.trials}")
         if not self.methods:
             raise ConfigurationError("at least one method must be requested")
-        for m in self.methods:
-            if m not in METHODS:
-                raise ConfigurationError(f"unknown method {m!r}; expected subset of {METHODS}")
+        for name, value, known in (
+            *(("method", m, METHODS) for m in self.methods),
+            ("basis", self.basis, BASES),
+            ("source", self.source, SOURCES),
+            ("norm-profile", self.norm_profile, NORM_PROFILES),
+        ):
+            if value not in known:
+                raise ConfigurationError(f"unknown {name} {value!r}; expected one of {known}")
         if not 0 < self.percentile <= 100:
             raise ConfigurationError(f"percentile must be in (0, 100], got {self.percentile}")
         if isinstance(self.sweep, Sweep):
@@ -90,9 +140,22 @@ class ExperimentSpec:
             if not self.sweep.values:
                 raise ConfigurationError("sweep needs a nonempty value list")
         if isinstance(self.sweep, Grid):
-            if not self.sweep.d_over_k or not self.sweep.l_over_k:
-                raise ConfigurationError("grid needs nonempty d-over-k and l-over-k lists")
+            values = self.sweep.d_over_k + self.sweep.l_over_k
+            numeric = all(isinstance(v, (int, float)) for v in values)
+            if not (self.sweep.d_over_k and self.sweep.l_over_k and numeric):
+                raise ConfigurationError("grid needs nonempty numeric d-over-k and l-over-k lists")
+        for label, cell in _cells(self):
+            cell._check_dimensions("" if label is None else f"sweep cell {label}: ")
         return self
+
+    def _check_dimensions(self, where):
+        K, M, D, L = self.filter_len, self.n_channels, self.subspace_dim, _signal_len(self)
+        if M < 2:
+            raise ConfigurationError(f"{where}need m >= 2 channels, got m={M}")
+        if not 1 <= D <= K:
+            raise ConfigurationError(f"{where}need 1 <= d <= k, got d={D}, k={K}")
+        if L < K:
+            raise ConfigurationError(f"{where}need round(l-over-k * k) >= k, got {L} < {K}")
 
     @property
     def shape(self):
@@ -102,62 +165,55 @@ class ExperimentSpec:
         return "sweep" if isinstance(self.sweep, Sweep) else "grid"
 
 
-def spec_from_dict(raw):
-    """Build a spec from the documented kebab-case JSON mapping."""
-    data = dict(raw)
-    snr = data.get("snr-db", "noiseless")
-    snr_db = None if snr in (None, "noiseless") else float(snr)
-    sweep = None
-    raw_sweep = data.get("sweep")
-    if raw_sweep is not None:
-        if "param" in raw_sweep:
-            sweep = Sweep(param=str(raw_sweep["param"]), values=tuple(raw_sweep["values"]))
-        elif "d-over-k" in raw_sweep and "l-over-k" in raw_sweep:
-            sweep = Grid(
-                d_over_k=tuple(raw_sweep["d-over-k"]),
-                l_over_k=tuple(raw_sweep["l-over-k"]),
-            )
-        else:
-            raise ConfigurationError(
-                "sweep must hold either {param, values} or both {d-over-k, l-over-k}"
-            )
-    try:
-        spec = ExperimentSpec(
-            filter_len=int(data["k"]),
-            n_channels=int(data["m"]),
-            subspace_dim=int(data["d"]),
-            l_over_k=float(data.get("l-over-k", 20)),
-            snr_db=snr_db,
-            trials=int(data.get("trials", 200)),
-            methods=tuple(data.get("methods", ["cc", "sccc"])),
-            basis=str(data.get("basis", "gaussian")),
-            source=str(data.get("source", "gaussian")),
-            norm_profile=str(data.get("norm-profile", "flat")),
-            percentile=float(data.get("percentile", 95)),
-            seed=int(data.get("seed", 0)),
-            sweep=sweep,
+def _reject_unknown(data, known, where):
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {where} key(s) {', '.join(map(repr, unknown))}; expected {sorted(known)}"
         )
+
+
+def _parse_sweep(raw):
+    try:
+        if "param" in raw:
+            _reject_unknown(raw, ("param", "values"), "sweep")
+            return Sweep(param=str(raw["param"]), values=tuple(raw["values"]))
+        if "d-over-k" in raw and "l-over-k" in raw:
+            _reject_unknown(raw, ("d-over-k", "l-over-k"), "grid")
+            return Grid(d_over_k=tuple(raw["d-over-k"]), l_over_k=tuple(raw["l-over-k"]))
     except KeyError as missing:
-        raise ConfigurationError(f"spec is missing required key {missing}") from None
-    return spec.validate()
+        raise ConfigurationError(f"sweep is missing required key {missing}") from None
+    except TypeError:
+        raise ConfigurationError(f"malformed sweep {raw!r}") from None
+    raise ConfigurationError("sweep must hold either {param, values} or both {d-over-k, l-over-k}")
+
+
+def spec_from_dict(raw):
+    """Build a spec from the documented kebab-case JSON mapping.
+
+    Unknown or missing keys, unparsable values and any cell the spec would
+    run with unusable dimensions raise ConfigurationError here, before a
+    trial runs.
+    """
+    data = dict(raw)
+    _reject_unknown(data, [*_SPEC_FIELDS, "sweep"], "spec")
+    fields = {}
+    for key, (name, parse, default) in _SPEC_FIELDS.items():
+        if key not in data and default is None:
+            raise ConfigurationError(f"spec is missing required key {key!r}")
+        try:
+            fields[name] = parse(data.get(key, default))
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"spec key {key!r} has a bad value {data[key]!r}") from None
+    sweep = None if data.get("sweep") is None else _parse_sweep(data["sweep"])
+    return ExperimentSpec(**fields, sweep=sweep).validate()
 
 
 def spec_to_dict(spec):
     """Inverse of spec_from_dict (canonical kebab-case keys)."""
-    out = {
-        "k": spec.filter_len,
-        "m": spec.n_channels,
-        "d": spec.subspace_dim,
-        "l-over-k": spec.l_over_k,
-        "snr-db": "noiseless" if spec.snr_db is None else spec.snr_db,
-        "trials": spec.trials,
-        "methods": list(spec.methods),
-        "basis": spec.basis,
-        "source": spec.source,
-        "norm-profile": spec.norm_profile,
-        "percentile": spec.percentile,
-        "seed": spec.seed,
-    }
+    out = {key: getattr(spec, name) for key, (name, _, _) in _SPEC_FIELDS.items()}
+    out["snr-db"] = "noiseless" if spec.snr_db is None else spec.snr_db
+    out["methods"] = list(spec.methods)
     if isinstance(spec.sweep, Sweep):
         out["sweep"] = {"param": spec.sweep.param, "values": list(spec.sweep.values)}
     elif isinstance(spec.sweep, Grid):
@@ -174,21 +230,41 @@ def spec_hash(spec):
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _signal_len(spec):
+    """Signal length L = round(l-over-k * K) of a point spec."""
+    return int(round(spec.l_over_k * spec.filter_len))
+
+
 def _point_spec(spec):
     """The spec with any sweep stripped, used for one cell's trials."""
     return replace(spec, sweep=None)
 
 
 def _apply_sweep_value(spec, param, value):
-    if param == "d":
-        return replace(spec, subspace_dim=int(value))
-    if param == "m":
-        return replace(spec, n_channels=int(value))
-    if param == "l-over-k":
-        return replace(spec, l_over_k=float(value))
-    if param == "snr-db":
-        return replace(spec, snr_db=None if value == "noiseless" else float(value))
-    raise ConfigurationError(f"unknown sweep parameter {param!r}")
+    name, parse, _ = _SPEC_FIELDS[param]
+    try:
+        return replace(spec, **{name: parse(value)})
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"bad {param} sweep value {value!r}") from None
+
+
+def _cells(spec):
+    """(label, point spec) of every cell the spec runs, in run order.
+
+    The label is the sweep value, the (d-over-k, l-over-k) pair of a grid
+    cell, or None for a point spec.
+    """
+    point = _point_spec(spec)
+    if isinstance(spec.sweep, Sweep):
+        return [(v, _apply_sweep_value(point, spec.sweep.param, v)) for v in spec.sweep.values]
+    if isinstance(spec.sweep, Grid):
+        K = spec.filter_len
+        return [
+            ((dk, lk), replace(point, subspace_dim=max(1, int(round(dk * K))), l_over_k=float(lk)))
+            for dk in spec.sweep.d_over_k
+            for lk in spec.sweep.l_over_k
+        ]
+    return [(None, point)]
 
 
 def run_trial(spec, trial_index):
@@ -199,18 +275,10 @@ def run_trial(spec, trial_index):
     K = spec.filter_len
     M = spec.n_channels
     D = spec.subspace_dim
-    L = int(round(spec.l_over_k * K))
+    L = _signal_len(spec)
     streams = RngStreams(spec.seed)
 
-    if spec.basis == "gaussian":
-        model = gen_gaussian_subspace(K, D, M, streams.stream("basis", trial_index))
-    elif spec.basis == "pca":
-        model = gen_pca_subspace(
-            bandpass_pulse, K, D, default_train_size(D),
-            streams.stream("basis", trial_index), n_channels=M,
-        )
-    else:
-        raise ConfigurationError(f"unknown basis kind {spec.basis!r}")
+    model = _BASES[spec.basis](K, D, M, streams.stream("basis", trial_index))
 
     u, channels = gen_channels_in_subspace(
         model, streams.stream("channels", trial_index), spec.norm_profile
@@ -231,16 +299,7 @@ def run_trial(spec, trial_index):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # sweeps probe L < 3K on purpose
         for method in spec.methods:
-            if method == "cc":
-                est = solve_cross_conv(ys, K)
-            elif method == "sccc":
-                est = solve_subspace_cross_conv(ys, model, noise_var)
-            elif method == "oracle":
-                est = solve_oracle_ls(ys, x, model)
-            elif method == "ls":
-                est = solve_linearized_ls(ys, model)
-            else:
-                raise ConfigurationError(f"unknown method {method!r}")
+            est = _SOLVERS[method](ys, x, model, noise_var)
             errors[method] = sin_angle(est.h_hat, truth)
             degenerate[method] = bool(est.degenerate)
     return errors, degenerate
@@ -322,82 +381,65 @@ class ExperimentResult:
 
 
 def _rows_for_point(point, sweep_param, value):
-    rows = []
-    for method in point.spec.methods:
-        rows.append(
-            SweepRow(
-                sweep_param=sweep_param,
-                value=value,
-                method=method,
-                percentile_error=point.percentile(method),
-                median=point.median(method),
-                mean=point.mean(method),
-                trials=point.spec.trials,
-                degenerate=point.degenerate_count(method),
-            )
+    return [
+        SweepRow(
+            sweep_param=sweep_param,
+            value=value,
+            method=method,
+            percentile_error=point.percentile(method),
+            median=point.median(method),
+            mean=point.mean(method),
+            trials=point.spec.trials,
+            degenerate=point.degenerate_count(method),
         )
-    return rows
+        for method in point.spec.methods
+    ]
+
+
+def _run_cells(spec, shape, threads, rows_for):
+    """Validate, run every cell of a `shape` spec, and collect rows_for(label, point)."""
+    spec = spec.validate()
+    if spec.shape != shape:
+        raise ConfigurationError(f"expected a {shape} spec, got shape {spec.shape!r}")
+    rows = []
+    points = []
+    for label, cell in _cells(spec):
+        point = run_point(cell, threads=threads)
+        points.append(point)
+        rows.extend(rows_for(label, point))
+    return ExperimentResult(
+        spec=spec, provenance=spec_hash(spec), rows=tuple(rows), points=tuple(points)
+    )
 
 
 def run_sweep(spec, threads=1):
     """Run a 1-D sweep; one output row per (value, method)."""
-    spec = spec.validate()
-    if spec.shape != "sweep":
-        raise ConfigurationError(f"expected a 1-D sweep spec, got shape {spec.shape!r}")
-    rows = []
-    points = []
-    for value in spec.sweep.values:
-        cell = _apply_sweep_value(_point_spec(spec), spec.sweep.param, value)
-        point = run_point(cell, threads=threads)
-        points.append(point)
-        rows.extend(_rows_for_point(point, spec.sweep.param, value))
-    return ExperimentResult(
-        spec=spec, provenance=spec_hash(spec), rows=tuple(rows), points=tuple(points)
+    return _run_cells(
+        spec, "sweep", threads, lambda value, point: _rows_for_point(point, spec.sweep.param, value)
     )
+
+
+def _phase_rows(cell, point):
+    d_over_k, l_over_k = cell
+    return [
+        PhaseRow(
+            d_over_k=float(d_over_k),
+            l_over_k=float(l_over_k),
+            method=method,
+            log10_percentile_error=float(np.log10(max(point.percentile(method), LOG_FLOOR))),
+        )
+        for method in point.spec.methods
+    ]
 
 
 def run_phase_grid(spec, threads=1):
     """Run a 2-D (D/K, L/K) grid; one output row per (cell, method)."""
-    spec = spec.validate()
-    if spec.shape != "grid":
-        raise ConfigurationError(f"expected a 2-D grid spec, got shape {spec.shape!r}")
-    K = spec.filter_len
-    rows = []
-    points = []
-    for dk in spec.sweep.d_over_k:
-        for lk in spec.sweep.l_over_k:
-            cell = replace(
-                _point_spec(spec),
-                subspace_dim=max(1, int(round(dk * K))),
-                l_over_k=float(lk),
-            )
-            point = run_point(cell, threads=threads)
-            points.append(point)
-            for method in spec.methods:
-                err = max(point.percentile(method), LOG_FLOOR)
-                rows.append(
-                    PhaseRow(
-                        d_over_k=float(dk),
-                        l_over_k=float(lk),
-                        method=method,
-                        log10_percentile_error=float(np.log10(err)),
-                    )
-                )
-    return ExperimentResult(
-        spec=spec, provenance=spec_hash(spec), rows=tuple(rows), points=tuple(points)
-    )
+    return _run_cells(spec, "grid", threads, _phase_rows)
 
 
 def run_point_result(spec, threads=1):
     """Run a single-point spec, wrapped as an ExperimentResult for output."""
-    spec = spec.validate()
-    if spec.shape != "point":
-        raise ConfigurationError(f"expected a single-point spec, got shape {spec.shape!r}")
-    point = run_point(spec, threads=threads)
-    rows = _rows_for_point(point, "none", "")
-    return ExperimentResult(
-        spec=spec, provenance=spec_hash(spec), rows=tuple(rows), points=(point,)
-    )
+    return _run_cells(spec, "point", threads, lambda _, point: _rows_for_point(point, "none", ""))
 
 
 def _fmt(value):

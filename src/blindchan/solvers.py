@@ -15,7 +15,7 @@ import numpy as np
 from .exceptions import ConfigurationError, DimensionError
 from .sigops import as_signal
 from .spectral import canonical_phase, eig_hermitian
-from .xcorr import cross_corr_matrix, noise_gram_mean
+from .xcorr import compressed_cross_corr, cross_corr_matrix, noise_gram_mean
 
 #: Below length ratio L/K = 3 the estimators degrade; they are not disabled,
 #: only flagged, since they degrade gracefully down to L ~ K.
@@ -73,27 +73,23 @@ def solve_subspace_cross_conv(ys, model, noise_var):
     """Subspace-constrained estimator with noise debias.
 
     Compresses the cross-correlation Gram by block congruence with the model
-    bases, subtracts the expected noise Gram noise_var*(M-1)*L (applied as a
-    shift of the diagonal blocks, never materialized at full size), and maps
-    the smallest eigenvector back through the model.  noise_var is an
-    explicit input: it must be known or estimated deliberately (see
-    estimate_noise_variance), never guessed silently.
+    bases, built in the frequency domain at M*L*D memory (the MK x MK Gram
+    is never formed), subtracts the expected noise Gram noise_var*(M-1)*L
+    (applied as a shift of the diagonal blocks), and maps the smallest
+    eigenvector back through the model.  noise_var is an explicit input: it
+    must be known or estimated deliberately (see estimate_noise_variance),
+    never guessed silently.
     """
     ys = [as_signal(y) for y in ys]
     M, K, D = model.bases.shape
     L = len(ys[0])
-    if len(ys) != M:
-        raise DimensionError(f"model has {M} channels but got {len(ys)} observations")
     _warn_short(L, K)
-    gram = cross_corr_matrix(ys, K)
+    compressed = compressed_cross_corr(ys, model.bases)
     shift = noise_gram_mean(M, L, noise_var)
-    compressed = np.zeros((M * D, M * D), dtype=np.complex128)
-    for n in range(M):
-        for m in range(M):
-            blk = model.bases[n].conj().T @ gram.block(n, m) @ model.bases[m]
-            if n == m and shift != 0:
-                blk -= shift * (model.bases[n].conj().T @ model.bases[n])
-            compressed[n * D : (n + 1) * D, m * D : (m + 1) * D] = blk
+    if shift != 0:
+        for n in range(M):
+            phi = model.bases[n]
+            compressed[n * D : (n + 1) * D, n * D : (n + 1) * D] -= shift * (phi.conj().T @ phi)
     eig = eig_hermitian(compressed)
     return Estimate(
         h_hat=_normalize(model.apply(eig.vector)), u_hat=eig.vector, lambda_min=eig.lambda_min,

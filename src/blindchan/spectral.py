@@ -1,11 +1,11 @@
 """Hermitian eigen service.
 
 `eig_hermitian` returns the full spectrum plus the smallest eigenpair by
-shifted inverse iteration; opt-in power iteration (`smallest_eigvec`) serves
-matrix-free operators.  The spectrum comes from LAPACK (numpy.linalg.eigvalsh),
-which resolves the 1e-5-scale relative gaps these matrices exhibit; only the
-one eigenvector the estimators read is ever formed.  Returned eigenvectors
-are phase-canonicalized (largest-magnitude entry made real and positive) so
+shifted inverse iteration; every estimator and check reads it.  The
+spectrum comes from LAPACK (numpy.linalg.eigvalsh), which resolves the
+1e-5-scale relative gaps these matrices exhibit; only the one eigenvector
+the estimators read is ever formed.  Returned eigenvectors are
+phase-canonicalized (largest-magnitude entry made real and positive) so
 results are deterministic.
 """
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InputError, PowerIterationError
+from .exceptions import InputError
 
 #: Two smallest eigenvalues closer than this (relative to the largest) are
 #: treated as degenerate: the minimizer is no longer essentially unique.
@@ -108,64 +108,6 @@ def eig_hermitian(A):
             v = np.linalg.solve(A, v)
             v /= np.linalg.norm(v)
     return EigenResult(eigenvalues=w[::-1], vector=canonical_phase(v))
-
-
-def _as_apply(A, dim):
-    if callable(A):
-        if dim is None:
-            raise InputError("matrix-free operator requires an explicit dimension")
-        return A, int(dim)
-    A = _check_matrix(A)
-    return (lambda v: A @ v), A.shape[0]
-
-
-def smallest_eigvec(A, dim=None, method="dense", tol=1e-10, max_iter=10000, rng=None):
-    """Smallest eigenpair (lambda_min, unit eigenvector) of a Hermitian PSD operator.
-
-    method="dense" (default) reads the eig_hermitian service.  method="power"
-    estimates lambda_max with 50 power steps, then runs power iteration on
-    the reflected operator sigma*I - A with sigma = 1.01 * lambda_max,
-    stopping when successive iterates have sin-angle < tol.  The iterative
-    path accepts a matrix-free callable plus `dim` and raises
-    PowerIterationError (carrying the final residual) on non-convergence;
-    callers may fall back to the dense path.
-    """
-    if method == "dense":
-        res = eig_hermitian(A)
-        return res.lambda_min, res.vector
-    if method != "power":
-        raise InputError(f"unknown method {method!r}")
-    apply_a, n = _as_apply(A, dim)
-    rng = rng if rng is not None else np.random.default_rng(0)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    for _ in range(50):
-        w = apply_a(v)
-        nw = np.linalg.norm(w)
-        if nw == 0:  # A v = 0: v is already an exact null vector
-            return 0.0, canonical_phase(v)
-        v = w / nw
-    lam_max = float(np.real(np.vdot(v, apply_a(v))))
-    sigma = 1.01 * lam_max if lam_max > 0 else 1.0
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    last = np.inf
-    for _ in range(max_iter):
-        w = sigma * v - apply_a(v)
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            break
-        w /= nw
-        # sin-angle between unit iterates via the projection residual, which
-        # stays accurate where 1 - |<w,v>|^2 would cancel to zero
-        last = np.linalg.norm(w - v * np.vdot(v, w))
-        v = w
-        if last < tol:
-            lam = float(np.real(np.vdot(v, apply_a(v))))
-            return lam, canonical_phase(v)
-    raise PowerIterationError(
-        f"power iteration did not reach sin-angle {tol:g} in {max_iter} steps", residual=last
-    )
 
 
 def davis_kahan_check(A, E):

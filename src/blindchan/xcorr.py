@@ -3,10 +3,13 @@
 For M channel outputs y_1..y_M of a common source, the commutativity of
 convolution gives one length-L linear constraint block per channel pair; the
 stacked constraint matrix has M(M-1)/2 * L rows and M*K columns.  Its Gram
-matrix is what the estimators eigendecompose.  The Gram is assembled here
-block-wise from M(M+1)/2 length-L FFT cross-correlations, never forming the
-tall constraint matrix; the explicit construction is retained (size-capped)
-as the reference oracle.
+matrix is what the classical estimator eigendecomposes.  The Gram is
+assembled here block-wise from M(M+1)/2 length-L FFT cross-correlations,
+never forming the tall constraint matrix.  The subspace estimator needs only
+the Gram compressed by the model bases, which is built directly in the
+frequency domain at M*L*D memory, never forming the MK x MK Gram.  The
+explicit construction is retained (size-capped) as the reference oracle of
+both.
 """
 
 from dataclasses import dataclass
@@ -117,29 +120,35 @@ def cross_corr_matrix(ys, filter_len):
     return CrossCorrMatrix(values=out, n_channels=M, filter_len=K)
 
 
-def apply_cross_corr(ys, filter_len, v):
-    """Matrix-free product of the Gram with a stacked vector v in C^{MK}.
+def compressed_cross_corr(ys, bases):
+    """The Gram compressed by the model bases, Phi^H A Phi, built from FFTs.
 
-    Uses 3M length-L FFTs; agrees with the materialized product.
+    bases is M x K x D.  Never forms the MK x MK Gram: with Phi_hat_n the
+    length-L DFT of the zero-padded basis n and V = [diag(conj(yhat_n))
+    Phi_hat_n]_n (L x MD), Parseval turns every block of the congruence into
+    a product of DFTs,
+
+        (blockdiag_n(Phi_hat_n^H diag(sum_a |yhat_a|^2) Phi_hat_n) - V^H V) / L,
+
+    so the cost is one L x MD Gram product plus M small diagonal blocks, at
+    M*L*D memory.  Equals block_diag(bases)^H cross_corr_matrix(ys, K) block_diag(bases).
     """
-    ys, M, L = _check_channels(ys, filter_len)
-    K = filter_len
-    v = np.asarray(v, dtype=np.complex128)
-    if v.shape != (M * K,):
-        raise DimensionError(f"expected vector of length {M * K}, got shape {v.shape}")
-    yhat = np.array([np.fft.fft(y) for y in ys])
-    phat = np.array(
-        [np.fft.fft(np.concatenate([v[m * K : (m + 1) * K], np.zeros(L - K)])) for m in range(M)]
-    )
-    auto = (np.abs(yhat) ** 2).sum(axis=0)
-    mixed = (np.conj(yhat) * phat).sum(axis=0)
-    out = np.empty(M * K, dtype=np.complex128)
+    bases = np.asarray(bases, dtype=np.complex128)
+    if bases.ndim != 3:
+        raise DimensionError(f"expected an M x K x D basis stack, got shape {bases.shape}")
+    M, K, D = bases.shape
+    ys, n_ys, L = _check_channels(ys, K)
+    if n_ys != M:
+        raise DimensionError(f"bases describe {M} channels but got {n_ys} observations")
+    yhat = np.fft.fft(ys, axis=1)
+    phat = np.fft.fft(bases, n=L, axis=1)  # M x L x D
+    energy = (yhat.real**2 + yhat.imag**2).sum(axis=0)
+    v = (np.conj(yhat)[:, :, None] * phat).transpose(1, 0, 2).reshape(L, M * D)
+    out = -(v.conj().T @ v)
     for n in range(M):
-        spec = (auto - np.abs(yhat[n]) ** 2) * phat[n] - yhat[n] * (
-            mixed - np.conj(yhat[n]) * phat[n]
-        )
-        out[n * K : (n + 1) * K] = np.fft.ifft(spec)[:K]
-    return out
+        block = slice(n * D, (n + 1) * D)
+        out[block, block] += phat[n].conj().T @ (energy[:, None] * phat[n])
+    return out / L
 
 
 def noise_gram_mean(n_channels, signal_len, noise_var):

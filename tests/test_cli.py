@@ -131,6 +131,13 @@ class TestRunCommands:
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
 
+    def test_misspelled_key_exits_nonzero_before_running(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, trails=5)
+        out = tmp_path / "trials.csv"
+        assert main(["trial", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "'trails'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exits_nonzero(self, tmp_path):
         out = tmp_path / "x.csv"
         assert main(["trial", "--config", str(tmp_path / "no.json"),
@@ -178,6 +185,22 @@ class TestCheckCommand:
 
         monkeypatch.setattr(xcorr, "cross_corr_matrix", flipped)
         ok, _ = checks.check_xcorr_fast_vs_explicit(rng)
+        assert not ok
+
+    def test_injected_compression_flip_is_caught(self, monkeypatch, rng):
+        # mutation test: corrupt the sign of the compressed Gram's first
+        # off-diagonal block pair and its explicit oracle check must fail
+        original = xcorr.compressed_cross_corr
+
+        def flipped(ys, bases):
+            out = original(ys, bases)
+            D = out.shape[0] // len(ys)
+            out[:D, D : 2 * D] *= -1
+            out[D : 2 * D, :D] *= -1
+            return out
+
+        monkeypatch.setattr(xcorr, "compressed_cross_corr", flipped)
+        ok, _ = checks.check_compress_vs_explicit(rng)
         assert not ok
 
 

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +63,113 @@ class TestSpecRoundtrip:
         c = harness.spec_hash(small_spec(seed=78))
         assert a == b
         assert a != c
+
+
+def point_config(**overrides):
+    raw = {"k": 8, "m": 3, "d": 2, "l-over-k": 5, "snr-db": 20, "trials": 3}
+    raw.update(overrides)
+    return raw
+
+
+class TestStrictSpec:
+    @pytest.fixture(autouse=True)
+    def no_trials(self, monkeypatch):
+        # every rejection must come before the first trial
+        def fail(*args):
+            raise AssertionError("a trial ran before the spec was rejected")
+
+        monkeypatch.setattr(harness, "run_trial", fail)
+
+    def test_unknown_keys_named(self):
+        raw = {"k": 8, "m": 3, "d": 2, "snr_db": 10, "trails": 5}
+        with pytest.raises(ConfigurationError, match="'snr_db', 'trails'"):
+            harness.spec_from_dict(raw)
+
+    def test_unknown_sweep_and_grid_keys_named(self):
+        with pytest.raises(ConfigurationError, match="'value'"):
+            harness.spec_from_dict(point_config(sweep={"param": "d", "values": [2], "value": 3}))
+        with pytest.raises(ConfigurationError, match="'param'"):
+            harness.spec_from_dict(
+                point_config(sweep={"d-over-k": [0.25], "l-over-k": [4], "param": "d"})
+            )
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"m": 1}, "m >= 2"),
+            ({"d": 0}, "1 <= d <= k"),
+            ({"d": 9}, "1 <= d <= k"),
+            ({"l-over-k": 0.5}, ">= k"),
+            ({"basis": "nope"}, "unknown basis 'nope'"),
+            ({"source": "nope"}, "unknown source 'nope'"),
+            ({"norm-profile": "nope"}, "unknown norm-profile 'nope'"),
+            ({"k": "eight"}, "spec key .k. has a bad value .eight."),
+        ],
+    )
+    def test_bad_point_rejected(self, overrides, message):
+        with pytest.raises(ConfigurationError, match=message):
+            harness.spec_from_dict(point_config(**overrides))
+
+    def test_reported_spec_fails_on_its_first_fault(self):
+        with pytest.raises(ConfigurationError, match="unknown basis 'nope'"):
+            harness.spec_from_dict(point_config(m=1, d=20, basis="nope"))
+
+    @pytest.mark.parametrize(
+        "sweep,message",
+        [
+            ({"param": "m", "values": [2, 1]}, "sweep cell 1: need m >= 2"),
+            ({"param": "d", "values": [2, 9]}, "sweep cell 9: need 1 <= d <= k"),
+            ({"param": "l-over-k", "values": [5, 0.5]}, "sweep cell 0.5:"),
+            ({"param": "d", "values": ["two"]}, "bad d sweep value 'two'"),
+        ],
+    )
+    def test_bad_sweep_cell_rejected(self, sweep, message):
+        with pytest.raises(ConfigurationError, match=message):
+            harness.spec_from_dict(point_config(sweep=sweep))
+
+    @pytest.mark.parametrize(
+        "grid,message",
+        [
+            ({"d-over-k": [0.25, 1.5], "l-over-k": [4]}, r"sweep cell \(1\.5, 4\)"),
+            ({"d-over-k": [0.25], "l-over-k": [4, 0.5]}, r"sweep cell \(0\.25, 0\.5\)"),
+        ],
+    )
+    def test_bad_grid_cell_rejected(self, grid, message):
+        with pytest.raises(ConfigurationError, match=message):
+            harness.spec_from_dict(point_config(sweep=grid))
+
+    @pytest.mark.parametrize(
+        "sweep,message",
+        [
+            ({"d-over-k": ["half"], "l-over-k": [4]}, "numeric d-over-k and l-over-k"),
+            ({"d-over-k": [0.25], "l-over-k": [None]}, "numeric d-over-k and l-over-k"),
+            ({"param": "d", "values": 2}, "malformed sweep"),
+            ({"param": "d"}, "missing required key 'values'"),
+            (3, "malformed sweep"),
+        ],
+    )
+    def test_malformed_sweep_rejected(self, sweep, message):
+        with pytest.raises(ConfigurationError, match=message):
+            harness.spec_from_dict(point_config(sweep=sweep))
+
+    def test_shipped_and_benchmark_specs_parse(self):
+        root = Path(__file__).resolve().parent.parent
+        configs = [
+            json.loads(path.read_text())
+            for path in sorted((root / "reproduce").glob("*.json"))
+            if path.name != "spectral_gap.json"  # a `gap` config, not a run spec
+        ]
+        loader = importlib.util.spec_from_file_location(
+            "bench_workloads", root / "benchmarks" / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(loader)
+        loader.loader.exec_module(workloads)
+        configs += [
+            workloads.spec_config(w, 0, 0, w.batch_trials) for w in workloads.WORKLOADS.values()
+        ]
+        assert len(configs) >= 8  # 5 run configs in reproduce/ and 3 workloads
+        for raw in configs:
+            harness.spec_from_dict(raw)
 
 
 class TestRunTrial:

@@ -15,6 +15,7 @@ from blindchan.models import (
 )
 from blindchan.sigops import convolve_short
 from blindchan.spectral import EigenResult, canonical_phase
+from blindchan.xcorr import cross_corr_matrix
 from blindchan import solvers
 
 from conftest import make_instance
@@ -274,3 +275,30 @@ def test_estimator_matches_full_eigh_reference(monkeypatch, method):
             full = run()
         assert sin_angle(fast.h_hat, full.h_hat) <= 1e-9
         assert fast.degenerate == full.degenerate
+
+
+def time_domain_compression(ys, bases):
+    """Block congruence of the materialized MK x MK Gram with the model bases."""
+    M, K, D = bases.shape
+    gram = cross_corr_matrix(ys, K)
+    out = np.zeros((M * D, M * D), dtype=np.complex128)
+    for n in range(M):
+        for m in range(M):
+            out[n * D : (n + 1) * D, m * D : (m + 1) * D] = (
+                bases[n].conj().T @ gram.block(n, m) @ bases[m]
+            )
+    return out
+
+
+def test_sccc_matches_time_domain_compression(monkeypatch):
+    # the frequency-domain compressed Gram must leave the estimate where the
+    # block congruence of the full Gram puts it
+    for seed in (77, 78, 79):
+        model, _, _, ys = bandpass_instance(seed, snr_db=20.0)
+        noise_var = solvers.estimate_noise_variance(ys)
+        fast = solvers.solve_subspace_cross_conv(ys, model, noise_var)
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "compressed_cross_corr", time_domain_compression)
+            slow = solvers.solve_subspace_cross_conv(ys, model, noise_var)
+        assert sin_angle(fast.h_hat, slow.h_hat) <= 1e-9
+        assert fast.degenerate == slow.degenerate

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blindchan.checks import davis_kahan_trials
-from blindchan.exceptions import InputError, PowerIterationError
+from blindchan.exceptions import InputError
 from blindchan.metrics import sin_angle
 from blindchan.models import complex_gaussian
 from blindchan import spectral
@@ -53,6 +53,13 @@ class TestEigHermitian:
         _, _, _, _, ys = make_instance(rng, 3, 6, 24)
         res = spectral.eig_hermitian(cross_corr_matrix(ys, 6).dense)
         assert res.eigenvalues[-1] <= 1e-10 * res.eigenvalues[0]
+
+    def test_noiseless_subspace_matrix_aligns_with_coefficients(self, rng):
+        from blindchan.solvers import solve_subspace_cross_conv
+
+        model, u, truth, _, ys = make_instance(rng, 3, 8, 32, dim=3)
+        est = solve_subspace_cross_conv(ys, model, 0.0)
+        assert sin_angle(est.u_hat, u) <= 1e-8
 
     def test_rejects_nonfinite(self):
         with pytest.raises(InputError):
@@ -143,40 +150,6 @@ class TestSmallestPairOracle:
             assert res.degenerate
 
 
-class TestSmallestEigvec:
-    def test_diagonal_example(self):
-        lam, v = spectral.smallest_eigvec(np.diag([3.0, 1.0, 2.0]))
-        assert lam == pytest.approx(1.0)
-        np.testing.assert_allclose(np.abs(v), [0, 1, 0], atol=1e-14)
-
-    def test_power_agrees_with_dense(self, rng):
-        for _ in range(5):
-            a, _ = random_gapped_psd(rng, 10, floor=0.2, gap=0.5)
-            lam_d, v_d = spectral.smallest_eigvec(a)
-            lam_p, v_p = spectral.smallest_eigvec(a, method="power")
-            assert sin_angle(v_d, v_p) <= 1e-8
-            assert lam_p == pytest.approx(lam_d, abs=1e-8)
-
-    def test_power_supports_matrix_free(self, rng):
-        a, truth = random_gapped_psd(rng, 8, floor=0.0, gap=0.4)
-        lam, v = spectral.smallest_eigvec(lambda w: a @ w, dim=8, method="power")
-        assert sin_angle(v, truth) <= 1e-8
-        assert lam == pytest.approx(0.0, abs=1e-8)
-
-    def test_power_nonconvergence_raises_with_residual(self, rng):
-        a, _ = random_gapped_psd(rng, 12, floor=0.0, gap=1e-9)
-        with pytest.raises(PowerIterationError) as excinfo:
-            spectral.smallest_eigvec(a, method="power", max_iter=8)
-        assert excinfo.value.residual > 0
-
-    def test_noiseless_subspace_matrix_aligns_with_coefficients(self, rng):
-        from blindchan.solvers import solve_subspace_cross_conv
-
-        model, u, truth, _, ys = make_instance(rng, 3, 8, 32, dim=3)
-        est = solve_subspace_cross_conv(ys, model, 0.0)
-        assert sin_angle(est.u_hat, u) <= 1e-8
-
-
 class TestSpectralGap:
     def test_diagonal_example(self):
         res = spectral.eig_hermitian(np.diag([0.0, 1.0, 5.0]))
@@ -197,19 +170,12 @@ class TestSpectralGap:
     def test_subspace_compression_opens_gap(self, rng):
         # compressing the same kind of matrix by a random 8-dimensional model
         # lifts the ratio by orders of magnitude
-        from blindchan.xcorr import cross_corr_matrix
+        from blindchan.xcorr import compressed_cross_corr
 
         K, M, D, L = 64, 4, 8, 256
         _, _, _, _, ys = make_instance(rng, M, K, L)
-        gram = cross_corr_matrix(ys, K).dense
         phi = complex_gaussian(rng, M, K, D)
-        compressed = np.zeros((M * D, M * D), dtype=complex)
-        for n in range(M):
-            for m in range(M):
-                compressed[n * D : (n + 1) * D, m * D : (m + 1) * D] = (
-                    phi[n].conj().T @ gram[n * K : (n + 1) * K, m * K : (m + 1) * K] @ phi[m]
-                )
-        res = spectral.eig_hermitian(compressed)
+        res = spectral.eig_hermitian(compressed_cross_corr(ys, phi))
         assert res.gap_ratio >= 0.05
 
     def test_needs_dimension_two(self):
@@ -223,8 +189,8 @@ class TestShiftInvariance:
             n = int(rng.integers(3, 17))
             a, _ = random_gapped_psd(rng, n, floor=0.0, gap=0.2)
             sigma = float(rng.uniform(-1, 3))
-            _, v1 = spectral.smallest_eigvec(a)
-            _, v2 = spectral.smallest_eigvec(a + sigma * np.eye(n))
+            v1 = spectral.eig_hermitian(a).vector
+            v2 = spectral.eig_hermitian(a + sigma * np.eye(n)).vector
             assert sin_angle(v1, v2) <= 1e-10
 
 

@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from blindchan.checks import explicit_compressed_gram
 from blindchan.exceptions import ConfigurationError, DimensionError
-from blindchan.models import complex_gaussian
-from blindchan.sigops import conv_matrix, convolve_short
-from blindchan import xcorr
+from blindchan.models import SubspaceModel, complex_gaussian
+from blindchan.sigops import conv_matrix
+from blindchan.spectral import eig_hermitian
+from blindchan import solvers, xcorr
 
 from conftest import make_instance
 
@@ -87,36 +91,64 @@ class TestCrossCorrMatrix:
         np.testing.assert_array_equal(g.block(1, 2), g.dense[4:8, 8:12])
 
 
-class TestApplyCrossCorr:
-    def test_annihilates_truth_noiseless(self, rng):
-        _, _, truth, _, ys = make_instance(rng, 3, 5, 20)
-        out = xcorr.apply_cross_corr(ys, 5, truth)
-        scale = np.linalg.norm(xcorr.cross_corr_matrix(ys, 5).dense, 2)
-        assert np.linalg.norm(out) <= 1e-10 * scale * np.linalg.norm(truth)
+#: (M, K, D, L) shapes for the compressed Gram, with the edges M=2, D=1,
+#: D=K, L=K and L<3K.
+COMPRESSED_SHAPES = [
+    (2, 6, 3, 24),
+    (3, 8, 1, 32),
+    (3, 5, 5, 20),
+    (4, 6, 2, 6),
+    (3, 8, 4, 12),
+    (2, 3, 3, 3),
+    (5, 7, 3, 40),
+]
 
-    def test_matches_materialized_product(self, rng):
-        for _ in range(10):
-            M = int(rng.integers(2, 5))
-            K = int(rng.integers(2, 7))
-            L = int(rng.integers(3 * K, 5 * K))
-            ys = [complex_gaussian(rng, L) for _ in range(M)]
-            v = complex_gaussian(rng, M * K)
-            dense = xcorr.cross_corr_matrix(ys, K).dense
-            got = xcorr.apply_cross_corr(ys, K, v)
-            want = dense @ v
-            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
-    def test_linearity(self, rng):
-        ys = [complex_gaussian(rng, 16) for _ in range(3)]
-        v = complex_gaussian(rng, 12)
-        lhs = xcorr.apply_cross_corr(ys, 4, 2.5j * v)
-        rhs = 2.5j * xcorr.apply_cross_corr(ys, 4, v)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+class TestCompressedCrossCorr:
+    @pytest.mark.parametrize("shape", COMPRESSED_SHAPES)
+    def test_matches_explicit_oracle(self, rng, shape):
+        M, K, D, L = shape
+        ys = [complex_gaussian(rng, L) for _ in range(M)]
+        model = SubspaceModel(bases=complex_gaussian(rng, M, K, D))
+        oracle = explicit_compressed_gram(ys, model)
+        fast = xcorr.compressed_cross_corr(ys, model.bases)
+        assert np.linalg.norm(fast - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
-    def test_dimension_check(self, rng):
+    @pytest.mark.parametrize("noise_var", [0.0, 0.3])
+    @pytest.mark.parametrize("shape", COMPRESSED_SHAPES)
+    def test_debiased_solver_matrix_matches_oracle(self, monkeypatch, rng, shape, noise_var):
+        # the matrix sccc hands to its eigensolve is the explicit compressed
+        # Gram minus the noise Gram noise_var*(M-1)*L*I compressed the same way
+        M, K, D, L = shape
+        model, _, _, _, ys = make_instance(rng, M, K, L, dim=D, noise_var=noise_var)
+        seen = []
+
+        def recording(matrix):
+            seen.append(matrix)
+            return eig_hermitian(matrix)
+
+        monkeypatch.setattr(solvers, "eig_hermitian", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # L < 3K on purpose
+            solvers.solve_subspace_cross_conv(ys, model, noise_var)
+        phi = model.block_diag()
+        shift = xcorr.noise_gram_mean(M, L, noise_var)
+        oracle = explicit_compressed_gram(ys, model) - shift * (phi.conj().T @ phi)
+        assert np.linalg.norm(seen[0] - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+    def test_noiseless_annihilates_coefficients(self, rng):
+        model, u, _, _, ys = make_instance(rng, 3, 8, 32, dim=3)
+        compressed = xcorr.compressed_cross_corr(ys, model.bases)
+        assert np.linalg.norm(compressed @ u) <= 1e-10 * np.linalg.norm(compressed, 2)
+
+    def test_shape_checks(self, rng):
         ys = [complex_gaussian(rng, 16) for _ in range(3)]
         with pytest.raises(DimensionError):
-            xcorr.apply_cross_corr(ys, 4, np.ones(5))
+            xcorr.compressed_cross_corr(ys, complex_gaussian(rng, 2, 4, 2))
+        with pytest.raises(DimensionError):
+            xcorr.compressed_cross_corr(ys, complex_gaussian(rng, 4, 2))
+        with pytest.raises(DimensionError):
+            xcorr.compressed_cross_corr(ys, complex_gaussian(rng, 3, 17, 2))
 
 
 def test_noise_gram_mean_follows_debias_identity(rng):
