@@ -16,8 +16,7 @@ x = bc.gen_source("gaussian", L, 1.0, streams.stream("source"))
 # unstructured random channels: the classical setting
 h = bc.complex_gaussian(streams.stream("channels"), M, K)
 ys = [bc.convolve_short(x, h[m]) for m in range(M)]
-gram = bc.cross_corr_matrix(ys, K)
-info = bc.eig_hermitian(gram.dense)
+info = bc.eig_hermitian(bc.cross_corr_matrix(ys, K))
 print(f"unconstrained matrix ({M * K} x {M * K}):")
 print(f"  smallest eigenvalue / largest : {info.lambda_min / info.lambda_max:.2e}")
 print(f"  gap ratio (second smallest / largest): {info.gap_ratio:.2e}")

@@ -71,7 +71,6 @@ from .spectral import (
     eig_hermitian,
 )
 from .xcorr import (
-    CrossCorrMatrix,
     compressed_cross_corr,
     cross_corr_matrix,
     cross_relation_matrix,

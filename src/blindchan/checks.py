@@ -92,7 +92,7 @@ def mean_noise_gram_error(n_channels, filter_len, signal_len, noise_var, n_draws
     acc = np.zeros((size, size), dtype=np.complex128)
     for _ in range(n_draws):
         ws = [complex_gaussian(rng, signal_len, var=noise_var) for _ in range(n_channels)]
-        acc += xcorr.cross_corr_matrix(ws, filter_len).dense
+        acc += xcorr.cross_corr_matrix(ws, filter_len)
     acc /= n_draws
     target = xcorr.noise_gram_mean(n_channels, signal_len, noise_var) * np.eye(size)
     return float(np.linalg.norm(acc - target) / np.linalg.norm(target))
@@ -196,7 +196,7 @@ def check_xcorr_fast_vs_explicit(rng):
         ys = [complex_gaussian(rng, 32) for _ in range(3)]
         explicit = xcorr.cross_relation_matrix(ys, 8)
         oracle = explicit.conj().T @ explicit
-        fast = xcorr.cross_corr_matrix(ys, 8).dense
+        fast = xcorr.cross_corr_matrix(ys, 8)
         worst = max(worst, np.linalg.norm(fast - oracle) / np.linalg.norm(oracle))
     return worst <= 1e-10, f"max relative Frobenius error {worst:.2e}"
 
@@ -231,7 +231,7 @@ def check_xcorr_hermitian_psd(rng):
         K = int(rng.integers(2, 9))
         L = int(rng.integers(3 * K, 6 * K))
         ys = [complex_gaussian(rng, L) for _ in range(M)]
-        a = xcorr.cross_corr_matrix(ys, K).dense
+        a = xcorr.cross_corr_matrix(ys, K)
         worst_herm = max(
             worst_herm, np.linalg.norm(a - a.conj().T) / max(np.linalg.norm(a), 1e-30)
         )
@@ -251,7 +251,7 @@ def check_noiseless_null_vector(rng):
         h = complex_gaussian(rng, M, K)
         x = complex_gaussian(rng, L)
         ys = [sigops.convolve_short(x, h[m]) for m in range(M)]
-        a = xcorr.cross_corr_matrix(ys, K).dense
+        a = xcorr.cross_corr_matrix(ys, K)
         stacked = h.reshape(-1)
         quad = float(np.real(np.vdot(stacked, a @ stacked))) / np.linalg.norm(stacked) ** 2
         w = np.linalg.eigvalsh((a + a.conj().T) / 2)

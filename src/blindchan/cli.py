@@ -14,10 +14,8 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import checks, harness
-from .exceptions import BlindchanError
+from .exceptions import BlindchanError, ConfigurationError
 from .models import (
     RngStreams,
     complex_gaussian,
@@ -27,22 +25,33 @@ from .models import (
 )
 from .sigops import convolve_short
 from .spectral import eig_hermitian
-from .xcorr import cross_corr_matrix
+from .xcorr import compressed_cross_corr, cross_corr_matrix
 
 THREADS_ENV = "BLINDCHAN_THREADS"
 
 
 def _resolve_threads(value):
     if value is None:
-        value = int(os.environ.get(THREADS_ENV, "0"))
+        raw = os.environ.get(THREADS_ENV, "0")
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ConfigurationError(f"{THREADS_ENV}={raw!r} is not an integer") from None
     if value <= 0:
         return os.cpu_count() or 1
     return value
 
 
 def _load_config(path):
+    """The JSON object in `path`; a malformed file raises ConfigurationError naming it."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            config = json.load(fh)
+        except ValueError as err:
+            raise ConfigurationError(f"{path}: not valid JSON: {err}") from None
+    if not isinstance(config, dict):
+        raise ConfigurationError(f"{path}: expected a JSON object, got {type(config).__name__}")
+    return config
 
 
 def _write_provenance(out_path, spec):
@@ -52,45 +61,38 @@ def _write_provenance(out_path, spec):
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def cmd_gap(args):
-    config = _load_config(args.config)
-    filter_len = int(config["k"])
-    n_channels = int(config["m"])
-    dim = config.get("d")
-    l_over_k = float(config.get("l-over-k", 4))
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    signal_len = int(round(l_over_k * filter_len))
-    streams = RngStreams(seed)
+def _optional_int(value):
+    return None if value is None else int(value)
 
-    x = gen_source("gaussian", signal_len, 1.0, streams.stream("source"))
-    h = complex_gaussian(streams.stream("channels"), n_channels, filter_len)
-    ys = [convolve_short(x, h[m]) for m in range(n_channels)]
-    gram = cross_corr_matrix(ys, filter_len).dense
-    eig = eig_hermitian(gram)
-    spectrum = eig.eigenvalues / eig.lambda_max
+
+#: gap config key -> (field, parser, default or REQUIRED), parsed like a spec.
+_GAP_FIELDS = {
+    "k": ("filter_len", int, harness.REQUIRED),
+    "m": ("n_channels", int, harness.REQUIRED),
+    "d": ("dim", _optional_int, None),
+    "l-over-k": ("l_over_k", float, 4),
+    "seed": ("seed", int, 0),
+}
+
+
+def cmd_gap(args):
+    config = harness.parse_keys(_load_config(args.config), _GAP_FIELDS, "gap config")
+    K, M, D = config["filter_len"], config["n_channels"], config["dim"]
+    streams = RngStreams(config["seed"] if args.seed is None else args.seed)
+
+    x = gen_source("gaussian", int(round(config["l_over_k"] * K)), 1.0, streams.stream("source"))
+    h = complex_gaussian(streams.stream("channels"), M, K)
+    eig = eig_hermitian(cross_corr_matrix([convolve_short(x, h[m]) for m in range(M)], K))
     print(f"unconstrained gap_ratio: {eig.gap_ratio:.6e}")
 
-    if dim is not None:
-        dim = int(dim)
-        model = gen_gaussian_subspace(filter_len, dim, n_channels, streams.stream("basis"))
+    if D is not None:
+        model = gen_gaussian_subspace(K, D, M, streams.stream("basis"))
         _, channels = gen_channels_in_subspace(model, streams.stream("subspace-channels"))
-        ys_sub = [convolve_short(x, channels.filters[m]) for m in range(n_channels)]
-        gram_sub = cross_corr_matrix(ys_sub, filter_len).dense
-        size = n_channels * dim
-        compressed = np.zeros((size, size), dtype=np.complex128)
-        for n in range(n_channels):
-            for m in range(n_channels):
-                blk = (
-                    model.bases[n].conj().T
-                    @ gram_sub[n * filter_len : (n + 1) * filter_len,
-                               m * filter_len : (m + 1) * filter_len]
-                    @ model.bases[m]
-                )
-                compressed[n * dim : (n + 1) * dim, m * dim : (m + 1) * dim] = blk
-        eig = eig_hermitian(compressed)
-        spectrum = eig.eigenvalues / eig.lambda_max
-        print(f"subspace-constrained gap_ratio (d={dim}): {eig.gap_ratio:.6e}")
+        ys_sub = [convolve_short(x, channels.filters[m]) for m in range(M)]
+        eig = eig_hermitian(compressed_cross_corr(ys_sub, model.bases))
+        print(f"subspace-constrained gap_ratio (d={D}): {eig.gap_ratio:.6e}")
 
+    spectrum = eig.eigenvalues / eig.lambda_max
     with open(args.out, "w", newline="") as fh:
         for value in spectrum:
             fh.write(format(float(value), ".12g") + "\n")
@@ -98,44 +100,42 @@ def cmd_gap(args):
     return 0
 
 
-def _run_and_write(args, expected_shape):
+#: Each run subcommand's help, runner and CSV writer.  The runner checks the
+#: spec's shape; the harness functions are looked up at call time, so
+#: rebinding one of them reaches every run.
+_RUNS = {
+    "trial": (
+        "per-trial errors at one parameter point",
+        lambda spec, threads: harness.run_point_result(spec, threads=threads),
+        lambda result, path: harness.write_trials_csv(result, path),
+    ),
+    "sweep": (
+        "1-D parameter sweep",
+        lambda spec, threads: harness.run_sweep(spec, threads=threads),
+        lambda result, path: harness.write_sweep_csv(result, path),
+    ),
+    "phase": (
+        "2-D (D/K, L/K) grid",
+        lambda spec, threads: harness.run_phase_grid(spec, threads=threads),
+        lambda result, path: harness.write_phase_csv(result, path),
+    ),
+}
+
+
+def cmd_run(args):
+    _, run, write_csv = _RUNS[args.command]
     spec = harness.spec_from_dict(_load_config(args.config))
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    if spec.shape != expected_shape:
-        raise BlindchanError(
-            f"config has shape {spec.shape!r} but this subcommand expects {expected_shape!r}"
-        )
-    threads = _resolve_threads(args.threads)
-    if expected_shape == "point":
-        result = harness.run_point_result(spec, threads=threads)
-        csv_writer = harness.write_trials_csv
-    elif expected_shape == "sweep":
-        result = harness.run_sweep(spec, threads=threads)
-        csv_writer = harness.write_sweep_csv
-    else:
-        result = harness.run_phase_grid(spec, threads=threads)
-        csv_writer = harness.write_phase_csv
+    result = run(spec, _resolve_threads(args.threads))
     if args.format == "json":
         with open(args.out, "w", newline="") as fh:
             fh.write(harness.result_to_json(result))
     else:
-        csv_writer(result, args.out)
+        write_csv(result, args.out)
     _write_provenance(args.out, spec)
     print(f"wrote {args.out} (provenance {result.provenance})")
     return 0
-
-
-def cmd_trial(args):
-    return _run_and_write(args, "point")
-
-
-def cmd_sweep(args):
-    return _run_and_write(args, "sweep")
-
-
-def cmd_phase(args):
-    return _run_and_write(args, "grid")
 
 
 def cmd_check(args):
@@ -162,16 +162,12 @@ def build_parser():
 
     p_gap = add_common(sub.add_parser("gap", help="eigenvalue spectrum of a noiseless instance"))
     p_gap.set_defaults(fn=cmd_gap)
-    for name, fn, text in (
-        ("trial", cmd_trial, "per-trial errors at one parameter point"),
-        ("sweep", cmd_sweep, "1-D parameter sweep"),
-        ("phase", cmd_phase, "2-D (D/K, L/K) grid"),
-    ):
+    for name, (text, _, _) in _RUNS.items():
         p_run = add_common(sub.add_parser(name, help=text))
         p_run.add_argument("--format", choices=("csv", "json"), default="csv")
         p_run.add_argument("--threads", type=int, default=None,
                            help=f"worker threads (0 = auto; env {THREADS_ENV})")
-        p_run.set_defaults(fn=fn)
+        p_run.set_defaults(fn=cmd_run)
 
     p_check = sub.add_parser("check", help="run the named invariant suite")
     p_check.add_argument("--level", choices=("fast", "full"), default="fast")
@@ -184,10 +180,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except BlindchanError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
+    except (BlindchanError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

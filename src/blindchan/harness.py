@@ -65,11 +65,14 @@ def _parse_snr(value):
     return None if value in (None, "noiseless") else float(value)
 
 
-#: JSON key -> (ExperimentSpec field, parser, default or None if required).
+#: Default of a key-table entry whose key must be present.
+REQUIRED = object()
+
+#: JSON key -> (ExperimentSpec field, parser, default or REQUIRED).
 _SPEC_FIELDS = {
-    "k": ("filter_len", int, None),
-    "m": ("n_channels", int, None),
-    "d": ("subspace_dim", int, None),
+    "k": ("filter_len", int, REQUIRED),
+    "m": ("n_channels", int, REQUIRED),
+    "d": ("subspace_dim", int, REQUIRED),
     "l-over-k": ("l_over_k", float, 20),
     "snr-db": ("snr_db", _parse_snr, "noiseless"),
     "trials": ("trials", int, 200),
@@ -188,6 +191,25 @@ def _parse_sweep(raw):
     raise ConfigurationError("sweep must hold either {param, values} or both {d-over-k, l-over-k}")
 
 
+def parse_keys(data, table, where, extra=()):
+    """{field: parsed value} of a JSON mapping, by a key table.
+
+    table maps each key to (field, parser, default or REQUIRED); keys in
+    extra are allowed but left to the caller.  Unknown or missing keys and
+    unparsable values raise ConfigurationError naming the key.
+    """
+    _reject_unknown(data, [*table, *extra], where)
+    fields = {}
+    for key, (name, parse, default) in table.items():
+        if key not in data and default is REQUIRED:
+            raise ConfigurationError(f"{where} is missing required key {key!r}")
+        try:
+            fields[name] = parse(data.get(key, default))
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"{where} key {key!r} has a bad value {data[key]!r}") from None
+    return fields
+
+
 def spec_from_dict(raw):
     """Build a spec from the documented kebab-case JSON mapping.
 
@@ -196,15 +218,7 @@ def spec_from_dict(raw):
     trial runs.
     """
     data = dict(raw)
-    _reject_unknown(data, [*_SPEC_FIELDS, "sweep"], "spec")
-    fields = {}
-    for key, (name, parse, default) in _SPEC_FIELDS.items():
-        if key not in data and default is None:
-            raise ConfigurationError(f"spec is missing required key {key!r}")
-        try:
-            fields[name] = parse(data.get(key, default))
-        except (TypeError, ValueError):
-            raise ConfigurationError(f"spec key {key!r} has a bad value {data[key]!r}") from None
+    fields = parse_keys(data, _SPEC_FIELDS, "spec", extra=("sweep",))
     sweep = None if data.get("sweep") is None else _parse_sweep(data["sweep"])
     return ExperimentSpec(**fields, sweep=sweep).validate()
 

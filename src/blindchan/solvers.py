@@ -61,8 +61,7 @@ def solve_cross_conv(ys, filter_len):
     """Classical estimator: smallest eigenvector of the cross-correlation Gram."""
     ys = [as_signal(y) for y in ys]
     _warn_short(len(ys[0]), filter_len)
-    gram = cross_corr_matrix(ys, filter_len)
-    eig = eig_hermitian(gram.dense)
+    eig = eig_hermitian(cross_corr_matrix(ys, filter_len))
     return Estimate(
         h_hat=_normalize(eig.vector), u_hat=None, lambda_min=eig.lambda_min,
         gap_ratio=eig.gap_ratio, degenerate=eig.degenerate,

@@ -12,8 +12,6 @@ explicit construction is retained (size-capped) as the reference oracle of
 both.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .exceptions import ConfigurationError, DimensionError
@@ -34,24 +32,6 @@ def _check_channels(ys, filter_len):
     if not 1 <= filter_len <= L:
         raise DimensionError(f"filter length {filter_len} out of range for signals of length {L}")
     return ys, M, L
-
-
-@dataclass(frozen=True)
-class CrossCorrMatrix:
-    """Hermitian MK x MK Gram matrix stored dense, addressable as K x K blocks."""
-
-    values: np.ndarray
-    n_channels: int
-    filter_len: int
-
-    @property
-    def dense(self):
-        return self.values
-
-    def block(self, n, m):
-        """K x K block at block-row n, block-column m (0-based)."""
-        K = self.filter_len
-        return self.values[n * K : (n + 1) * K, m * K : (m + 1) * K]
 
 
 def cross_relation_matrix(ys, filter_len):
@@ -103,7 +83,8 @@ def cross_corr_matrix(ys, filter_len):
 
     Block (n, n) is the sum of the self-correlation blocks of all other
     channels; block (n, m) for n != m is minus the (m, n) cross-correlation
-    block.  Equals cross_relation_matrix(ys, K)^H @ cross_relation_matrix(ys, K).
+    block.  Returns the Hermitian MK x MK matrix, equal to
+    cross_relation_matrix(ys, K)^H @ cross_relation_matrix(ys, K).
     """
     ys, M, L = _check_channels(ys, filter_len)
     K = filter_len
@@ -117,7 +98,7 @@ def cross_corr_matrix(ys, filter_len):
             else:
                 blk = -blocks[(m, n)]
             out[n * K : (n + 1) * K, m * K : (m + 1) * K] = blk
-    return CrossCorrMatrix(values=out, n_channels=M, filter_len=K)
+    return out
 
 
 def compressed_cross_corr(ys, bases):

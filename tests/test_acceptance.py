@@ -30,16 +30,9 @@ def report(number, ok, description, detail, elapsed, cap):
 
 def test_criterion_01_fast_gram_matches_explicit_oracle():
     start = time.time()
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for _ in range(20):
-        ys = [complex_gaussian(rng, 32) for _ in range(3)]
-        explicit = xcorr.cross_relation_matrix(ys, 8)
-        oracle = explicit.conj().T @ explicit
-        fast = xcorr.cross_corr_matrix(ys, 8).dense
-        worst = max(worst, np.linalg.norm(fast - oracle) / np.linalg.norm(oracle))
-    report(1, worst <= 1e-10, "fast Gram equals explicit oracle",
-           f"max rel Frobenius {worst:.2e} (tol 1e-10)", time.time() - start, 5)
+    ok, detail = checks.check_xcorr_fast_vs_explicit(np.random.default_rng(101))
+    report(1, ok, "fast Gram equals explicit oracle", f"{detail} (tol 1e-10)",
+           time.time() - start, 5)
 
 
 def test_criterion_02_noiseless_exact_recovery():
@@ -77,7 +70,7 @@ def test_criterion_03_spectral_gap_reproduction():
         x = complex_gaussian(rng, L)
         h = complex_gaussian(rng, M, K)
         ys = [convolve_short(x, h[m]) for m in range(M)]
-        tiny += spectral.eig_hermitian(xcorr.cross_corr_matrix(ys, K).dense).gap_ratio <= 1e-3
+        tiny += spectral.eig_hermitian(xcorr.cross_corr_matrix(ys, K)).gap_ratio <= 1e-3
         model = gen_gaussian_subspace(K, D, M, rng)
         _, channels = gen_channels_in_subspace(model, rng)
         ys_sub = [convolve_short(x, channels.filters[m]) for m in range(M)]
@@ -111,21 +104,9 @@ def test_criterion_05_noise_debias_identity():
 
 def test_criterion_06_angle_inequality():
     start = time.time()
-    rng = np.random.default_rng(606)
-    ok = True
-    for _ in range(1000):
-        n = int(rng.integers(2, 17))
-        a = complex_gaussian(rng, n)
-        b = complex_gaussian(rng, n)
-        a /= np.linalg.norm(a)
-        b /= np.linalg.norm(b)
-        s = metrics.sin_angle(a, b)
-        d = metrics.min_phase_distance(a, b)
-        if not (s <= d + 1e-12 and d <= np.sqrt(2) * s + 1e-12):
-            ok = False
-            break
-    report(6, ok, "angle/min-phase sandwich on 1000 unit pairs",
-           "sin <= distance <= sqrt(2) sin held every time", time.time() - start, 30)
+    ok, detail = checks.check_angle_inequality(np.random.default_rng(606))
+    report(6, ok, "angle/min-phase sandwich on 1000 unit pairs", detail,
+           time.time() - start, 30)
 
 
 def test_criterion_07_perturbation_bound():

@@ -1,10 +1,11 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from blindchan import checks, harness, xcorr
+from blindchan import checks, cli, harness, xcorr
 from blindchan.cli import main
 
 REPRODUCE = Path(__file__).resolve().parent.parent / "reproduce"
@@ -45,8 +46,9 @@ class TestGapCommand:
         assert "subspace-constrained gap_ratio" in printed
 
     def test_shipped_gap_config_parses(self, tmp_path):
-        # the eigen service must not move a byte of the spectrum dump: rebuild
-        # the shipped instance and format LAPACK's eigvalsh spectrum directly
+        # rebuild the shipped instance: the dump is LAPACK's eigvalsh spectrum
+        # of the shared compressed Gram, formatted byte for byte, and it stays
+        # pinned to the time-domain block congruence of the full Gram
         from blindchan.models import (
             RngStreams, gen_channels_in_subspace, gen_gaussian_subspace, gen_source,
         )
@@ -62,12 +64,35 @@ class TestGapCommand:
         x = gen_source("gaussian", cfg["l-over-k"] * K, 1.0, streams.stream("source"))
         model = gen_gaussian_subspace(K, D, M, streams.stream("basis"))
         _, channels = gen_channels_in_subspace(model, streams.stream("subspace-channels"))
-        gram = xcorr.cross_corr_matrix([convolve_short(x, f) for f in channels.filters], K)
-        compressed = np.block([[model.bases[n].conj().T @ gram.block(n, m) @ model.bases[m]
-                                for m in range(M)] for n in range(M)])
-        w = np.linalg.eigvalsh((compressed + compressed.conj().T) / 2)[::-1]
-        expected = "".join(format(float(v), ".12g") + "\n" for v in w / w[0])
+        ys = [convolve_short(x, f) for f in channels.filters]
+
+        def normalized_spectrum(a):
+            w = np.linalg.eigvalsh((a + a.conj().T) / 2)[::-1]
+            return w / w[0]
+
+        w = normalized_spectrum(xcorr.compressed_cross_corr(ys, model.bases))
+        expected = "".join(format(float(v), ".12g") + "\n" for v in w)
         assert out.read_bytes() == expected.encode()
+        phi = model.block_diag()
+        congruence = phi.conj().T @ xcorr.cross_corr_matrix(ys, K) @ phi
+        np.testing.assert_allclose(w, normalized_spectrum(congruence), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("config,key", [
+        ({"k": 8, "m": 3, "dd": 2, "seed": 1}, "'dd'"),
+        ({"k": "eight", "m": 3}, "'k'"),
+        ({"k": 8, "m": 3, "d": "two"}, "'d'"),
+        ({"m": 3, "d": 2}, "'k'"),
+    ])
+    def test_bad_gap_config_exits_nonzero_before_writing(self, tmp_path, capsys,
+                                                          config, key):
+        cfg = tmp_path / "gap.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "spectrum.txt"
+        assert main(["gap", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert key in captured.err
+        assert "gap_ratio" not in captured.out
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", [["--format", "json"], ["--threads", "2"]])
     def test_gap_rejects_run_only_flags(self, tmp_path, capsys, flag):
@@ -138,6 +163,19 @@ class TestRunCommands:
         assert "'trails'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bad_threads_env_exits_nonzero(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("BLINDCHAN_THREADS", "abc")
+        cfg = write_config(tmp_path)
+        out = tmp_path / "trials.csv"
+        assert main(["trial", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "BLINDCHAN_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_nonpositive_threads_env_means_auto(self, monkeypatch, value):
+        monkeypatch.setenv("BLINDCHAN_THREADS", value)
+        assert cli._resolve_threads(None) == (os.cpu_count() or 1)
+
     def test_missing_config_exits_nonzero(self, tmp_path):
         out = tmp_path / "x.csv"
         assert main(["trial", "--config", str(tmp_path / "no.json"),
@@ -161,6 +199,20 @@ class TestRunCommands:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["gap", "trial", "sweep", "phase"])
+@pytest.mark.parametrize("text,reason", [
+    ('{"k": 8, "m": 3', "not valid JSON"),
+    ("[8, 3]", "expected a JSON object, got list"),
+])
+def test_malformed_config_file_exits_nonzero(tmp_path, capsys, command, text, reason):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    out = tmp_path / "out.txt"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: {reason}")
+    assert not out.exists()
+
+
 class TestCheckCommand:
     def test_fast_suite_green(self, capsys):
         assert main(["check", "--level", "fast"]) == 0
@@ -174,14 +226,11 @@ class TestCheckCommand:
         original = xcorr.cross_corr_matrix
 
         def flipped(ys, filter_len):
-            result = original(ys, filter_len)
-            broken = result.values.copy()
+            broken = original(ys, filter_len)
             K = filter_len
             broken[:K, K : 2 * K] *= -1
             broken[K : 2 * K, :K] *= -1
-            return xcorr.CrossCorrMatrix(
-                values=broken, n_channels=result.n_channels, filter_len=K
-            )
+            return broken
 
         monkeypatch.setattr(xcorr, "cross_corr_matrix", flipped)
         ok, _ = checks.check_xcorr_fast_vs_explicit(rng)

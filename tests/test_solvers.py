@@ -285,7 +285,7 @@ def time_domain_compression(ys, bases):
     for n in range(M):
         for m in range(M):
             out[n * D : (n + 1) * D, m * D : (m + 1) * D] = (
-                bases[n].conj().T @ gram.block(n, m) @ bases[m]
+                bases[n].conj().T @ gram[n * K : (n + 1) * K, m * K : (m + 1) * K] @ bases[m]
             )
     return out
 

@@ -51,7 +51,7 @@ class TestEigHermitian:
         from blindchan.xcorr import cross_corr_matrix
 
         _, _, _, _, ys = make_instance(rng, 3, 6, 24)
-        res = spectral.eig_hermitian(cross_corr_matrix(ys, 6).dense)
+        res = spectral.eig_hermitian(cross_corr_matrix(ys, 6))
         assert res.eigenvalues[-1] <= 1e-10 * res.eigenvalues[0]
 
     def test_noiseless_subspace_matrix_aligns_with_coefficients(self, rng):
@@ -138,7 +138,7 @@ class TestSmallestPairOracle:
             from blindchan.xcorr import cross_corr_matrix
 
             y = convolve_short(complex_gaussian(rng, 16), complex_gaussian(rng, 4))
-            a = cross_corr_matrix([y, y.copy()], 4).dense
+            a = cross_corr_matrix([y, y.copy()], 4)
         res = spectral.eig_hermitian(a)
         v = res.vector
         assert np.all(np.isfinite(v))
@@ -164,7 +164,7 @@ class TestSpectralGap:
         from blindchan.xcorr import cross_corr_matrix
 
         _, _, _, _, ys = make_instance(rng, 4, 64, 256)
-        res = spectral.eig_hermitian(cross_corr_matrix(ys, 64).dense)
+        res = spectral.eig_hermitian(cross_corr_matrix(ys, 64))
         assert res.gap_ratio <= 1e-3
 
     def test_subspace_compression_opens_gap(self, rng):
