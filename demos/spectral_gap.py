@@ -25,8 +25,8 @@ print("     any noise of comparable size scrambles the estimate.")
 
 # the same construction with channels confined to a D-dimensional model
 model = bc.gen_gaussian_subspace(K, D, M, streams.stream("basis"))
-u, channels = bc.gen_channels_in_subspace(model, streams.stream("coef"))
-ys = [bc.convolve_short(x, channels.filters[m]) for m in range(M)]
+u, filters = bc.gen_channels_in_subspace(model, streams.stream("coef"))
+ys = [bc.convolve_short(x, filters[m]) for m in range(M)]
 info = bc.eig_hermitian(bc.compressed_cross_corr(ys, model.bases))
 print(f"\nsubspace-compressed matrix ({M * D} x {M * D}):")
 print(f"  gap ratio: {info.gap_ratio:.2f}")

@@ -33,7 +33,6 @@ from .metrics import (
     crosscorr_norm,
     db_to_linear,
     flatness,
-    linear_to_db,
     metric_report,
     min_phase_distance,
     noise_corr_norms,
@@ -41,7 +40,6 @@ from .metrics import (
     snr,
 )
 from .models import (
-    ChannelEnsemble,
     RngStreams,
     SubspaceModel,
     add_noise,
@@ -51,11 +49,9 @@ from .models import (
     gen_gaussian_subspace,
     gen_pca_subspace,
     gen_source,
-    load_basis,
-    save_basis,
     sigma_for_snr,
 )
-from .sigops import circular_convolve, circulant, conv_matrix, convolve_short, restrict, zero_pad
+from .sigops import circular_convolve, circulant, conv_matrix, convolve_short, zero_pad
 from .solvers import (
     Estimate,
     estimate_noise_variance,

@@ -62,33 +62,35 @@ def _write_provenance(out_path, spec):
 
 
 def _optional_int(value):
-    return None if value is None else int(value)
+    return None if value is None else harness.parse_int(value)
 
 
 #: gap config key -> (field, parser, default or REQUIRED), parsed like a spec.
 _GAP_FIELDS = {
-    "k": ("filter_len", int, harness.REQUIRED),
-    "m": ("n_channels", int, harness.REQUIRED),
+    "k": ("filter_len", harness.parse_int, harness.REQUIRED),
+    "m": ("n_channels", harness.parse_int, harness.REQUIRED),
     "d": ("dim", _optional_int, None),
     "l-over-k": ("l_over_k", float, 4),
-    "seed": ("seed", int, 0),
+    "seed": ("seed", harness.parse_int, 0),
 }
 
 
 def cmd_gap(args):
     config = harness.parse_keys(_load_config(args.config), _GAP_FIELDS, "gap config")
     K, M, D = config["filter_len"], config["n_channels"], config["dim"]
+    L = int(round(config["l_over_k"] * K))
+    harness.check_dimensions(K, M, D, L)
     streams = RngStreams(config["seed"] if args.seed is None else args.seed)
 
-    x = gen_source("gaussian", int(round(config["l_over_k"] * K)), 1.0, streams.stream("source"))
+    x = gen_source("gaussian", L, 1.0, streams.stream("source"))
     h = complex_gaussian(streams.stream("channels"), M, K)
     eig = eig_hermitian(cross_corr_matrix([convolve_short(x, h[m]) for m in range(M)], K))
     print(f"unconstrained gap_ratio: {eig.gap_ratio:.6e}")
 
     if D is not None:
         model = gen_gaussian_subspace(K, D, M, streams.stream("basis"))
-        _, channels = gen_channels_in_subspace(model, streams.stream("subspace-channels"))
-        ys_sub = [convolve_short(x, channels.filters[m]) for m in range(M)]
+        _, filters = gen_channels_in_subspace(model, streams.stream("subspace-channels"))
+        ys_sub = [convolve_short(x, filters[m]) for m in range(M)]
         eig = eig_hermitian(compressed_cross_corr(ys_sub, model.bases))
         print(f"subspace-constrained gap_ratio (d={D}): {eig.gap_ratio:.6e}")
 

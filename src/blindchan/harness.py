@@ -65,23 +65,37 @@ def _parse_snr(value):
     return None if value in (None, "noiseless") else float(value)
 
 
+def parse_int(value):
+    """int(value), refusing booleans and numbers with a fractional part."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
+def _parse_list(value):
+    """A JSON list as a tuple; a string or a scalar is refused, not split."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return tuple(value)
+
+
 #: Default of a key-table entry whose key must be present.
 REQUIRED = object()
 
 #: JSON key -> (ExperimentSpec field, parser, default or REQUIRED).
 _SPEC_FIELDS = {
-    "k": ("filter_len", int, REQUIRED),
-    "m": ("n_channels", int, REQUIRED),
-    "d": ("subspace_dim", int, REQUIRED),
+    "k": ("filter_len", parse_int, REQUIRED),
+    "m": ("n_channels", parse_int, REQUIRED),
+    "d": ("subspace_dim", parse_int, REQUIRED),
     "l-over-k": ("l_over_k", float, 20),
     "snr-db": ("snr_db", _parse_snr, "noiseless"),
-    "trials": ("trials", int, 200),
-    "methods": ("methods", tuple, ("cc", "sccc")),
+    "trials": ("trials", parse_int, 200),
+    "methods": ("methods", _parse_list, ("cc", "sccc")),
     "basis": ("basis", str, "gaussian"),
     "source": ("source", str, "gaussian"),
     "norm-profile": ("norm_profile", str, "flat"),
     "percentile": ("percentile", float, 95),
-    "seed": ("seed", int, 0),
+    "seed": ("seed", parse_int, 0),
 }
 
 #: Keys a 1-D sweep may vary; each value is parsed like the key's spec value.
@@ -148,17 +162,11 @@ class ExperimentSpec:
             if not (self.sweep.d_over_k and self.sweep.l_over_k and numeric):
                 raise ConfigurationError("grid needs nonempty numeric d-over-k and l-over-k lists")
         for label, cell in _cells(self):
-            cell._check_dimensions("" if label is None else f"sweep cell {label}: ")
+            check_dimensions(
+                cell.filter_len, cell.n_channels, cell.subspace_dim, _signal_len(cell),
+                "" if label is None else f"sweep cell {label}: ",
+            )
         return self
-
-    def _check_dimensions(self, where):
-        K, M, D, L = self.filter_len, self.n_channels, self.subspace_dim, _signal_len(self)
-        if M < 2:
-            raise ConfigurationError(f"{where}need m >= 2 channels, got m={M}")
-        if not 1 <= D <= K:
-            raise ConfigurationError(f"{where}need 1 <= d <= k, got d={D}, k={K}")
-        if L < K:
-            raise ConfigurationError(f"{where}need round(l-over-k * k) >= k, got {L} < {K}")
 
     @property
     def shape(self):
@@ -166,6 +174,20 @@ class ExperimentSpec:
         if self.sweep is None:
             return "point"
         return "sweep" if isinstance(self.sweep, Sweep) else "grid"
+
+
+def check_dimensions(filter_len, n_channels, subspace_dim, signal_len, where=""):
+    """Raise ConfigurationError naming the key unless m >= 2, 1 <= d <= k
+    (skipped when d is None), k >= 1 and L = round(l-over-k * k) >= k."""
+    K, M, D, L = filter_len, n_channels, subspace_dim, signal_len
+    if M < 2:
+        raise ConfigurationError(f"{where}need m >= 2 channels, got m={M}")
+    if D is not None and not 1 <= D <= K:
+        raise ConfigurationError(f"{where}need 1 <= d <= k, got d={D}, k={K}")
+    if K < 1:
+        raise ConfigurationError(f"{where}need k >= 1, got k={K}")
+    if L < K:
+        raise ConfigurationError(f"{where}need round(l-over-k * k) >= k, got {L} < {K}")
 
 
 def _reject_unknown(data, known, where):
@@ -180,10 +202,12 @@ def _parse_sweep(raw):
     try:
         if "param" in raw:
             _reject_unknown(raw, ("param", "values"), "sweep")
-            return Sweep(param=str(raw["param"]), values=tuple(raw["values"]))
+            return Sweep(param=str(raw["param"]), values=_parse_list(raw["values"]))
         if "d-over-k" in raw and "l-over-k" in raw:
             _reject_unknown(raw, ("d-over-k", "l-over-k"), "grid")
-            return Grid(d_over_k=tuple(raw["d-over-k"]), l_over_k=tuple(raw["l-over-k"]))
+            return Grid(
+                d_over_k=_parse_list(raw["d-over-k"]), l_over_k=_parse_list(raw["l-over-k"])
+            )
     except KeyError as missing:
         raise ConfigurationError(f"sweep is missing required key {missing}") from None
     except TypeError:
@@ -294,7 +318,7 @@ def run_trial(spec, trial_index):
 
     model = _BASES[spec.basis](K, D, M, streams.stream("basis", trial_index))
 
-    u, channels = gen_channels_in_subspace(
+    u, filters = gen_channels_in_subspace(
         model, streams.stream("channels", trial_index), spec.norm_profile
     )
     x = gen_source(spec.source, L, 1.0, streams.stream("source", trial_index))
@@ -304,17 +328,15 @@ def run_trial(spec, trial_index):
         noise_var = sigma_for_snr(db_to_linear(spec.snr_db), K, L, M, x, u)
     noise_stream = streams.stream("noise", trial_index)
     sigma_w = np.sqrt(noise_var)
-    ys = [add_noise(convolve_short(x, channels.filters[m]), sigma_w, noise_stream)
-          for m in range(M)]
+    ys = [add_noise(convolve_short(x, filters[m]), sigma_w, noise_stream) for m in range(M)]
 
-    truth = channels.stacked
     errors = {}
     degenerate = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # sweeps probe L < 3K on purpose
         for method in spec.methods:
             est = _SOLVERS[method](ys, x, model, noise_var)
-            errors[method] = sin_angle(est.h_hat, truth)
+            errors[method] = sin_angle(est.h_hat, filters)
             degenerate[method] = bool(est.degenerate)
     return errors, degenerate
 

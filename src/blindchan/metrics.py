@@ -14,7 +14,7 @@ import numpy as np
 
 from .exceptions import ConfigurationError, InputError
 from .models import complex_gaussian
-from .sigops import as_signal, restriction_indices
+from .sigops import as_signal
 
 
 def sin_angle(a, b):
@@ -63,10 +63,6 @@ def db_to_linear(db):
     return float(10.0 ** (db / 10.0))
 
 
-def linear_to_db(eta):
-    return float(10.0 * np.log10(eta))
-
-
 def snr(filter_len, signal_len, n_channels, x, u, noise_var,
         mode="formula", n_draws=2000, rng=None):
     """Signal-to-noise ratio of the observation model.
@@ -101,9 +97,11 @@ def snr(filter_len, signal_len, n_channels, x, u, noise_var,
 
 def _window_corr_matrix(symbol, filter_len, signal_len):
     """Windowed correlation matrix from a circulant symbol: entry (i,j) =
-    r[(w_i - w_j) mod L] with r = ifft(symbol) and w the conv3 window."""
+    r[(w_i - w_j) mod L] with r = ifft(symbol) and w the conv3 window
+    [L-K+1, ..., L-1, 0, ..., 2K-2] (callers check 3K-2 <= L)."""
     r = np.fft.ifft(symbol)
-    w = restriction_indices("conv3", filter_len, signal_len)
+    w = np.concatenate([np.arange(signal_len - filter_len + 1, signal_len),
+                        np.arange(2 * filter_len - 1)])
     return r[(w[:, None] - w[None, :]) % signal_len]
 
 

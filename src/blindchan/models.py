@@ -11,7 +11,7 @@ checks hold with exactly this normalization.
 """
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,6 @@ class SubspaceModel:
     """
 
     bases: np.ndarray
-    kind: str = "custom"
 
     @property
     def n_channels(self):
@@ -59,10 +58,6 @@ class SubspaceModel:
     @property
     def filter_len(self):
         return self.bases.shape[1]
-
-    @property
-    def dim(self):
-        return self.bases.shape[2]
 
     def apply(self, u):
         """Map stacked coefficients u in C^{MD} to stacked filters in C^{MK}."""
@@ -80,46 +75,13 @@ class SubspaceModel:
             out[m * K : (m + 1) * K, m * D : (m + 1) * D] = self.bases[m]
         return out
 
-    def smallest_singular_value(self):
-        return float(min(np.linalg.svd(self.bases[m], compute_uv=False)[-1]
-                         for m in range(self.n_channels)))
-
-    def validate(self):
-        if self.smallest_singular_value() <= 0:
-            raise ConfigurationError("subspace basis is rank deficient")
-        return self
-
-    def orthonormalized(self):
-        """Same column spans with orthonormal columns per block."""
-        q = np.stack([np.linalg.qr(self.bases[m])[0] for m in range(self.n_channels)])
-        return SubspaceModel(bases=q, kind=self.kind)
-
-
-@dataclass(frozen=True)
-class ChannelEnsemble:
-    """M length-K impulse responses and their stacked concatenation."""
-
-    filters: np.ndarray  # (M, K)
-    stacked: np.ndarray = field(init=False)  # (M*K,)
-
-    def __post_init__(self):
-        object.__setattr__(self, "stacked", self.filters.reshape(-1).copy())
-
-    @property
-    def n_channels(self):
-        return self.filters.shape[0]
-
-    @property
-    def filter_len(self):
-        return self.filters.shape[1]
-
 
 def gen_gaussian_subspace(filter_len, dim, n_channels, rng):
     """Generic model: independent K x D bases with iid CN(0,1) entries."""
     if not 1 <= dim <= filter_len:
         raise ConfigurationError(f"need 1 <= D <= K, got D={dim}, K={filter_len}")
     bases = complex_gaussian(rng, n_channels, filter_len, dim)
-    return SubspaceModel(bases=bases, kind="gaussian")
+    return SubspaceModel(bases=bases)
 
 
 def bandpass_pulse(t, filter_len):
@@ -165,7 +127,7 @@ def gen_pca_subspace(pulse, filter_len, dim, n_train, rng, n_channels=1):
     _, v = np.linalg.eigh((second_moment + second_moment.conj().T) / 2)
     basis = v[:, ::-1][:, :dim]
     bases = np.repeat(basis[None, :, :], n_channels, axis=0)
-    return SubspaceModel(bases=bases.copy(), kind="pca")
+    return SubspaceModel(bases=bases)
 
 
 def default_train_size(dim):
@@ -175,6 +137,9 @@ def default_train_size(dim):
 
 def gen_channels_in_subspace(model, rng, norm_profile="flat"):
     """Draw coefficients u and the channels h = Phi u they induce.
+
+    Returns (u, filters): u stacked in C^{MD}, filters the M x K array whose
+    row m is channel m's impulse response.
 
     norm_profile "flat" rescales every block to unit norm (flatness 1);
     "spiky" puts all energy on the first block (flatness sqrt(M)).
@@ -189,8 +154,7 @@ def gen_channels_in_subspace(model, rng, norm_profile="flat"):
     else:
         raise InputError(f"unknown norm profile {norm_profile!r}")
     u_flat = u.reshape(-1)
-    filters = model.apply(u_flat).reshape(M, K)
-    return u_flat, ChannelEnsemble(filters=filters)
+    return u_flat, model.apply(u_flat).reshape(M, K)
 
 
 def gen_source(kind, signal_len, sigma_x, rng):
@@ -232,42 +196,3 @@ def sigma_for_snr(eta_target, filter_len, signal_len, n_channels, x, u):
     if ex == 0 or eu == 0:
         raise ConfigurationError("source and coefficients must have nonzero energy")
     return filter_len * ex * eu / (n_channels * signal_len * eta_target)
-
-
-def save_basis(path, model):
-    """Write bases to a text file: one complex entry per line, column-major
-    within each K x D block, blocks in channel order."""
-    M, K, D = model.bases.shape
-    with open(path, "w") as fh:
-        fh.write(f"# channels={M} filter_len={K} dim={D}\n")
-        for m in range(M):
-            for value in model.bases[m].flatten(order="F"):
-                fh.write(f"{value.real:.17g} {value.imag:.17g}\n")
-
-
-def load_basis(path, filter_len, dim, n_channels):
-    """Read a custom basis saved in the save_basis layout."""
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            re_part, im_part = line.split()
-            rows.append(complex(float(re_part), float(im_part)))
-    expected = n_channels * filter_len * dim
-    if len(rows) != expected:
-        raise ConfigurationError(
-            f"basis file holds {len(rows)} entries, expected {expected} "
-            f"(M={n_channels}, K={filter_len}, D={dim})"
-        )
-    flat = np.asarray(rows, dtype=np.complex128)
-    bases = np.stack(
-        [
-            flat[m * filter_len * dim : (m + 1) * filter_len * dim].reshape(
-                (filter_len, dim), order="F"
-            )
-            for m in range(n_channels)
-        ]
-    )
-    return SubspaceModel(bases=bases, kind="custom").validate()

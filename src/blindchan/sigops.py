@@ -1,4 +1,4 @@
-"""Core signal operations: circular convolution, short-filter operators, index windows.
+"""Core signal operations: circular convolution and short-filter operators.
 
 All signals are 1-D complex128 vectors of a common length L; channel impulse
 responses are short vectors of length K <= L that stand for signals whose last
@@ -11,13 +11,6 @@ import numpy as np
 
 from .exceptions import DimensionError, InputError
 
-#: Index-window kinds, by what they select from a length-L vector:
-#:   "support"  first K entries (where a length-K filter lives),
-#:   "conv2"    wrap-around window of 2K-1 entries (support of the circular
-#:              convolution of two length-K vectors),
-#:   "conv3"    wrap-around window of 3K-2 entries (three-fold convolutions).
-RESTRICTION_KINDS = ("support", "conv2", "conv3")
-
 
 def as_signal(values):
     """Validate and return a 1-D complex128 signal vector.
@@ -29,13 +22,6 @@ def as_signal(values):
         raise InputError(f"signal must be a nonempty 1-D vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise InputError("signal contains non-finite entries")
-    return v
-
-
-def unit_impulse(length, position=0):
-    """Standard basis vector e_{position+1} of the given length."""
-    v = np.zeros(length, dtype=np.complex128)
-    v[position % length] = 1.0
     return v
 
 
@@ -88,71 +74,3 @@ def convolve_short(v, h):
     if len(h) > len(v):
         raise DimensionError(f"filter length {len(h)} exceeds signal length {len(v)}")
     return circular_convolve(v, zero_pad(h, len(v)))
-
-
-def convolve_short_adjoint(v, z, filter_len):
-    """Apply the adjoint of conv_matrix(v, K) to a length-L vector.
-
-    Computed as the first K entries of the circular cross-correlation of v
-    with z (one FFT product).
-    """
-    v = as_signal(v)
-    z = as_signal(z)
-    if len(v) != len(z):
-        raise DimensionError(f"length mismatch: {len(v)} vs {len(z)}")
-    if filter_len > len(v):
-        raise DimensionError(f"filter length {filter_len} exceeds signal length {len(v)}")
-    full = np.fft.ifft(np.conj(np.fft.fft(v)) * np.fft.fft(z))
-    return full[:filter_len]
-
-
-def restriction_indices(kind, filter_len, signal_len):
-    """Row-to-index map of the selection operator of the given kind.
-
-    Each window wraps around the end of the signal:
-
-        "support"  [0, ..., K-1]
-        "conv2"    [L-K+1, ..., L-1, 0, ..., K-1]
-        "conv3"    [L-K+1, ..., L-1, 0, ..., 2K-2]
-    """
-    K, L = int(filter_len), int(signal_len)
-    if K < 1:
-        raise DimensionError(f"filter length must be >= 1, got {K}")
-    if kind == "support":
-        if K > L:
-            raise DimensionError(f"support window needs L >= K, got K={K}, L={L}")
-        return np.arange(K)
-    if kind == "conv2":
-        if 2 * K - 1 > L:
-            raise DimensionError(f"conv2 window needs L >= 2K-1, got K={K}, L={L}")
-        return np.concatenate([np.arange(L - K + 1, L), np.arange(K)])
-    if kind == "conv3":
-        if 3 * K - 2 > L:
-            raise DimensionError(f"conv3 window needs L >= 3K-2, got K={K}, L={L}")
-        return np.concatenate([np.arange(L - K + 1, L), np.arange(2 * K - 1)])
-    raise InputError(f"unknown restriction kind {kind!r}; expected one of {RESTRICTION_KINDS}")
-
-
-def restrict(v, kind, filter_len):
-    """Select the window of the given kind from a signal (bit-exact indexing)."""
-    v = as_signal(v)
-    return v[restriction_indices(kind, filter_len, len(v))]
-
-
-def restrict_adjoint(z, kind, filter_len, signal_len):
-    """Scatter a window vector back into a length-L signal, zeros elsewhere."""
-    z = np.asarray(z, dtype=np.complex128)
-    idx = restriction_indices(kind, filter_len, signal_len)
-    if len(z) != len(idx):
-        raise DimensionError(f"window length mismatch: got {len(z)}, expected {len(idx)}")
-    out = np.zeros(signal_len, dtype=np.complex128)
-    np.add.at(out, idx, z)
-    return out
-
-
-def restriction_matrix(kind, filter_len, signal_len):
-    """Dense 0/1 selection matrix for the given kind (oracle/diagnostics)."""
-    idx = restriction_indices(kind, filter_len, signal_len)
-    mat = np.zeros((len(idx), signal_len), dtype=np.complex128)
-    mat[np.arange(len(idx)), idx] = 1.0
-    return mat

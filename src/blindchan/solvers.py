@@ -102,11 +102,13 @@ def solve_oracle_ls(ys, x, model):
     x = as_signal(x)
     M, K, D = model.bases.shape
     L = len(x)
+    if L < K:
+        raise DimensionError(f"filter length {K} exceeds signal length {L}")
     xhat = np.fft.fft(x)
+    bases_hat = np.fft.fft(model.bases, n=L, axis=1)
     u_hat = np.zeros((M, D), dtype=np.complex128)
     for m in range(M):
-        padded = np.concatenate([model.bases[m], np.zeros((L - K, D), dtype=np.complex128)])
-        design = np.fft.ifft(xhat[:, None] * np.fft.fft(padded, axis=0), axis=0)
+        design = np.fft.ifft(xhat[:, None] * bases_hat[m], axis=0)
         svals = np.linalg.svd(design, compute_uv=False)
         if svals[-1] <= svals[0] * 1e-12:
             raise ConfigurationError(
@@ -143,10 +145,12 @@ def solve_linearized_ls(ys, model):
     unexcited and this linearization is ill-posed there.
     """
     ys = [as_signal(y) for y in ys]
-    M, K, D = model.bases.shape
+    M, K, _ = model.bases.shape
     L = len(ys[0])
     if len(ys) != M:
         raise DimensionError(f"model has {M} channels but got {len(ys)} observations")
+    if L < K:
+        raise DimensionError(f"filter length {K} exceeds signal length {L}")
     yhat = np.array([np.fft.fft(y) for y in ys])
 
     ill_posed = any(
@@ -162,14 +166,11 @@ def solve_linearized_ls(ys, model):
     bin_energy = (np.abs(yhat) ** 2).sum(axis=0)
     gram = np.zeros((L, L), dtype=np.complex128)
     gram[np.diag_indices(L)] = bin_energy
-    bases_hat = []
+    bases_hat = np.fft.fft(model.bases, n=L, axis=1)
     for m in range(M):
-        padded = np.concatenate([model.bases[m], np.zeros((L - K, D), dtype=np.complex128)])
-        ghat = np.fft.fft(padded, axis=0)
-        q, _ = np.linalg.qr(ghat)
+        q, _ = np.linalg.qr(bases_hat[m])
         w = np.conj(yhat[m])[:, None] * q
         gram -= w @ w.conj().T
-        bases_hat.append(ghat)
 
     eig = eig_hermitian(gram)
     s = eig.vector

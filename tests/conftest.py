@@ -23,8 +23,7 @@ def make_instance(rng, n_channels, filter_len, signal_len, dim=None, noise_var=0
     u = None
     if dim is not None:
         model = gen_gaussian_subspace(filter_len, dim, n_channels, rng)
-        u, channels = gen_channels_in_subspace(model, rng)
-        filters = channels.filters
+        u, filters = gen_channels_in_subspace(model, rng)
     else:
         filters = complex_gaussian(rng, n_channels, filter_len)
     x = complex_gaussian(rng, signal_len)

@@ -63,8 +63,8 @@ class TestGapCommand:
         streams = RngStreams(cfg["seed"])
         x = gen_source("gaussian", cfg["l-over-k"] * K, 1.0, streams.stream("source"))
         model = gen_gaussian_subspace(K, D, M, streams.stream("basis"))
-        _, channels = gen_channels_in_subspace(model, streams.stream("subspace-channels"))
-        ys = [convolve_short(x, f) for f in channels.filters]
+        _, filters = gen_channels_in_subspace(model, streams.stream("subspace-channels"))
+        ys = [convolve_short(x, f) for f in filters]
 
         def normalized_spectrum(a):
             w = np.linalg.eigvalsh((a + a.conj().T) / 2)[::-1]
@@ -82,6 +82,12 @@ class TestGapCommand:
         ({"k": "eight", "m": 3}, "'k'"),
         ({"k": 8, "m": 3, "d": "two"}, "'d'"),
         ({"m": 3, "d": 2}, "'k'"),
+        ({"k": 8, "m": 3, "d": 20}, "d=20"),
+        ({"k": 8, "m": 1}, "m=1"),
+        ({"k": 8, "m": 3, "l-over-k": 0.5}, "l-over-k"),
+        ({"k": 0, "m": 3}, "k=0"),
+        ({"k": 8.5, "m": 3}, "'k'"),
+        ({"k": 8, "m": True}, "'m'"),
     ])
     def test_bad_gap_config_exits_nonzero_before_writing(self, tmp_path, capsys,
                                                           config, key):

@@ -104,11 +104,22 @@ class TestStrictSpec:
             ({"source": "nope"}, "unknown source 'nope'"),
             ({"norm-profile": "nope"}, "unknown norm-profile 'nope'"),
             ({"k": "eight"}, "spec key .k. has a bad value .eight."),
+            ({"k": 8.7}, "spec key .k. has a bad value 8.7"),
+            ({"d": 1.5}, "spec key .d. has a bad value 1.5"),
+            ({"trials": 2.5}, "spec key .trials. has a bad value 2.5"),
+            ({"trials": True}, "spec key .trials. has a bad value True"),
+            ({"seed": 0.5}, "spec key .seed. has a bad value 0.5"),
+            ({"methods": "cc"}, "spec key .methods. has a bad value .cc."),
         ],
     )
     def test_bad_point_rejected(self, overrides, message):
         with pytest.raises(ConfigurationError, match=message):
             harness.spec_from_dict(point_config(**overrides))
+
+    def test_integral_numbers_accepted(self):
+        spec = harness.spec_from_dict(point_config(k=8.0, trials=3.0))
+        assert (spec.filter_len, spec.trials) == (8, 3)
+        assert type(spec.filter_len) is int
 
     def test_reported_spec_fails_on_its_first_fault(self):
         with pytest.raises(ConfigurationError, match="unknown basis 'nope'"):
@@ -121,6 +132,8 @@ class TestStrictSpec:
             ({"param": "d", "values": [2, 9]}, "sweep cell 9: need 1 <= d <= k"),
             ({"param": "l-over-k", "values": [5, 0.5]}, "sweep cell 0.5:"),
             ({"param": "d", "values": ["two"]}, "bad d sweep value 'two'"),
+            ({"param": "d", "values": [2, 1.5]}, "bad d sweep value 1.5"),
+            ({"param": "m", "values": [True]}, "bad m sweep value True"),
         ],
     )
     def test_bad_sweep_cell_rejected(self, sweep, message):
@@ -146,6 +159,8 @@ class TestStrictSpec:
             ({"param": "d", "values": 2}, "malformed sweep"),
             ({"param": "d"}, "missing required key 'values'"),
             (3, "malformed sweep"),
+            ({"param": "d", "values": "24"}, "malformed sweep"),
+            ({"d-over-k": "0.5", "l-over-k": [4]}, "malformed sweep"),
         ],
     )
     def test_malformed_sweep_rejected(self, sweep, message):

@@ -3,7 +3,7 @@ import pytest
 
 from blindchan.exceptions import ConfigurationError, InputError
 from blindchan.models import complex_gaussian, gen_source
-from blindchan.sigops import circulant, restriction_matrix, unit_impulse
+from blindchan.sigops import circulant
 from blindchan import metrics
 
 
@@ -13,7 +13,7 @@ class TestSinAngle:
         assert metrics.sin_angle(a, np.exp(0.7j) * a) <= 1e-12
 
     def test_orthogonal_vectors(self):
-        assert metrics.sin_angle(unit_impulse(4, 0), unit_impulse(4, 2)) == pytest.approx(1.0)
+        assert metrics.sin_angle(np.eye(4)[0], np.eye(4)[2]) == pytest.approx(1.0)
 
     def test_symmetry_and_scaling(self, rng):
         a = complex_gaussian(rng, 8)
@@ -96,7 +96,22 @@ class TestSnr:
 
     def test_db_conversions(self):
         assert metrics.db_to_linear(20.0) == pytest.approx(100.0)
-        assert metrics.linear_to_db(100.0) == pytest.approx(20.0)
+
+
+def conv3_selection(K, L):
+    """The conv3 window as its [0 I; I 0] block display: rows pick the
+    wrap-around entries L-K+1, ..., L-1, then 0, ..., 2K-2."""
+    return np.vstack(
+        [
+            np.hstack([np.zeros((K - 1, L - K + 1)), np.eye(K - 1)]),
+            np.hstack([np.eye(2 * K - 1), np.zeros((2 * K - 1, L - 2 * K + 1))]),
+        ]
+    )
+
+
+def support_selection(K, L):
+    """The support window as its [I 0] block display: the first K entries."""
+    return np.hstack([np.eye(K), np.zeros((K, L - K))])
 
 
 def assemble_windowed(x_or_pair, filter_len):
@@ -105,9 +120,21 @@ def assemble_windowed(x_or_pair, filter_len):
         a, b = x_or_pair
     else:
         a = b = x_or_pair
-    L = len(a)
-    s = restriction_matrix("conv3", filter_len, L)
-    return s @ circulant(a).conj().T @ circulant(b) @ s.conj().T
+    s = conv3_selection(filter_len, len(a))
+    return s @ circulant(a).conj().T @ circulant(b) @ s.T
+
+
+def test_windows_match_block_displays(rng):
+    # the windowed correlation matrix behind rho_x and rho_xw, entry for
+    # entry, against the dense circulants cut by the literal block display
+    for K, L in ((3, 12), (2, 4), (5, 13)):
+        a = complex_gaussian(rng, L)
+        b = complex_gaussian(rng, L)
+        symbol = np.conj(np.fft.fft(a)) * np.fft.fft(b)
+        np.testing.assert_allclose(
+            metrics._window_corr_matrix(symbol, K, L), assemble_windowed((a, b), K),
+            rtol=0, atol=1e-12 * np.linalg.norm(a) * np.linalg.norm(b),
+        )
 
 
 class TestAutocorrNorm:
@@ -118,7 +145,7 @@ class TestAutocorrNorm:
         )
 
     def test_impulse(self):
-        assert metrics.autocorr_norm(unit_impulse(32), 4) == pytest.approx(1.0, abs=1e-12)
+        assert metrics.autocorr_norm(np.eye(32)[0], 4) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_dense_assembly(self, rng):
         x = complex_gaussian(rng, 64)
@@ -182,7 +209,7 @@ class TestNoiseCorrNorms:
         M, K, L = 2, 4, 16
         noise_var = 0.8
         ws = [complex_gaussian(rng, L, var=noise_var) for _ in range(M)]
-        s = restriction_matrix("support", K, L)
+        s = support_selection(K, L)
         best = 0.0
         avg = np.zeros((K, K), dtype=complex)
         for m in range(M):
@@ -190,7 +217,7 @@ class TestNoiseCorrNorms:
                 mat = circulant(ws[m]).conj().T @ circulant(ws[mp])
                 if m == mp:
                     mat = mat - noise_var * L * np.eye(L)
-                windowed = s @ mat @ s.conj().T
+                windowed = s @ mat @ s.T
                 best = max(best, np.linalg.svd(windowed, compute_uv=False)[0])
                 if m == mp:
                     avg += windowed

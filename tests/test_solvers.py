@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blindchan.exceptions import ConfigurationError
+from blindchan.exceptions import ConfigurationError, DimensionError
 from blindchan.metrics import sin_angle
 from blindchan.models import (
     bandpass_pulse,
@@ -27,14 +27,14 @@ def bandpass_instance(seed, filter_len=32, n_channels=8, dim=6, l_over_k=10, snr
     L = l_over_k * filter_len
     model = gen_pca_subspace(bandpass_pulse, filter_len, dim, 50 * dim, rng,
                              n_channels=n_channels)
-    u, channels = gen_channels_in_subspace(model, rng)
+    u, filters = gen_channels_in_subspace(model, rng)
     x = complex_gaussian(rng, L)
     noise_var = sigma_for_snr(10 ** (snr_db / 10), filter_len, L, n_channels, x, u)
     ys = [
-        convolve_short(x, channels.filters[m]) + complex_gaussian(rng, L, var=noise_var)
+        convolve_short(x, filters[m]) + complex_gaussian(rng, L, var=noise_var)
         for m in range(n_channels)
     ]
-    return model, channels.stacked, x, ys
+    return model, filters.reshape(-1), x, ys
 
 
 class TestCrossConv:
@@ -88,11 +88,11 @@ class TestSubspaceCrossConv:
 
     def test_debias_shift_is_neutral_for_orthonormal_model(self, rng):
         model, u, truth, x, _ = make_instance(rng, 3, 8, 40, dim=3)
-        model = model.orthonormalized()
-        _, channels = gen_channels_in_subspace(model, rng)
+        model = SubspaceModel(bases=np.stack([np.linalg.qr(phi)[0] for phi in model.bases]))
+        _, filters = gen_channels_in_subspace(model, rng)
         noise_var = 0.02
         ys = [
-            convolve_short(x, channels.filters[m])
+            convolve_short(x, filters[m])
             + complex_gaussian(rng, 40, var=noise_var)
             for m in range(3)
         ]
@@ -103,9 +103,7 @@ class TestSubspaceCrossConv:
     def test_reduces_to_cross_conv_for_identity_model(self, rng):
         K, M = 6, 3
         _, _, _, _, ys = make_instance(rng, M, K, 24, noise_var=0.05)
-        identity = SubspaceModel(
-            bases=np.repeat(np.eye(K, dtype=complex)[None], M, axis=0), kind="custom"
-        )
+        identity = SubspaceModel(bases=np.repeat(np.eye(K, dtype=complex)[None], M, axis=0))
         sub = solvers.solve_subspace_cross_conv(ys, identity, 0.0)
         full = solvers.solve_cross_conv(ys, K)
         assert sin_angle(sub.h_hat, full.h_hat) <= 1e-10
@@ -117,18 +115,17 @@ class TestSubspaceCrossConv:
         for t in range(trials):
             inner = np.random.default_rng(900 + t)
             model = gen_gaussian_subspace(K, D, M, inner)
-            u, channels = gen_channels_in_subspace(model, inner)
+            u, filters = gen_channels_in_subspace(model, inner)
             x = complex_gaussian(inner, L)
             noise_var = sigma_for_snr(100.0, K, L, M, x, u)
             ys = [
-                convolve_short(x, channels.filters[m])
+                convolve_short(x, filters[m])
                 + complex_gaussian(inner, L, var=noise_var)
                 for m in range(M)
             ]
             cc = solvers.solve_cross_conv(ys, K)
             sub = solvers.solve_subspace_cross_conv(ys, model, noise_var)
-            truth = channels.stacked
-            wins += sin_angle(sub.h_hat, truth) < sin_angle(cc.h_hat, truth)
+            wins += sin_angle(sub.h_hat, filters) < sin_angle(cc.h_hat, filters)
         assert wins >= int(0.8 * trials)
 
     def test_channel_count_mismatch(self, rng):
@@ -167,46 +164,72 @@ class TestOracleLs:
             for t in range(200):
                 inner = np.random.default_rng(1000 * l_over_k + t)
                 model = gen_gaussian_subspace(K, D, M, inner)
-                u, channels = gen_channels_in_subspace(model, inner)
+                u, filters = gen_channels_in_subspace(model, inner)
                 x = complex_gaussian(inner, L)
                 noise_var = sigma_for_snr(eta, K, L, M, x, u)
                 ys = [
-                    convolve_short(x, channels.filters[m])
+                    convolve_short(x, filters[m])
                     + complex_gaussian(inner, L, var=noise_var)
                     for m in range(M)
                 ]
                 est = solvers.solve_oracle_ls(ys, x, model)
-                errs.append(sin_angle(est.h_hat, channels.stacked))
+                errs.append(sin_angle(est.h_hat, filters))
             medians.append(np.median(errs))
         assert medians[0] > medians[1] > medians[2]
+
+    @pytest.mark.parametrize("M,K,D,L", [(3, 7, 3, 29), (4, 32, 8, 64)])
+    def test_equals_per_channel_padded_reference(self, M, K, D, L):
+        # reference: each basis block zero-padded and transformed on its own
+        rng = np.random.default_rng(M * L)
+        model = gen_gaussian_subspace(K, D, M, rng)
+        x = complex_gaussian(rng, L)
+        ys = [complex_gaussian(rng, L) for _ in range(M)]
+        u = []
+        for m in range(M):
+            padded = np.vstack([model.bases[m], np.zeros((L - K, D))])
+            design = np.fft.ifft(np.fft.fft(x)[:, None] * np.fft.fft(padded, axis=0), axis=0)
+            u.append(np.linalg.lstsq(design, ys[m], rcond=None)[0])
+        est = solvers.solve_oracle_ls(ys, x, model)
+        np.testing.assert_array_equal(est.u_hat, np.concatenate(u))
 
     def test_rank_deficient_design_rejected(self, rng):
         model, _, _, x, ys = make_instance(rng, 3, 8, 40, dim=3)
         bases = model.bases.copy()
         bases[1][:, 2] = 0.0  # kill one basis column
-        broken = SubspaceModel(bases=bases, kind="custom")
+        broken = SubspaceModel(bases=bases)
         with pytest.raises(ConfigurationError):
             solvers.solve_oracle_ls(ys, x, broken)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda ys, x, model: solvers.solve_oracle_ls(ys, x, model),
+    lambda ys, x, model: solvers.solve_linearized_ls(ys, model),
+], ids=["oracle", "ls"])
+def test_baselines_reject_signal_shorter_than_filter(rng, solve):
+    model = gen_gaussian_subspace(8, 2, 3, rng)
+    ys = [complex_gaussian(rng, 6) for _ in range(3)]
+    with pytest.raises(DimensionError, match="filter length 8 exceeds signal length 6"):
+        solve(ys, ys[0], model)
 
 
 class TestLinearizedLs:
     def test_noiseless_flat_source_exact(self, rng):
         K, M, D, L = 8, 3, 3, 64
         model = gen_gaussian_subspace(K, D, M, rng)
-        u, channels = gen_channels_in_subspace(model, rng)
+        u, filters = gen_channels_in_subspace(model, rng)
         x = gen_source("flat_spectrum", L, 1.0, rng)
-        ys = [convolve_short(x, channels.filters[m]) for m in range(M)]
+        ys = [convolve_short(x, filters[m]) for m in range(M)]
         est = solvers.solve_linearized_ls(ys, model)
-        assert sin_angle(est.h_hat, channels.stacked) <= 1e-6
+        assert sin_angle(est.h_hat, filters) <= 1e-6
 
     def test_exact_solution_annihilates_system(self, rng):
         # oracle: the true (inverse spectrum, coefficients) pair satisfies
         # every constraint row of the linearization exactly
         K, M, D, L = 8, 3, 3, 64
         model = gen_gaussian_subspace(K, D, M, rng)
-        u, channels = gen_channels_in_subspace(model, rng)
+        u, filters = gen_channels_in_subspace(model, rng)
         x = gen_source("flat_spectrum", L, 1.0, rng)
-        ys = [convolve_short(x, channels.filters[m]) for m in range(M)]
+        ys = [convolve_short(x, filters[m]) for m in range(M)]
         s_true = 1.0 / np.fft.fft(x)
         for m in range(M):
             padded = np.vstack([model.bases[m], np.zeros((L - K, D))])
@@ -240,11 +263,11 @@ def test_noise_variance_estimator_on_bandpass(rng):
     # within a factor of a few of the truth on a band-pass instance
     K, M, D, L = 32, 8, 6, 320
     model = gen_pca_subspace(bandpass_pulse, K, D, 50 * D, rng, n_channels=M)
-    u, channels = gen_channels_in_subspace(model, rng)
+    u, filters = gen_channels_in_subspace(model, rng)
     x = complex_gaussian(rng, L)
     true_var = sigma_for_snr(100.0, K, L, M, x, u)
     ys = [
-        convolve_short(x, channels.filters[m]) + complex_gaussian(rng, L, var=true_var)
+        convolve_short(x, filters[m]) + complex_gaussian(rng, L, var=true_var)
         for m in range(M)
     ]
     got = solvers.estimate_noise_variance(ys)

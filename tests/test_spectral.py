@@ -86,10 +86,10 @@ def pca_dense_matrices():
     K, M, D, L = 32, 16, 6, 640
     rng = np.random.default_rng(640)
     model = gen_pca_subspace(bandpass_pulse, K, D, 50 * D, rng, n_channels=M)
-    u, channels = gen_channels_in_subspace(model, rng)
+    u, filters = gen_channels_in_subspace(model, rng)
     x = complex_gaussian(rng, L)
     noise_var = sigma_for_snr(100.0, K, L, M, x, u)
-    ys = [convolve_short(x, channels.filters[m]) + complex_gaussian(rng, L, var=noise_var)
+    ys = [convolve_short(x, filters[m]) + complex_gaussian(rng, L, var=noise_var)
           for m in range(M)]
     captured = []
 
