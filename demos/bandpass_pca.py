@@ -30,10 +30,9 @@ print("  -> most DFT bins carry essentially no channel energy\n")
 x = bc.gen_source("gaussian", L, 1.0, streams.stream("source"))
 noise_var = bc.sigma_for_snr(bc.db_to_linear(snr_db), K, L, M, x, u)
 noise = streams.stream("noise")
-ys = [
-    bc.convolve_short(x, filters[m]) + bc.complex_gaussian(noise, L, var=noise_var)
-    for m in range(M)
-]
+ys = bc.convolve_short(x, filters) + np.array(
+    [bc.complex_gaussian(noise, L, var=noise_var) for _ in range(M)]
+)
 
 cc = bc.solve_cross_conv(ys, K)
 sccc = bc.solve_subspace_cross_conv(ys, model, noise_var)

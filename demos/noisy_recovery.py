@@ -20,8 +20,8 @@ u, filters = bc.gen_channels_in_subspace(model, streams.stream("coef"))
 x = bc.gen_source("gaussian", L, 1.0, streams.stream("source"))
 noise_var = bc.sigma_for_snr(bc.db_to_linear(snr_db), K, L, M, x, u)
 noise = streams.stream("noise")
-ws = [bc.complex_gaussian(noise, L, var=noise_var) for _ in range(M)]
-ys = [bc.convolve_short(x, filters[m]) + ws[m] for m in range(M)]
+ws = np.array([bc.complex_gaussian(noise, L, var=noise_var) for _ in range(M)])
+ys = bc.convolve_short(x, filters) + ws
 
 estimates = {
     "classical cross-convolution": bc.solve_cross_conv(ys, K),

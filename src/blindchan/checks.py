@@ -220,8 +220,7 @@ def check_noiseless_null_vector(rng):
         L = 4 * K
         h = complex_gaussian(rng, M, K)
         x = complex_gaussian(rng, L)
-        ys = [sigops.convolve_short(x, h[m]) for m in range(M)]
-        a = xcorr.cross_corr_matrix(ys, K)
+        a = xcorr.cross_corr_matrix(sigops.convolve_short(x, h), K)
         stacked = h.reshape(-1)
         quad = float(np.real(np.vdot(stacked, a @ stacked))) / np.linalg.norm(stacked) ** 2
         w = np.linalg.eigvalsh((a + a.conj().T) / 2)

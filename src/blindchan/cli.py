@@ -70,7 +70,7 @@ _GAP_FIELDS = {
     "k": ("filter_len", harness.parse_int, harness.REQUIRED),
     "m": ("n_channels", harness.parse_int, harness.REQUIRED),
     "d": ("dim", _optional_int, None),
-    "l-over-k": ("l_over_k", float, 4),
+    "l-over-k": ("l_over_k", harness.parse_float, 4),
     "seed": ("seed", harness.parse_int, 0),
 }
 
@@ -84,14 +84,13 @@ def cmd_gap(args):
 
     x = gen_source("gaussian", L, 1.0, streams.stream("source"))
     h = complex_gaussian(streams.stream("channels"), M, K)
-    eig = eig_hermitian(cross_corr_matrix([convolve_short(x, h[m]) for m in range(M)], K))
+    eig = eig_hermitian(cross_corr_matrix(convolve_short(x, h), K))
     print(f"unconstrained gap_ratio: {eig.gap_ratio:.6e}")
 
     if D is not None:
         model = gen_gaussian_subspace(K, D, M, streams.stream("basis"))
         _, filters = gen_channels_in_subspace(model, streams.stream("subspace-channels"))
-        ys_sub = [convolve_short(x, filters[m]) for m in range(M)]
-        eig = eig_hermitian(compressed_cross_corr(ys_sub, model.bases))
+        eig = eig_hermitian(compressed_cross_corr(convolve_short(x, filters), model.bases))
         print(f"subspace-constrained gap_ratio (d={D}): {eig.gap_ratio:.6e}")
 
     spectrum = eig.eigenvalues / eig.lambda_max

@@ -9,6 +9,7 @@ per-method results never depend on which other methods were requested.
 
 import hashlib
 import json
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -61,15 +62,23 @@ SOURCES = ("gaussian", "flat_spectrum")
 NORM_PROFILES = ("flat", "spiky")
 
 
-def _parse_snr(value):
-    return None if value in (None, "noiseless") else float(value)
-
-
 def parse_int(value):
     """int(value), refusing booleans and numbers with a fractional part."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"not an integer: {value!r}")
     return int(value)
+
+
+def parse_float(value):
+    """float(value), refusing booleans, NaN and +-Infinity."""
+    number = float(value)
+    if isinstance(value, bool) or not np.isfinite(number):
+        raise ValueError(f"not a finite number: {value!r}")
+    return number
+
+
+def _parse_snr(value):
+    return None if value in (None, "noiseless") else parse_float(value)
 
 
 def _parse_list(value):
@@ -87,14 +96,14 @@ _SPEC_FIELDS = {
     "k": ("filter_len", parse_int, REQUIRED),
     "m": ("n_channels", parse_int, REQUIRED),
     "d": ("subspace_dim", parse_int, REQUIRED),
-    "l-over-k": ("l_over_k", float, 20),
+    "l-over-k": ("l_over_k", parse_float, 20),
     "snr-db": ("snr_db", _parse_snr, "noiseless"),
     "trials": ("trials", parse_int, 200),
     "methods": ("methods", _parse_list, ("cc", "sccc")),
     "basis": ("basis", str, "gaussian"),
     "source": ("source", str, "gaussian"),
     "norm-profile": ("norm_profile", str, "flat"),
-    "percentile": ("percentile", float, 95),
+    "percentile": ("percentile", parse_float, 95),
     "seed": ("seed", parse_int, 0),
 }
 
@@ -158,7 +167,10 @@ class ExperimentSpec:
                 raise ConfigurationError("sweep needs a nonempty value list")
         if isinstance(self.sweep, Grid):
             values = self.sweep.d_over_k + self.sweep.l_over_k
-            numeric = all(isinstance(v, (int, float)) for v in values)
+            numeric = all(  # the numbers parse_float accepts
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                and abs(v) <= sys.float_info.max for v in values
+            )
             if not (self.sweep.d_over_k and self.sweep.l_over_k and numeric):
                 raise ConfigurationError("grid needs nonempty numeric d-over-k and l-over-k lists")
         for label, cell in _cells(self):
@@ -229,7 +241,7 @@ def parse_keys(data, table, where, extra=()):
             raise ConfigurationError(f"{where} is missing required key {key!r}")
         try:
             fields[name] = parse(data.get(key, default))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigurationError(f"{where} key {key!r} has a bad value {data[key]!r}") from None
     return fields
 
@@ -282,7 +294,7 @@ def _apply_sweep_value(spec, param, value):
     name, parse, _ = _SPEC_FIELDS[param]
     try:
         return replace(spec, **{name: parse(value)})
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigurationError(f"bad {param} sweep value {value!r}") from None
 
 
@@ -328,7 +340,8 @@ def run_trial(spec, trial_index):
         noise_var = sigma_for_snr(db_to_linear(spec.snr_db), K, L, M, x, u)
     noise_stream = streams.stream("noise", trial_index)
     sigma_w = np.sqrt(noise_var)
-    ys = [add_noise(convolve_short(x, filters[m]), sigma_w, noise_stream) for m in range(M)]
+    clean = convolve_short(x, filters)
+    ys = np.stack([add_noise(y, sigma_w, noise_stream) for y in clean])
 
     errors = {}
     degenerate = {}

@@ -5,6 +5,9 @@ responses are short vectors of length K <= L that stand for signals whose last
 L - K entries are zero.  Convolutions are circular (indices mod L) and are
 evaluated with length-L FFTs: unnormalized forward transform, 1/L on the
 inverse, any mixed-radix L supported.
+
+The M channel outputs are one M x L array (row m from channel m), built by
+convolve_short from the M x K filter stack; a list of M vectors also works.
 """
 
 import numpy as np
@@ -68,9 +71,13 @@ def conv_matrix(v, filter_len):
 
 
 def convolve_short(v, h):
-    """Apply conv_matrix(v, K) to a length-K filter without forming the matrix."""
+    """Apply conv_matrix(v, K) to a length-K filter, or to each row of an
+    M x K filter stack (giving M x L outputs), without forming the matrix."""
     v = as_signal(v)
-    h = as_signal(h)
-    if len(h) > len(v):
-        raise DimensionError(f"filter length {len(h)} exceeds signal length {len(v)}")
-    return circular_convolve(v, zero_pad(h, len(v)))
+    h = np.asarray(h, dtype=np.complex128)
+    if h.ndim not in (1, 2):
+        raise InputError(f"filter must be a vector or an M x K stack, got shape {h.shape}")
+    as_signal(h.reshape(-1))  # nonempty and finite
+    if h.shape[-1] > len(v):
+        raise DimensionError(f"filter length {h.shape[-1]} exceeds signal length {len(v)}")
+    return np.fft.ifft(np.fft.fft(v) * np.fft.fft(h, n=len(v), axis=-1), axis=-1)

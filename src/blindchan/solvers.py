@@ -5,6 +5,9 @@ inputs and return a unit-norm, phase-canonicalized stacked channel estimate.
 A degenerate flag marks instances whose two smallest eigenvalues coincide
 (the minimizer is not essentially unique, e.g. channels sharing common
 zeros); the estimate is still returned.
+
+Observations ys are the M x L array of channel outputs (a list of M
+equal-length vectors is also accepted), checked by xcorr._check_channels.
 """
 
 import warnings
@@ -15,7 +18,7 @@ import numpy as np
 from .exceptions import ConfigurationError, DimensionError
 from .sigops import as_signal
 from .spectral import canonical_phase, eig_hermitian
-from .xcorr import compressed_cross_corr, cross_corr_matrix, noise_gram_mean
+from .xcorr import _check_channels, compressed_cross_corr, cross_corr_matrix, noise_gram_mean
 
 #: Below length ratio L/K = 3 the estimators degrade; they are not disabled,
 #: only flagged, since they degrade gracefully down to L ~ K.
@@ -26,9 +29,9 @@ RECOMMENDED_LENGTH_RATIO = 3
 class Estimate:
     """Stacked channel estimate with solver diagnostics.
 
-    h_hat has unit norm and canonical phase; u_hat (when the solver works in
-    a subspace) holds the coefficient representation.  lambda_min and
-    gap_ratio describe the eigenproblem actually solved.
+    h_hat has unit norm and canonical phase; u_hat holds the coefficient
+    representation where the solver estimates one (sccc, oracle), else None.
+    lambda_min and gap_ratio describe the eigenproblem actually solved.
     """
 
     h_hat: np.ndarray
@@ -59,8 +62,8 @@ def _warn_short(signal_len, filter_len):
 
 def solve_cross_conv(ys, filter_len):
     """Classical estimator: smallest eigenvector of the cross-correlation Gram."""
-    ys = [as_signal(y) for y in ys]
-    _warn_short(len(ys[0]), filter_len)
+    ys = _check_channels(ys, filter_len)
+    _warn_short(ys.shape[1], filter_len)
     eig = eig_hermitian(cross_corr_matrix(ys, filter_len))
     return Estimate(
         h_hat=_normalize(eig.vector), u_hat=None, lambda_min=eig.lambda_min,
@@ -79,16 +82,16 @@ def solve_subspace_cross_conv(ys, model, noise_var):
     must be known or estimated deliberately (see estimate_noise_variance),
     never guessed silently.
     """
-    ys = [as_signal(y) for y in ys]
     M, K, D = model.bases.shape
-    L = len(ys[0])
+    ys = _check_channels(ys, K, M)
+    L = ys.shape[1]
     _warn_short(L, K)
     compressed = compressed_cross_corr(ys, model.bases)
     shift = noise_gram_mean(M, L, noise_var)
     if shift != 0:
-        for n in range(M):
-            phi = model.bases[n]
-            compressed[n * D : (n + 1) * D, n * D : (n + 1) * D] -= shift * (phi.conj().T @ phi)
+        block = np.arange(M * D).reshape(M, D)
+        grams = model.bases.conj().swapaxes(1, 2) @ model.bases
+        compressed[block[:, :, None], block[:, None, :]] -= shift * grams
     eig = eig_hermitian(compressed)
     return Estimate(
         h_hat=_normalize(model.apply(eig.vector)), u_hat=eig.vector, lambda_min=eig.lambda_min,
@@ -98,24 +101,21 @@ def solve_subspace_cross_conv(ys, model, noise_var):
 
 def solve_oracle_ls(ys, x, model):
     """Non-blind baseline: per-channel least squares with the source known exactly."""
-    ys = [as_signal(y) for y in ys]
-    x = as_signal(x)
     M, K, D = model.bases.shape
-    L = len(x)
-    if L < K:
-        raise DimensionError(f"filter length {K} exceeds signal length {L}")
-    xhat = np.fft.fft(x)
-    bases_hat = np.fft.fft(model.bases, n=L, axis=1)
+    ys = _check_channels(ys, K, M)
+    x = as_signal(x)
+    L = ys.shape[1]
+    if len(x) != L:
+        raise DimensionError(f"source length {len(x)} differs from signal length {L}")
+    designs = np.fft.ifft(np.fft.fft(x)[:, None] * np.fft.fft(model.bases, n=L, axis=1), axis=1)
     u_hat = np.zeros((M, D), dtype=np.complex128)
-    for m in range(M):
-        design = np.fft.ifft(xhat[:, None] * bases_hat[m], axis=0)
-        svals = np.linalg.svd(design, compute_uv=False)
+    for m, design in enumerate(designs):
+        u_hat[m], _, _, svals = np.linalg.lstsq(design, ys[m], rcond=None)
         if svals[-1] <= svals[0] * 1e-12:
             raise ConfigurationError(
                 f"channel {m}: source/basis design matrix is rank deficient "
                 f"(smallest singular value {svals[-1]:.3e})"
             )
-        u_hat[m] = np.linalg.lstsq(design, ys[m], rcond=None)[0]
     u_flat = u_hat.reshape(-1)
     return Estimate(
         h_hat=_normalize(model.apply(u_flat)), u_hat=u_flat, lambda_min=0.0,
@@ -139,23 +139,18 @@ def solve_linearized_ls(ys, model):
     with P_m the projector onto range(Ghat_m), solved by the smallest
     eigenvector of the assembled Gram.  Source and channels are then read
     out simultaneously from the calibration identity: hhat_m = yhat_m * s
-    restricted to the filter support, coefficients by projecting onto the
-    basis.  The diagnostic `condition` is the square-rooted dynamic range of
-    the per-bin observed energy: large values mean part of the spectrum is
-    unexcited and this linearization is ill-posed there.
+    restricted to the filter support.  The diagnostic `condition` is the
+    square-rooted dynamic range of the per-bin observed energy: large values
+    mean part of the spectrum is unexcited and this linearization is
+    ill-posed there.
     """
-    ys = [as_signal(y) for y in ys]
     M, K, _ = model.bases.shape
-    L = len(ys[0])
-    if len(ys) != M:
-        raise DimensionError(f"model has {M} channels but got {len(ys)} observations")
-    if L < K:
-        raise DimensionError(f"filter length {K} exceeds signal length {L}")
-    yhat = np.array([np.fft.fft(y) for y in ys])
+    ys = _check_channels(ys, K, M)
+    L = ys.shape[1]
+    yhat = np.fft.fft(ys, axis=1)
 
-    ill_posed = any(
-        np.min(np.abs(yhat[m])) < 1e-12 * np.max(np.abs(yhat[m])) for m in range(M)
-    )
+    magnitude = np.abs(yhat)
+    ill_posed = bool(np.any(magnitude.min(axis=1) < 1e-12 * magnitude.max(axis=1)))
     if ill_posed:
         warnings.warn(
             "observed spectra contain near-zero bins; the linearized system is ill-posed",
@@ -166,21 +161,16 @@ def solve_linearized_ls(ys, model):
     bin_energy = (np.abs(yhat) ** 2).sum(axis=0)
     gram = np.zeros((L, L), dtype=np.complex128)
     gram[np.diag_indices(L)] = bin_energy
-    bases_hat = np.fft.fft(model.bases, n=L, axis=1)
-    for m in range(M):
-        q, _ = np.linalg.qr(bases_hat[m])
-        w = np.conj(yhat[m])[:, None] * q
+    for y_hat, basis_hat in zip(yhat, np.fft.fft(model.bases, n=L, axis=1)):
+        w = np.conj(y_hat)[:, None] * np.linalg.qr(basis_hat)[0]
         gram -= w @ w.conj().T
 
     eig = eig_hermitian(gram)
     s = eig.vector
-    filters = np.array([np.fft.ifft(yhat[m] * s)[:K] for m in range(M)])
-    u_hat = np.array(
-        [np.linalg.lstsq(bases_hat[m], yhat[m] * s, rcond=None)[0] for m in range(M)]
-    )
+    filters = np.fft.ifft(yhat * s, axis=1)[:, :K]
     condition = float(np.sqrt(bin_energy.max() / bin_energy.min())) if bin_energy.min() > 0 else np.inf
     return Estimate(
-        h_hat=_normalize(filters.reshape(-1)), u_hat=u_hat.reshape(-1),
+        h_hat=_normalize(filters.reshape(-1)), u_hat=None,
         lambda_min=eig.lambda_min, gap_ratio=eig.gap_ratio, degenerate=eig.degenerate,
         condition=condition, ill_posed=ill_posed,
     )
@@ -195,10 +185,9 @@ def estimate_noise_variance(ys, fraction=0.1):
     with broadband channels it overestimates.  Callers must opt in: no
     solver invokes this silently.
     """
-    ys = [as_signal(y) for y in ys]
-    M = len(ys)
-    L = len(ys[0])
-    energy = sum(np.abs(np.fft.fft(y)) ** 2 for y in ys) / M
+    ys = _check_channels(ys)
+    M, L = ys.shape
+    energy = (np.abs(np.fft.fft(ys, axis=1)) ** 2).sum(axis=0) / M
     n_keep = max(1, int(round(fraction * L)))
     quiet = np.sort(energy)[:n_keep]
     return float(np.mean(quiet) / L)

@@ -14,24 +14,34 @@ both.
 
 import numpy as np
 
-from .exceptions import ConfigurationError, DimensionError
-from .sigops import as_signal, conv_matrix
+from .exceptions import ConfigurationError, DimensionError, InputError
+from .sigops import conv_matrix
 
 # Cap on M*K*L for the dense explicit construction.
 EXPLICIT_SIZE_CAP = 2**22
 
 
-def _check_channels(ys, filter_len):
-    ys = [as_signal(y) for y in ys]
-    M = len(ys)
+def _check_channels(ys, filter_len=1, n_channels=None):
+    """ys (an M x L array or M equal-length vectors) as a complex128 array;
+    needs M >= 2, finite values, 1 <= filter_len <= L and M == n_channels if given."""
+    try:
+        ys = np.asarray(ys, dtype=np.complex128)
+    except ValueError:
+        raise DimensionError("channel outputs must share a common length") from None
+    if ys.ndim != 2:
+        raise DimensionError(f"channel outputs must form an M x L array, got shape {ys.shape}")
+    M, L = ys.shape
     if M < 2:
         raise ConfigurationError(f"need at least 2 channels, got {M}")
-    L = len(ys[0])
-    if any(len(y) != L for y in ys):
-        raise DimensionError("channel outputs must share a common length")
-    if not 1 <= filter_len <= L:
-        raise DimensionError(f"filter length {filter_len} out of range for signals of length {L}")
-    return ys, M, L
+    if not np.all(np.isfinite(ys)):
+        raise InputError("channel outputs contain non-finite entries")
+    if filter_len > L:
+        raise DimensionError(f"filter length {filter_len} exceeds signal length {L}")
+    if filter_len < 1:
+        raise DimensionError(f"filter length must be >= 1, got {filter_len}")
+    if n_channels is not None and M != n_channels:
+        raise DimensionError(f"model has {n_channels} channels but got {M} observations")
+    return ys
 
 
 def cross_relation_matrix(ys, filter_len):
@@ -41,41 +51,20 @@ def cross_relation_matrix(ys, filter_len):
     matrix of y_j in block-column i and minus that of y_i in block-column j,
     so that the true stacked filter vector is annihilated.
     """
-    ys, M, L = _check_channels(ys, filter_len)
+    ys = _check_channels(ys, filter_len)
+    M, L = ys.shape
     K = filter_len
     if M * K * L > EXPLICIT_SIZE_CAP:
         raise ConfigurationError(
             f"explicit construction capped at M*K*L <= {EXPLICIT_SIZE_CAP}, got {M * K * L}"
         )
-    Ts = [conv_matrix(y, K) for y in ys]
-    rows = []
-    for i in range(M - 1):
-        for j in range(i + 1, M):
-            strip = np.zeros((L, M * K), dtype=np.complex128)
-            strip[:, i * K : (i + 1) * K] = Ts[j]
-            strip[:, j * K : (j + 1) * K] = -Ts[i]
-            rows.append(strip)
-    return np.vstack(rows)
-
-
-def _corr_blocks(ys, filter_len):
-    """All K x K blocks T_{y_a}^H T_{y_b} needed for the Gram, via FFT."""
-    M = len(ys)
-    L = len(ys[0])
-    K = filter_len
-    fhat = [np.fft.fft(y) for y in ys]
-    # (i,j) entry of the circulant C_a^H C_b is r[(i-j) mod L] with
-    # r = ifft(conj(fft(a)) * fft(b)); the block is its top-left K x K corner.
-    idx = (np.arange(K)[:, None] - np.arange(K)[None, :]) % L
-    blocks = {}
-    for a in range(M):
-        blocks[(a, a)] = np.fft.ifft(np.conj(fhat[a]) * fhat[a])[idx]
-    for a in range(M):
-        for b in range(a + 1, M):
-            blk = np.fft.ifft(np.conj(fhat[a]) * fhat[b])[idx]
-            blocks[(a, b)] = blk
-            blocks[(b, a)] = blk.conj().T
-    return blocks
+    T = np.array([conv_matrix(y, K) for y in ys])
+    i, j = np.triu_indices(M, 1)
+    pair = np.arange(len(i))
+    out = np.zeros((len(i), L, M, K), dtype=np.complex128)
+    out[pair, :, i] = T[j]
+    out[pair, :, j] = -T[i]
+    return out.reshape(len(i) * L, M * K)
 
 
 def cross_corr_matrix(ys, filter_len):
@@ -86,19 +75,23 @@ def cross_corr_matrix(ys, filter_len):
     block.  Returns the Hermitian MK x MK matrix, equal to
     cross_relation_matrix(ys, K)^H @ cross_relation_matrix(ys, K).
     """
-    ys, M, L = _check_channels(ys, filter_len)
+    ys = _check_channels(ys, filter_len)
+    M, L = ys.shape
     K = filter_len
-    blocks = _corr_blocks(ys, K)
-    diag_sum = sum(blocks[(a, a)] for a in range(M))
-    out = np.zeros((M * K, M * K), dtype=np.complex128)
-    for n in range(M):
-        for m in range(M):
-            if n == m:
-                blk = diag_sum - blocks[(m, m)]
-            else:
-                blk = -blocks[(m, n)]
-            out[n * K : (n + 1) * K, m * K : (m + 1) * K] = blk
-    return out
+    fhat = np.fft.fft(ys, axis=1)
+    # Correlation block (a, b) = T_{y_a}^H T_{y_b} is the top-left K x K corner
+    # of the circulant C_a^H C_b, whose (i, j) entry is r[(i-j) mod L] with
+    # r = ifft(conj(fft(a)) * fft(b)); block (b, a) is its conjugate transpose.
+    a, b = np.triu_indices(M)
+    idx = (np.arange(K)[:, None] - np.arange(K)[None, :]) % L
+    blocks = np.fft.ifft(np.conj(fhat[a]) * fhat[b], axis=1)[:, idx]
+    out = np.empty((M, K, M, K), dtype=np.complex128)
+    out[a, :, b] = -blocks.conj().transpose(0, 2, 1)
+    out[b, :, a] = -blocks
+    self_blocks = blocks[a == b]
+    n = np.arange(M)
+    out[n, :, n] = self_blocks.sum(axis=0) - self_blocks
+    return out.reshape(M * K, M * K)
 
 
 def compressed_cross_corr(ys, bases):
@@ -118,9 +111,8 @@ def compressed_cross_corr(ys, bases):
     if bases.ndim != 3:
         raise DimensionError(f"expected an M x K x D basis stack, got shape {bases.shape}")
     M, K, D = bases.shape
-    ys, n_ys, L = _check_channels(ys, K)
-    if n_ys != M:
-        raise DimensionError(f"bases describe {M} channels but got {n_ys} observations")
+    ys = _check_channels(ys, K, M)
+    L = ys.shape[1]
     yhat = np.fft.fft(ys, axis=1)
     phat = np.fft.fft(bases, n=L, axis=1)  # M x L x D
     energy = (yhat.real**2 + yhat.imag**2).sum(axis=0)

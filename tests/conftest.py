@@ -15,7 +15,7 @@ def make_instance(rng, n_channels, filter_len, signal_len, dim=None, noise_var=0
 
     Channels are drawn in a Gaussian subspace when dim is given, otherwise as
     unstructured Gaussian filters.  Returns (model_or_None, u_or_None,
-    stacked_truth, source, observations).
+    stacked_truth, source, observations), the observations as an M x L array.
     """
     from blindchan.models import gen_channels_in_subspace, gen_gaussian_subspace
 
@@ -27,10 +27,12 @@ def make_instance(rng, n_channels, filter_len, signal_len, dim=None, noise_var=0
     else:
         filters = complex_gaussian(rng, n_channels, filter_len)
     x = complex_gaussian(rng, signal_len)
-    ys = []
-    for m in range(n_channels):
-        y = convolve_short(x, filters[m])
-        if noise_var > 0:
-            y = y + complex_gaussian(rng, signal_len, var=noise_var)
-        ys.append(y)
+    ys = noisy_outputs(x, filters, rng, noise_var) if noise_var > 0 else convolve_short(x, filters)
     return model, u, filters.reshape(-1), x, ys
+
+
+def noisy_outputs(x, filters, rng, noise_var):
+    """The M x L outputs of the filter stack driven by x, plus CN(0, noise_var)
+    noise drawn from rng one channel at a time."""
+    noise = np.array([complex_gaussian(rng, len(x), var=noise_var) for _ in filters])
+    return convolve_short(x, filters) + noise

@@ -64,7 +64,7 @@ class TestGapCommand:
         x = gen_source("gaussian", cfg["l-over-k"] * K, 1.0, streams.stream("source"))
         model = gen_gaussian_subspace(K, D, M, streams.stream("basis"))
         _, filters = gen_channels_in_subspace(model, streams.stream("subspace-channels"))
-        ys = [convolve_short(x, f) for f in filters]
+        ys = convolve_short(x, filters)
 
         def normalized_spectrum(a):
             w = np.linalg.eigvalsh((a + a.conj().T) / 2)[::-1]
@@ -88,6 +88,9 @@ class TestGapCommand:
         ({"k": 0, "m": 3}, "k=0"),
         ({"k": 8.5, "m": 3}, "'k'"),
         ({"k": 8, "m": True}, "'m'"),
+        ({"k": 8, "m": 3, "l-over-k": float("nan")}, "'l-over-k'"),
+        ({"k": 8, "m": 3, "l-over-k": float("inf")}, "'l-over-k'"),
+        ({"k": 8, "m": 3, "l-over-k": True}, "'l-over-k'"),
     ])
     def test_bad_gap_config_exits_nonzero_before_writing(self, tmp_path, capsys,
                                                           config, key):
@@ -167,6 +170,24 @@ class TestRunCommands:
         out = tmp_path / "trials.csv"
         assert main(["trial", "--config", str(cfg), "--out", str(out)]) == 2
         assert "'trails'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("l-over-k", float("nan")),
+        ("l-over-k", True),
+        ("snr-db", float("-inf")),
+        ("percentile", True),
+    ])
+    def test_nonfinite_or_boolean_number_exits_nonzero_before_running(
+            self, tmp_path, capsys, monkeypatch, key, value):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", no_trials)
+        cfg = write_config(tmp_path, **{key: value})
+        out = tmp_path / "trials.csv"
+        assert main(["trial", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_threads_env_exits_nonzero(self, tmp_path, capsys, monkeypatch):

@@ -110,6 +110,13 @@ class TestStrictSpec:
             ({"trials": True}, "spec key .trials. has a bad value True"),
             ({"seed": 0.5}, "spec key .seed. has a bad value 0.5"),
             ({"methods": "cc"}, "spec key .methods. has a bad value .cc."),
+            ({"l-over-k": float("nan")}, "spec key .l-over-k. has a bad value nan"),
+            ({"l-over-k": True}, "spec key .l-over-k. has a bad value True"),
+            ({"l-over-k": 10**400}, "spec key .l-over-k. has a bad value 1000"),
+            ({"snr-db": -float("inf")}, "spec key .snr-db. has a bad value -inf"),
+            ({"snr-db": False}, "spec key .snr-db. has a bad value False"),
+            ({"percentile": True}, "spec key .percentile. has a bad value True"),
+            ({"percentile": float("inf")}, "spec key .percentile. has a bad value inf"),
         ],
     )
     def test_bad_point_rejected(self, overrides, message):
@@ -134,6 +141,9 @@ class TestStrictSpec:
             ({"param": "d", "values": ["two"]}, "bad d sweep value 'two'"),
             ({"param": "d", "values": [2, 1.5]}, "bad d sweep value 1.5"),
             ({"param": "m", "values": [True]}, "bad m sweep value True"),
+            ({"param": "l-over-k", "values": [5, float("nan")]}, "bad l-over-k sweep value nan"),
+            ({"param": "snr-db", "values": [20, float("-inf")]}, "bad snr-db sweep value -inf"),
+            ({"param": "snr-db", "values": [True]}, "bad snr-db sweep value True"),
         ],
     )
     def test_bad_sweep_cell_rejected(self, sweep, message):
@@ -161,6 +171,10 @@ class TestStrictSpec:
             (3, "malformed sweep"),
             ({"param": "d", "values": "24"}, "malformed sweep"),
             ({"d-over-k": "0.5", "l-over-k": [4]}, "malformed sweep"),
+            ({"d-over-k": [True], "l-over-k": [4]}, "numeric d-over-k and l-over-k"),
+            ({"d-over-k": [0.25], "l-over-k": [float("nan")]}, "numeric d-over-k and l-over-k"),
+            ({"d-over-k": [0.25], "l-over-k": [float("inf")]}, "numeric d-over-k and l-over-k"),
+            ({"d-over-k": [0.25], "l-over-k": [10**400]}, "numeric d-over-k and l-over-k"),
         ],
     )
     def test_malformed_sweep_rejected(self, sweep, message):

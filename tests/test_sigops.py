@@ -65,6 +65,13 @@ class TestCircularConvolve:
             sigops.circular_convolve(np.array([1.0, np.nan]), np.ones(2))
 
 
+#: (M, K, L) shapes of filter stacks, with the edges K = 1, K = L and L < 3K.
+STACK_SHAPES = [
+    (16, 32, 640), (4, 32, 64), (4, 512, 4096), (3, 7, 29), (4, 64, 1280), (2, 1, 1),
+    (5, 13, 13), (3, 8, 100), (4, 64, 256), (16, 32, 320), (4, 32, 40),
+]
+
+
 class TestConvolveShort:
     def test_impulse_gives_padding(self, rng):
         h = complex_gaussian(rng, 3)
@@ -86,3 +93,21 @@ class TestConvolveShort:
         with pytest.raises(DimensionError):
             sigops.convolve_short(np.ones(3), np.ones(4))
 
+    @pytest.mark.parametrize("M,K,L", STACK_SHAPES)
+    def test_filter_stack_equals_per_row_loop(self, M, K, L):
+        rng = np.random.default_rng([M, K, L])
+        x = complex_gaussian(rng, L)
+        filters = complex_gaussian(rng, M, K)
+        loop = [sigops.circular_convolve(x, sigops.zero_pad(h, L)) for h in filters]
+        np.testing.assert_array_equal(sigops.convolve_short(x, filters), np.array(loop))
+
+    @pytest.mark.parametrize("h,error", [
+        (np.ones((2, 3, 2)), InputError),
+        (np.ones((2, 5)), DimensionError),
+        (np.array([[1.0, 2.0], [np.nan, 0.0]]), InputError),
+        (np.ones(0), InputError),
+        (np.ones((2, 0)), InputError),
+    ], ids=["3d", "longer-than-signal", "non-finite", "empty", "empty-rows"])
+    def test_rejects_bad_filter_stack(self, h, error):
+        with pytest.raises(error):
+            sigops.convolve_short(np.ones(4), h)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blindchan.exceptions import ConfigurationError, DimensionError
+from blindchan.exceptions import ConfigurationError, DimensionError, InputError
 from blindchan.metrics import sin_angle
 from blindchan.models import (
     bandpass_pulse,
@@ -18,7 +18,7 @@ from blindchan.spectral import EigenResult, canonical_phase
 from blindchan.xcorr import cross_corr_matrix
 from blindchan import solvers
 
-from conftest import make_instance
+from conftest import make_instance, noisy_outputs
 
 
 def bandpass_instance(seed, filter_len=32, n_channels=8, dim=6, l_over_k=10, snr_db=40.0):
@@ -30,10 +30,7 @@ def bandpass_instance(seed, filter_len=32, n_channels=8, dim=6, l_over_k=10, snr
     u, filters = gen_channels_in_subspace(model, rng)
     x = complex_gaussian(rng, L)
     noise_var = sigma_for_snr(10 ** (snr_db / 10), filter_len, L, n_channels, x, u)
-    ys = [
-        convolve_short(x, filters[m]) + complex_gaussian(rng, L, var=noise_var)
-        for m in range(n_channels)
-    ]
+    ys = noisy_outputs(x, filters, rng, noise_var)
     return model, filters.reshape(-1), x, ys
 
 
@@ -91,11 +88,7 @@ class TestSubspaceCrossConv:
         model = SubspaceModel(bases=np.stack([np.linalg.qr(phi)[0] for phi in model.bases]))
         _, filters = gen_channels_in_subspace(model, rng)
         noise_var = 0.02
-        ys = [
-            convolve_short(x, filters[m])
-            + complex_gaussian(rng, 40, var=noise_var)
-            for m in range(3)
-        ]
+        ys = noisy_outputs(x, filters, rng, noise_var)
         with_shift = solvers.solve_subspace_cross_conv(ys, model, noise_var)
         without = solvers.solve_subspace_cross_conv(ys, model, 0.0)
         assert sin_angle(with_shift.h_hat, without.h_hat) <= 1e-10
@@ -118,11 +111,7 @@ class TestSubspaceCrossConv:
             u, filters = gen_channels_in_subspace(model, inner)
             x = complex_gaussian(inner, L)
             noise_var = sigma_for_snr(100.0, K, L, M, x, u)
-            ys = [
-                convolve_short(x, filters[m])
-                + complex_gaussian(inner, L, var=noise_var)
-                for m in range(M)
-            ]
+            ys = noisy_outputs(x, filters, inner, noise_var)
             cc = solvers.solve_cross_conv(ys, K)
             sub = solvers.solve_subspace_cross_conv(ys, model, noise_var)
             wins += sin_angle(sub.h_hat, filters) < sin_angle(cc.h_hat, filters)
@@ -167,11 +156,7 @@ class TestOracleLs:
                 u, filters = gen_channels_in_subspace(model, inner)
                 x = complex_gaussian(inner, L)
                 noise_var = sigma_for_snr(eta, K, L, M, x, u)
-                ys = [
-                    convolve_short(x, filters[m])
-                    + complex_gaussian(inner, L, var=noise_var)
-                    for m in range(M)
-                ]
+                ys = noisy_outputs(x, filters, inner, noise_var)
                 est = solvers.solve_oracle_ls(ys, x, model)
                 errs.append(sin_angle(est.h_hat, filters))
             medians.append(np.median(errs))
@@ -212,13 +197,50 @@ def test_baselines_reject_signal_shorter_than_filter(rng, solve):
         solve(ys, ys[0], model)
 
 
+#: Each estimator as a function of (observations, source, model).
+ESTIMATORS = {
+    "cc": lambda ys, x, model: solvers.solve_cross_conv(ys, model.filter_len),
+    "sccc": lambda ys, x, model: solvers.solve_subspace_cross_conv(ys, model, 0.0),
+    "oracle": lambda ys, x, model: solvers.solve_oracle_ls(ys, x, model),
+    "ls": lambda ys, x, model: solvers.solve_linearized_ls(ys, model),
+    "noise_var": lambda ys, x, model: solvers.estimate_noise_variance(ys),
+}
+
+#: fault -> (observations, source) with the fault injected, the error it must
+#: raise, and the estimators that can see it (a channel count needs a model).
+FAULTS = {
+    "extra-row": (lambda ys, x: (ys + ys[:1], x), DimensionError,
+                  "model has 3 channels but got 4", ("sccc", "oracle", "ls")),
+    "missing-row": (lambda ys, x: (ys[:-1], x), DimensionError,
+                    "model has 3 channels but got 2", ("sccc", "oracle", "ls")),
+    "ragged": (lambda ys, x: (ys[:-1] + [ys[-1][:-1]], x), DimensionError,
+               "must share a common length", tuple(ESTIMATORS)),
+    "nan-row": (lambda ys, x: (ys[:-1] + [np.full(len(x), np.nan)], x), InputError,
+                "non-finite", tuple(ESTIMATORS)),
+    "short-source": (lambda ys, x: (ys, x[:-1]), DimensionError,
+                     "source length 39 differs from signal length 40", ("oracle",)),
+}
+
+
+@pytest.mark.parametrize("fault,method", [
+    (fault, method) for fault, (*_, methods) in FAULTS.items() for method in methods
+])
+def test_malformed_outputs_rejected_alike(rng, fault, method):
+    # every estimator runs the one shared check of the channel outputs
+    model, _, _, x, ys = make_instance(rng, 3, 8, 40, dim=3)
+    inject, error, message, _ = FAULTS[fault]
+    bad_ys, bad_x = inject(list(ys), x)
+    with pytest.raises(error, match=message):
+        ESTIMATORS[method](bad_ys, bad_x, model)
+
+
 class TestLinearizedLs:
     def test_noiseless_flat_source_exact(self, rng):
         K, M, D, L = 8, 3, 3, 64
         model = gen_gaussian_subspace(K, D, M, rng)
         u, filters = gen_channels_in_subspace(model, rng)
         x = gen_source("flat_spectrum", L, 1.0, rng)
-        ys = [convolve_short(x, filters[m]) for m in range(M)]
+        ys = convolve_short(x, filters)
         est = solvers.solve_linearized_ls(ys, model)
         assert sin_angle(est.h_hat, filters) <= 1e-6
 
@@ -229,7 +251,7 @@ class TestLinearizedLs:
         model = gen_gaussian_subspace(K, D, M, rng)
         u, filters = gen_channels_in_subspace(model, rng)
         x = gen_source("flat_spectrum", L, 1.0, rng)
-        ys = [convolve_short(x, filters[m]) for m in range(M)]
+        ys = convolve_short(x, filters)
         s_true = 1.0 / np.fft.fft(x)
         for m in range(M):
             padded = np.vstack([model.bases[m], np.zeros((L - K, D))])
@@ -266,10 +288,7 @@ def test_noise_variance_estimator_on_bandpass(rng):
     u, filters = gen_channels_in_subspace(model, rng)
     x = complex_gaussian(rng, L)
     true_var = sigma_for_snr(100.0, K, L, M, x, u)
-    ys = [
-        convolve_short(x, filters[m]) + complex_gaussian(rng, L, var=true_var)
-        for m in range(M)
-    ]
+    ys = noisy_outputs(x, filters, rng, true_var)
     got = solvers.estimate_noise_variance(ys)
     assert 0.3 * true_var <= got <= 3.0 * true_var
 

@@ -7,7 +7,7 @@ from blindchan.metrics import sin_angle
 from blindchan.models import complex_gaussian
 from blindchan import spectral
 
-from conftest import make_instance
+from conftest import make_instance, noisy_outputs
 
 
 def random_gapped_psd(rng, n, floor=0.0, gap=0.3):
@@ -81,7 +81,6 @@ def pca_dense_matrices():
     from blindchan.models import (
         bandpass_pulse, gen_channels_in_subspace, gen_pca_subspace, sigma_for_snr,
     )
-    from blindchan.sigops import convolve_short
 
     K, M, D, L = 32, 16, 6, 640
     rng = np.random.default_rng(640)
@@ -89,8 +88,7 @@ def pca_dense_matrices():
     u, filters = gen_channels_in_subspace(model, rng)
     x = complex_gaussian(rng, L)
     noise_var = sigma_for_snr(100.0, K, L, M, x, u)
-    ys = [convolve_short(x, filters[m]) + complex_gaussian(rng, L, var=noise_var)
-          for m in range(M)]
+    ys = noisy_outputs(x, filters, rng, noise_var)
     captured = []
 
     def capture(a):

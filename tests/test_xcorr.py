@@ -36,6 +36,18 @@ class TestCrossRelationMatrix:
         with pytest.raises(ConfigurationError):
             xcorr.cross_relation_matrix([complex_gaussian(rng, 8)], 2)
 
+    @pytest.mark.parametrize("M,K,L", [(2, 3, 8), (4, 3, 12), (5, 2, 7)])
+    def test_equals_per_pair_strips(self, rng, M, K, L):
+        ys = complex_gaussian(rng, M, L)
+        strips = []
+        for i in range(M - 1):
+            for j in range(i + 1, M):
+                strip = np.zeros((L, M * K), dtype=complex)
+                strip[:, i * K : (i + 1) * K] = conv_matrix(ys[j], K)
+                strip[:, j * K : (j + 1) * K] = -conv_matrix(ys[i], K)
+                strips.append(strip)
+        np.testing.assert_array_equal(xcorr.cross_relation_matrix(ys, K), np.vstack(strips))
+
     def test_size_cap(self, rng):
         ys = [complex_gaussian(rng, 2**12) for _ in range(2)]
         with pytest.raises(ConfigurationError):
@@ -51,6 +63,26 @@ class TestCrossCorrMatrix:
             fast = xcorr.cross_corr_matrix(ys, 8)
             err = np.linalg.norm(fast - oracle) / np.linalg.norm(oracle)
             assert err <= 1e-10
+
+    @pytest.mark.parametrize("M,K,L", [(2, 1, 1), (3, 7, 29), (4, 32, 64), (16, 32, 640)])
+    def test_equals_per_pair_block_assembly(self, rng, M, K, L):
+        # reference: one FFT correlation per channel pair, the pairs below the
+        # diagonal mirrored, each Gram block written on its own
+        ys = complex_gaussian(rng, M, L)
+        fhat = [np.fft.fft(y) for y in ys]
+        idx = (np.arange(K)[:, None] - np.arange(K)[None, :]) % L
+        blocks = {}
+        for a in range(M):
+            for b in range(a, M):
+                blocks[a, b] = np.fft.ifft(np.conj(fhat[a]) * fhat[b])[idx]
+                blocks[b, a] = blocks[a, b].conj().T if b > a else blocks[a, b]
+        diag_sum = sum(blocks[a, a] for a in range(M))
+        want = np.zeros((M * K, M * K), dtype=complex)
+        for n in range(M):
+            for m in range(M):
+                block = diag_sum - blocks[m, m] if n == m else -blocks[m, n]
+                want[n * K : (n + 1) * K, m * K : (m + 1) * K] = block
+        np.testing.assert_array_equal(xcorr.cross_corr_matrix(ys, K), want)
 
     def test_noiseless_smallest_eigenvalue(self, rng):
         _, _, _, _, ys = make_instance(rng, 4, 6, 24)
