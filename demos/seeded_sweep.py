@@ -20,13 +20,13 @@ spec = bc.ExperimentSpec(
     sweep=bc.Sweep(param="l-over-k", values=(5, 10, 20)),
 )
 
-result = bc.run_sweep(spec, threads=2)
+result = bc.run_experiment(spec, threads=2)
 
 print(f"provenance {result.provenance}  (seed {spec.seed}, {spec.trials} trials/point)\n")
 print(f"{'L/K':>5} {'method':>8} {'p95':>10} {'median':>10}")
 for row in result.rows:
-    print(f"{row.value:>5} {row.method:>8} {row.percentile_error:>10.4f} {row.median:>10.4f}")
+    print(f"{row['value']:>5} {row['method']:>8} {row['p95']:>10.4f} {row['median']:>10.4f}")
 
-again = bc.run_sweep(spec, threads=1)
-assert [r.percentile_error for r in again.rows] == [r.percentile_error for r in result.rows]
+again = bc.run_experiment(spec, threads=1)
+assert again.rows == result.rows
 print("\nrerun at a different thread count reproduced every number exactly.")

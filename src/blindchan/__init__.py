@@ -20,9 +20,8 @@ from .harness import (
     Grid,
     Sweep,
     aggregate_percentile,
-    run_phase_grid,
+    run_experiment,
     run_point,
-    run_sweep,
     run_trial,
     spec_from_dict,
     spec_to_dict,

@@ -31,15 +31,14 @@ THREADS_ENV = "BLINDCHAN_THREADS"
 
 
 def _resolve_threads(value):
-    if value is None:
-        raw = os.environ.get(THREADS_ENV, "0")
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigurationError(f"{THREADS_ENV}={raw!r} is not an integer") from None
-    if value <= 0:
-        return os.cpu_count() or 1
-    return value
+    """The --threads value, else the integer in BLINDCHAN_THREADS (default 0, auto)."""
+    if value is not None:
+        return value
+    raw = os.environ.get(THREADS_ENV, "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigurationError(f"{THREADS_ENV}={raw!r} is not an integer") from None
 
 
 def _load_config(path):
@@ -54,9 +53,9 @@ def _load_config(path):
     return config
 
 
-def _write_provenance(out_path, spec):
+def _write_provenance(out_path, result):
     sidecar = f"{out_path}.provenance.json"
-    payload = {"spec": harness.spec_to_dict(spec), "provenance": harness.spec_hash(spec)}
+    payload = {"spec": harness.spec_to_dict(result.spec), "provenance": result.provenance}
     with open(sidecar, "w", newline="") as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -78,7 +77,7 @@ _GAP_FIELDS = {
 def cmd_gap(args):
     config = harness.parse_keys(_load_config(args.config), _GAP_FIELDS, "gap config")
     K, M, D = config["filter_len"], config["n_channels"], config["dim"]
-    L = int(round(config["l_over_k"] * K))
+    L = harness.signal_len(config["l_over_k"], K)
     harness.check_dimensions(K, M, D, L)
     streams = RngStreams(config["seed"] if args.seed is None else args.seed)
 
@@ -101,40 +100,28 @@ def cmd_gap(args):
     return 0
 
 
-#: Each run subcommand's help, runner and CSV writer.  The runner checks the
-#: spec's shape; the harness functions are looked up at call time, so
-#: rebinding one of them reaches every run.
+#: Each run subcommand's help and the spec shape it runs.
 _RUNS = {
-    "trial": (
-        "per-trial errors at one parameter point",
-        lambda spec, threads: harness.run_point_result(spec, threads=threads),
-        lambda result, path: harness.write_trials_csv(result, path),
-    ),
-    "sweep": (
-        "1-D parameter sweep",
-        lambda spec, threads: harness.run_sweep(spec, threads=threads),
-        lambda result, path: harness.write_sweep_csv(result, path),
-    ),
-    "phase": (
-        "2-D (D/K, L/K) grid",
-        lambda spec, threads: harness.run_phase_grid(spec, threads=threads),
-        lambda result, path: harness.write_phase_csv(result, path),
-    ),
+    "trial": ("per-trial errors at one parameter point", "point"),
+    "sweep": ("1-D parameter sweep", "sweep"),
+    "phase": ("2-D (D/K, L/K) grid", "grid"),
 }
 
 
 def cmd_run(args):
-    _, run, write_csv = _RUNS[args.command]
+    _, shape = _RUNS[args.command]
     spec = harness.spec_from_dict(_load_config(args.config))
+    if spec.shape != shape:
+        raise ConfigurationError(f"expected a {shape} spec, got shape {spec.shape!r}")
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    result = run(spec, _resolve_threads(args.threads))
+    result = harness.run_experiment(spec, threads=_resolve_threads(args.threads))
     if args.format == "json":
         with open(args.out, "w", newline="") as fh:
             fh.write(harness.result_to_json(result))
     else:
-        write_csv(result, args.out)
-    _write_provenance(args.out, spec)
+        harness.write_csv(result, args.out)
+    _write_provenance(args.out, result)
     print(f"wrote {args.out} (provenance {result.provenance})")
     return 0
 
@@ -163,7 +150,7 @@ def build_parser():
 
     p_gap = add_common(sub.add_parser("gap", help="eigenvalue spectrum of a noiseless instance"))
     p_gap.set_defaults(fn=cmd_gap)
-    for name, (text, _, _) in _RUNS.items():
+    for name, (text, _) in _RUNS.items():
         p_run = add_common(sub.add_parser(name, help=text))
         p_run.add_argument("--format", choices=("csv", "json"), default="csv")
         p_run.add_argument("--threads", type=int, default=None,

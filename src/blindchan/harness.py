@@ -9,10 +9,11 @@ per-method results never depend on which other methods were requested.
 
 import hashlib
 import json
+import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -113,6 +114,11 @@ SWEEP_PARAMS = ("d", "m", "l-over-k", "snr-db")
 #: Floor applied before taking log10 of a percentile error in grid output.
 LOG_FLOOR = 1e-16
 
+#: Largest signal length L = round(l-over-k * k) a config may ask for.  The
+#: largest shipped L is 4,096 samples, while at M = 16 channels one M x L
+#: complex output array at this ceiling already takes 4 GiB.
+MAX_SIGNAL_LEN = 2**24
+
 
 @dataclass(frozen=True)
 class Sweep:
@@ -174,10 +180,9 @@ class ExperimentSpec:
             if not (self.sweep.d_over_k and self.sweep.l_over_k and numeric):
                 raise ConfigurationError("grid needs nonempty numeric d-over-k and l-over-k lists")
         for label, cell in _cells(self):
-            check_dimensions(
-                cell.filter_len, cell.n_channels, cell.subspace_dim, _signal_len(cell),
-                "" if label is None else f"sweep cell {label}: ",
-            )
+            where = "" if label is None else f"sweep cell {label}: "
+            L = signal_len(cell.l_over_k, cell.filter_len, where)
+            check_dimensions(cell.filter_len, cell.n_channels, cell.subspace_dim, L, where)
         return self
 
     @property
@@ -200,6 +205,18 @@ def check_dimensions(filter_len, n_channels, subspace_dim, signal_len, where="")
         raise ConfigurationError(f"{where}need k >= 1, got k={K}")
     if L < K:
         raise ConfigurationError(f"{where}need round(l-over-k * k) >= k, got {L} < {K}")
+
+
+def signal_len(l_over_k, filter_len, where=""):
+    """Signal length L = round(l-over-k * k); ConfigurationError naming
+    l-over-k when L overflows or exceeds MAX_SIGNAL_LEN."""
+    length = l_over_k * filter_len
+    if length > MAX_SIGNAL_LEN:  # an overflow to inf included
+        raise ConfigurationError(
+            f"{where}key 'l-over-k' gives more than {MAX_SIGNAL_LEN} samples "
+            f"at k={filter_len}: {l_over_k!r}"
+        )
+    return int(round(length))
 
 
 def _reject_unknown(data, known, where):
@@ -280,11 +297,6 @@ def spec_hash(spec):
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _signal_len(spec):
-    """Signal length L = round(l-over-k * K) of a point spec."""
-    return int(round(spec.l_over_k * spec.filter_len))
-
-
 def _point_spec(spec):
     """The spec with any sweep stripped, used for one cell's trials."""
     return replace(spec, sweep=None)
@@ -325,7 +337,7 @@ def run_trial(spec, trial_index):
     K = spec.filter_len
     M = spec.n_channels
     D = spec.subspace_dim
-    L = _signal_len(spec)
+    L = signal_len(spec.l_over_k, K)
     streams = RngStreams(spec.seed)
 
     model = _BASES[spec.basis](K, D, M, streams.stream("basis", trial_index))
@@ -345,12 +357,10 @@ def run_trial(spec, trial_index):
 
     errors = {}
     degenerate = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # sweeps probe L < 3K on purpose
-        for method in spec.methods:
-            est = _SOLVERS[method](ys, x, model, noise_var)
-            errors[method] = sin_angle(est.h_hat, filters)
-            degenerate[method] = bool(est.degenerate)
+    for method in spec.methods:
+        est = _SOLVERS[method](ys, x, model, noise_var)
+        errors[method] = sin_angle(est.h_hat, filters)
+        degenerate[method] = bool(est.degenerate)
     return errors, degenerate
 
 
@@ -387,108 +397,80 @@ class PointResult:
 
 
 def run_point(spec, threads=1):
-    """Run all trials of a single parameter point (the unit of parallelism)."""
+    """Run all trials of a single parameter point (the unit of parallelism).
+
+    threads < 1 means one worker per CPU (os.cpu_count()).
+    """
     spec = _point_spec(spec).validate()
+    if threads < 1:
+        threads = os.cpu_count() or 1
     indices = range(spec.trials)
-    if threads == 1:
-        outcomes = [run_trial(spec, i) for i in indices]
-    else:
-        workers = threads if threads and threads > 0 else None
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda i: run_trial(spec, i), indices))
+    # entered once, in the calling thread: catch_warnings is not thread-safe
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # sweeps probe L < 3K on purpose
+        if threads == 1:
+            outcomes = [run_trial(spec, i) for i in indices]
+        else:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                outcomes = list(pool.map(lambda i: run_trial(spec, i), indices))
     errors = {m: [out[0][m] for out in outcomes] for m in spec.methods}
     degenerate = {m: [out[1][m] for out in outcomes] for m in spec.methods}
     return PointResult(spec=spec, errors=errors, degenerate=degenerate)
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    sweep_param: str
-    value: object
-    method: str
-    percentile_error: float
-    median: float
-    mean: float
-    trials: int
-    degenerate: int
-
-
-@dataclass(frozen=True)
-class PhaseRow:
-    d_over_k: float
-    l_over_k: float
-    method: str
-    log10_percentile_error: float
-
-
-@dataclass(frozen=True)
 class ExperimentResult:
     spec: ExperimentSpec
     provenance: str
-    rows: tuple
-    points: tuple = field(default=())
+    rows: tuple  # one {column: value} mapping per row, in column order
 
 
-def _rows_for_point(point, sweep_param, value):
-    return [
-        SweepRow(
-            sweep_param=sweep_param,
-            value=value,
-            method=method,
-            percentile_error=point.percentile(method),
-            median=point.median(method),
-            mean=point.mean(method),
-            trials=point.spec.trials,
-            degenerate=point.degenerate_count(method),
-        )
-        for method in point.spec.methods
-    ]
+#: Each spec shape's output columns and its rows for one cell, as a function
+#: of (spec, cell label, PointResult) giving one tuple of column values per
+#: row.  The CSV writer and the JSON mirror both read this table.
+_TABLES = {
+    "point": (
+        ("trial", "method", "error", "degenerate"),
+        lambda spec, label, point: [
+            (i, method, error, int(point.degenerate[method][i]))
+            for method in point.spec.methods
+            for i, error in enumerate(point.errors[method])
+        ],
+    ),
+    "sweep": (
+        ("sweep_param", "value", "method", "p95", "median", "mean", "trials", "degenerate"),
+        lambda spec, value, point: [
+            (
+                spec.sweep.param, value, method, point.percentile(method), point.median(method),
+                point.mean(method), point.spec.trials, point.degenerate_count(method),
+            )
+            for method in point.spec.methods
+        ],
+    ),
+    "grid": (
+        ("d_over_k", "l_over_k", "method", "log10_p95"),
+        lambda spec, cell, point: [
+            (
+                float(cell[0]), float(cell[1]), method,
+                float(np.log10(max(point.percentile(method), LOG_FLOOR))),
+            )
+            for method in point.spec.methods
+        ],
+    ),
+}
 
 
-def _run_cells(spec, shape, threads, rows_for):
-    """Validate, run every cell of a `shape` spec, and collect rows_for(label, point)."""
+def run_experiment(spec, threads=1):
+    """Validate the spec, run every cell, and tabulate the rows of its shape:
+    one per (trial, method) of a point, one per (cell, method) of a sweep or
+    grid, where the p95 columns hold the spec's configured percentile."""
     spec = spec.validate()
-    if spec.shape != shape:
-        raise ConfigurationError(f"expected a {shape} spec, got shape {spec.shape!r}")
+    columns, rows_for = _TABLES[spec.shape]
     rows = []
-    points = []
     for label, cell in _cells(spec):
         point = run_point(cell, threads=threads)
-        points.append(point)
-        rows.extend(rows_for(label, point))
-    return ExperimentResult(
-        spec=spec, provenance=spec_hash(spec), rows=tuple(rows), points=tuple(points)
-    )
-
-
-def run_sweep(spec, threads=1):
-    """Run a 1-D sweep; one output row per (value, method)."""
-    return _run_cells(
-        spec, "sweep", threads, lambda value, point: _rows_for_point(point, spec.sweep.param, value)
-    )
-
-
-def _phase_rows(cell, point):
-    d_over_k, l_over_k = cell
-    return [
-        PhaseRow(
-            d_over_k=float(d_over_k),
-            l_over_k=float(l_over_k),
-            method=method,
-            log10_percentile_error=float(np.log10(max(point.percentile(method), LOG_FLOOR))),
-        )
-        for method in point.spec.methods
-    ]
-
-
-def run_phase_grid(spec, threads=1):
-    """Run a 2-D (D/K, L/K) grid; one output row per (cell, method)."""
-    return _run_cells(spec, "grid", threads, _phase_rows)
-
-
-def run_point_result(spec, threads=1):
-    """Run a single-point spec, wrapped as an ExperimentResult for output."""
-    return _run_cells(spec, "point", threads, lambda _, point: _rows_for_point(point, "none", ""))
+        rows.extend(dict(zip(columns, values)) for values in rows_for(spec, label, point))
+    return ExperimentResult(spec=spec, provenance=spec_hash(spec), rows=tuple(rows))
 
 
 def _fmt(value):
@@ -497,48 +479,24 @@ def _fmt(value):
     return str(value)
 
 
-def write_sweep_csv(result, path):
-    """CSV rows `sweep_param,value,method,p95,median,mean,trials,degenerate`.
-
-    The p95 column holds the spec's configured percentile (95 by default).
-    """
-    lines = ["sweep_param,value,method,p95,median,mean,trials,degenerate"]
-    for r in result.rows:
-        lines.append(
-            f"{r.sweep_param},{_fmt(r.value)},{r.method},{_fmt(r.percentile_error)},"
-            f"{_fmt(r.median)},{_fmt(r.mean)},{r.trials},{r.degenerate}"
-        )
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_phase_csv(result, path):
-    lines = ["d_over_k,l_over_k,method,log10_p95"]
-    for r in result.rows:
-        lines.append(
-            f"{_fmt(r.d_over_k)},{_fmt(r.l_over_k)},{r.method},"
-            f"{_fmt(r.log10_percentile_error)}"
-        )
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_trials_csv(result, path):
-    """Per-trial errors of a point run: `trial,method,error,degenerate`."""
-    point = result.points[0]
-    lines = ["trial,method,error,degenerate"]
-    for method in point.spec.methods:
-        for i, err in enumerate(point.errors[method]):
-            lines.append(f"{i},{method},{_fmt(err)},{int(point.degenerate[method][i])}")
+def write_csv(result, path):
+    """The result's column header, then one line per row, newline-terminated."""
+    columns = _TABLES[result.spec.shape][0]
+    lines = [",".join(columns)]
+    lines += [",".join(_fmt(row[column]) for column in columns) for row in result.rows]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def result_to_json(result):
-    """JSON mirror with the resolved spec embedded for provenance."""
+    """The CSV's rows under its column names, with the resolved spec embedded.
+
+    Rows keep their column order; the other keys are sorted (a spec's only
+    nested mapping, its sweep, has sorted keys already).
+    """
     payload = {
-        "spec": spec_to_dict(result.spec),
         "provenance": result.provenance,
-        "rows": [vars(r) for r in result.rows],
+        "rows": list(result.rows),
+        "spec": dict(sorted(spec_to_dict(result.spec).items())),
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2) + "\n"

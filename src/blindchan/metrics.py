@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigurationError, InputError
-from .models import complex_gaussian
 from .sigops import as_signal
 
 
@@ -63,36 +62,15 @@ def db_to_linear(db):
     return float(10.0 ** (db / 10.0))
 
 
-def snr(filter_len, signal_len, n_channels, x, u, noise_var,
-        mode="formula", n_draws=2000, rng=None):
-    """Signal-to-noise ratio of the observation model.
-
-    "formula" evaluates K ||x||^2 ||u||^2 / (M L sigma_w^2); "empirical"
-    Monte Carlo estimates the defining energy ratio over fresh basis and
-    noise draws.  noise_var = 0 returns inf.
-    """
+def snr(filter_len, signal_len, n_channels, x, u, noise_var):
+    """Signal-to-noise ratio K ||x||^2 ||u||^2 / (M L sigma_w^2) of the
+    observation model; noise_var = 0 returns inf."""
     x = as_signal(x)
     u = np.asarray(u, dtype=np.complex128).reshape(-1)
     if noise_var == 0:
         return np.inf
-    if mode == "formula":
-        num = filter_len * np.linalg.norm(x) ** 2 * np.linalg.norm(u) ** 2
-        return float(num / (n_channels * signal_len * noise_var))
-    if mode != "empirical":
-        raise InputError(f"unknown SNR mode {mode!r}")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    dim = u.size // n_channels
-    u_blocks = u.reshape(n_channels, dim)
-    xhat = np.fft.fft(x)
-    num = 0.0
-    den = 0.0
-    for _ in range(n_draws):
-        for m in range(n_channels):
-            phi = complex_gaussian(rng, filter_len, dim)
-            h = np.concatenate([phi @ u_blocks[m], np.zeros(signal_len - filter_len)])
-            num += np.linalg.norm(np.fft.ifft(xhat * np.fft.fft(h))) ** 2
-            den += np.linalg.norm(complex_gaussian(rng, signal_len, var=noise_var)) ** 2
-    return float(num / den)
+    num = filter_len * np.linalg.norm(x) ** 2 * np.linalg.norm(u) ** 2
+    return float(num / (n_channels * signal_len * noise_var))
 
 
 def _window_corr_matrix(symbol, filter_len, signal_len):

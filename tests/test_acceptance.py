@@ -140,8 +140,8 @@ def test_criterion_09_monotone_trends():
     )
 
     def medians(spec):
-        result = harness.run_sweep(spec, threads=2)
-        return [r.median for r in result.rows]
+        result = harness.run_experiment(spec, threads=2)
+        return [r["median"] for r in result.rows]
 
     from dataclasses import replace
 
@@ -168,8 +168,8 @@ def test_criterion_10_error_scaling_with_length():
         trials=200, methods=("sccc",), seed=1010,
         sweep=harness.Sweep("l-over-k", (10, 40)),
     )
-    rows = harness.run_sweep(spec, threads=2).rows
-    ratio = rows[0].median / rows[1].median
+    rows = harness.run_experiment(spec, threads=2).rows
+    ratio = rows[0]["median"] / rows[1]["median"]
     report(10, ratio >= 1.5, "error vs length follows inverse-sqrt scaling",
            f"median ratio L=10K/L=40K is {ratio:.2f} (need >= 1.5, prediction 2.0)",
            time.time() - start, 600)
@@ -196,9 +196,9 @@ def test_criterion_12_byte_identical_outputs(tmp_path):
     spec = criterion_8_spec()
     outputs = []
     for threads in (1, 2):
-        result = harness.run_point_result(spec, threads=threads)
+        result = harness.run_experiment(spec, threads=threads)
         path = tmp_path / f"run_t{threads}.csv"
-        harness.write_trials_csv(result, path)
+        harness.write_csv(result, path)
         outputs.append(path.read_bytes())
     ok = outputs[0] == outputs[1]
     report(12, ok, "byte-identical outputs at any thread count",

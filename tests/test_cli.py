@@ -1,11 +1,12 @@
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from blindchan import checks, cli, harness, xcorr
+from blindchan import checks, harness, xcorr
 from blindchan.cli import main
 
 REPRODUCE = Path(__file__).resolve().parent.parent / "reproduce"
@@ -91,6 +92,8 @@ class TestGapCommand:
         ({"k": 8, "m": 3, "l-over-k": float("nan")}, "'l-over-k'"),
         ({"k": 8, "m": 3, "l-over-k": float("inf")}, "'l-over-k'"),
         ({"k": 8, "m": 3, "l-over-k": True}, "'l-over-k'"),
+        ({"k": 8, "m": 3, "l-over-k": 1e308}, "'l-over-k'"),
+        ({"k": 8, "m": 3, "l-over-k": 1e9}, "'l-over-k'"),
     ])
     def test_bad_gap_config_exits_nonzero_before_writing(self, tmp_path, capsys,
                                                           config, key):
@@ -160,10 +163,22 @@ class TestRunCommands:
         assert lines[0] == "d_over_k,l_over_k,method,log10_p95"
         assert len(lines) == 3
 
-    def test_shape_mismatch_exits_nonzero(self, tmp_path):
-        cfg = write_config(tmp_path)  # a point config
-        out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    def test_shape_mismatch_exits_nonzero(self, tmp_path, capsys, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", no_trials)
+        sweep = {"param": "d", "values": [2]}
+        grid = {"d-over-k": [0.25], "l-over-k": [4]}
+        for command, config, wanted, shape in [
+            ("sweep", write_config(tmp_path, "point.json"), "sweep", "point"),
+            ("phase", write_config(tmp_path, "sweep.json", sweep=sweep), "grid", "sweep"),
+            ("trial", write_config(tmp_path, "grid.json", sweep=grid), "point", "grid"),
+        ]:
+            out = tmp_path / f"{command}.csv"
+            assert main([command, "--config", str(config), "--out", str(out)]) == 2
+            assert f"expected a {wanted} spec, got shape '{shape}'" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_misspelled_key_exits_nonzero_before_running(self, tmp_path, capsys):
         cfg = write_config(tmp_path, trails=5)
@@ -177,6 +192,7 @@ class TestRunCommands:
         ("l-over-k", True),
         ("snr-db", float("-inf")),
         ("percentile", True),
+        ("l-over-k", 1e308),
     ])
     def test_nonfinite_or_boolean_number_exits_nonzero_before_running(
             self, tmp_path, capsys, monkeypatch, key, value):
@@ -199,9 +215,20 @@ class TestRunCommands:
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_nonpositive_threads_env_means_auto(self, monkeypatch, value):
+    def test_nonpositive_threads_env_means_auto(self, tmp_path, monkeypatch, value):
+        sizes = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         monkeypatch.setenv("BLINDCHAN_THREADS", value)
-        assert cli._resolve_threads(None) == (os.cpu_count() or 1)
+        cfg = write_config(tmp_path)
+        assert main(["trial", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 0
+        assert sizes == [3]
 
     def test_missing_config_exits_nonzero(self, tmp_path):
         out = tmp_path / "x.csv"

@@ -1,5 +1,9 @@
 import importlib.util
 import json
+import os
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +121,8 @@ class TestStrictSpec:
             ({"snr-db": False}, "spec key .snr-db. has a bad value False"),
             ({"percentile": True}, "spec key .percentile. has a bad value True"),
             ({"percentile": float("inf")}, "spec key .percentile. has a bad value inf"),
+            ({"l-over-k": 1e308}, "key .l-over-k. gives more than 16777216 samples"),
+            ({"l-over-k": 1e9}, "key .l-over-k. gives more than 16777216 samples at k=8: 1000000000.0"),
         ],
     )
     def test_bad_point_rejected(self, overrides, message):
@@ -144,6 +150,8 @@ class TestStrictSpec:
             ({"param": "l-over-k", "values": [5, float("nan")]}, "bad l-over-k sweep value nan"),
             ({"param": "snr-db", "values": [20, float("-inf")]}, "bad snr-db sweep value -inf"),
             ({"param": "snr-db", "values": [True]}, "bad snr-db sweep value True"),
+            ({"param": "l-over-k", "values": [5, 1e308]}, r"sweep cell 1e\+308: key .l-over-k."),
+            ({"param": "l-over-k", "values": [5, 1e9]}, "sweep cell 1000000000.0: key .l-over-k."),
         ],
     )
     def test_bad_sweep_cell_rejected(self, sweep, message):
@@ -155,6 +163,10 @@ class TestStrictSpec:
         [
             ({"d-over-k": [0.25, 1.5], "l-over-k": [4]}, r"sweep cell \(1\.5, 4\)"),
             ({"d-over-k": [0.25], "l-over-k": [4, 0.5]}, r"sweep cell \(0\.25, 0\.5\)"),
+            ({"d-over-k": [0.25], "l-over-k": [4, 1e308]},
+             r"sweep cell \(0\.25, 1e\+308\): key .l-over-k."),
+            ({"d-over-k": [0.25], "l-over-k": [4, 1e9]},
+             r"sweep cell \(0\.25, 1000000000\.0\): key .l-over-k."),
         ],
     )
     def test_bad_grid_cell_rejected(self, grid, message):
@@ -274,29 +286,56 @@ class TestRunPoint:
             assert point.median(method) == np.median(errs)
             assert point.percentile(method) == harness.aggregate_percentile(errs, 95)
 
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_auto_threads_mean_one_worker_per_cpu(self, monkeypatch, threads):
+        sizes = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        harness.run_point(small_spec(trials=2), threads=threads)
+        assert sizes == [3]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: run serially
+        harness.run_point(small_spec(trials=2), threads=threads)
+        assert sizes == [3]
+
+    def test_pooled_run_leaves_warning_filters_alone(self):
+        # short windows (L = 2K) make the solvers warn; the suppression must
+        # not outlive a pooled run
+        spec = small_spec(filter_len=32, n_channels=4, subspace_dim=8, l_over_k=2, trials=40)
+        before = list(warnings.filters)
+        for seed in range(3):
+            harness.run_point(replace(spec, seed=seed), threads=2)
+            assert warnings.filters == before
+
 
 class TestRunSweep:
     def test_rows_per_value_and_method(self):
         spec = small_spec(trials=2, sweep=harness.Sweep(param="l-over-k", values=(4, 6)))
-        result = harness.run_sweep(spec)
+        result = harness.run_experiment(spec)
         assert len(result.rows) == 2 * 2
-        assert {r.value for r in result.rows} == {4, 6}
-        assert all(r.sweep_param == "l-over-k" for r in result.rows)
+        assert {r["value"] for r in result.rows} == {4, 6}
+        assert all(r["sweep_param"] == "l-over-k" for r in result.rows)
 
-    def test_sweep_patches_parameter(self):
+    def test_sweep_patches_parameter(self, monkeypatch):
+        cells = []
+        run_point = harness.run_point
+        monkeypatch.setattr(
+            harness, "run_point", lambda spec, threads: cells.append(spec) or run_point(spec, threads)
+        )
         spec = small_spec(trials=2, sweep=harness.Sweep(param="m", values=(2, 4)))
-        result = harness.run_sweep(spec)
-        assert {p.spec.n_channels for p in result.points} == {2, 4}
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            harness.run_sweep(small_spec())
+        harness.run_experiment(spec)
+        assert [cell.n_channels for cell in cells] == [2, 4]
 
     def test_csv_format(self, tmp_path):
         spec = small_spec(trials=2, sweep=harness.Sweep(param="d", values=(2, 3)))
-        result = harness.run_sweep(spec)
+        result = harness.run_experiment(spec)
         path = tmp_path / "sweep.csv"
-        harness.write_sweep_csv(result, path)
+        harness.write_csv(result, path)
         text = path.read_text()
         lines = text.splitlines()
         assert lines[0] == "sweep_param,value,method,p95,median,mean,trials,degenerate"
@@ -306,11 +345,32 @@ class TestRunSweep:
 
     def test_json_mirror_embeds_spec(self):
         spec = small_spec(trials=2, sweep=harness.Sweep(param="d", values=(2,)))
-        result = harness.run_sweep(spec)
+        result = harness.run_experiment(spec)
         payload = json.loads(harness.result_to_json(result))
         assert payload["spec"] == harness.spec_to_dict(spec)
         assert payload["provenance"] == result.provenance
         assert len(payload["rows"]) == len(result.rows)
+
+
+@pytest.mark.parametrize("sweep", [
+    pytest.param(None, id="point"),
+    pytest.param(harness.Sweep(param="d", values=(2, 3)), id="sweep"),
+    pytest.param(harness.Grid(d_over_k=(0.25,), l_over_k=(4, 5)), id="grid"),
+])
+def test_json_rows_mirror_csv(tmp_path, sweep):
+    result = harness.run_experiment(small_spec(trials=3, sweep=sweep))
+    path = tmp_path / "out.csv"
+    harness.write_csv(result, path)
+    header, *lines = path.read_text().splitlines()
+    rows = json.loads(harness.result_to_json(result))["rows"]
+    assert len(rows) == len(lines)
+    for row, line in zip(rows, lines):
+        assert ",".join(row) == header
+        assert ",".join(harness._fmt(value) for value in row.values()) == line
+    if sweep is None:  # one row per (trial, method)
+        assert [(r["trial"], r["method"]) for r in rows] == [
+            (i, m) for m in ("cc", "sccc") for i in range(3)
+        ]
 
 
 class TestPhaseGrid:
@@ -320,7 +380,7 @@ class TestPhaseGrid:
             sweep=harness.Grid(d_over_k=(0.25, 0.5), l_over_k=(3, 5, 7)),
             methods=("sccc",),
         )
-        result = harness.run_phase_grid(spec)
+        result = harness.run_experiment(spec)
         assert len(result.rows) == 2 * 3
 
     def test_oracle_has_no_dimension_wall(self):
@@ -330,9 +390,9 @@ class TestPhaseGrid:
             trials=10, methods=("oracle",), seed=5,
             sweep=harness.Grid(d_over_k=(0.25, 0.8), l_over_k=(2, 5)),
         )
-        result = harness.run_phase_grid(spec)
+        result = harness.run_experiment(spec)
         for row in result.rows:
-            assert row.log10_percentile_error < -0.8
+            assert row["log10_p95"] < -0.8
 
     def test_sccc_dimension_wall(self):
         # unlike the oracle, blind recovery has a D/K wall: the high-ratio
@@ -343,8 +403,8 @@ class TestPhaseGrid:
             trials=20, methods=("sccc",), seed=5,
             sweep=harness.Grid(d_over_k=(0.1, 0.9), l_over_k=(2, 5)),
         )
-        result = harness.run_phase_grid(spec)
-        cells = {(r.d_over_k, r.l_over_k): r.log10_percentile_error for r in result.rows}
+        result = harness.run_experiment(spec)
+        cells = {(r["d_over_k"], r["l_over_k"]): r["log10_p95"] for r in result.rows}
         assert cells[(0.9, 5.0)] >= cells[(0.1, 5.0)] + 0.5
         assert cells[(0.9, 2.0)] > -1
 
@@ -353,18 +413,18 @@ class TestPhaseGrid:
             trials=2, methods=("sccc",),
             sweep=harness.Grid(d_over_k=(0.25,), l_over_k=(4,)),
         )
-        result = harness.run_phase_grid(spec)
+        result = harness.run_experiment(spec)
         path = tmp_path / "phase.csv"
-        harness.write_phase_csv(result, path)
+        harness.write_csv(result, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "d_over_k,l_over_k,method,log10_p95"
         assert len(lines) == 2
 
 
 def test_trials_csv_lists_every_trial(tmp_path):
-    result = harness.run_point_result(small_spec(trials=3))
+    result = harness.run_experiment(small_spec(trials=3))
     path = tmp_path / "trials.csv"
-    harness.write_trials_csv(result, path)
+    harness.write_csv(result, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "trial,method,error,degenerate"
     assert len(lines) == 1 + 3 * 2
