@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from blindchan.exceptions import ConfigurationError, InputError
-from blindchan import harness
+from blindchan import cli, harness
 
 
 def small_spec(**overrides):
@@ -330,6 +330,22 @@ class TestRunSweep:
         spec = small_spec(trials=2, sweep=harness.Sweep(param="m", values=(2, 4)))
         harness.run_experiment(spec)
         assert [cell.n_channels for cell in cells] == [2, 4]
+
+    def test_shape_mismatch_rejected(self, tmp_path, monkeypatch):
+        # run_experiment runs any shape; the sweep command refuses a point spec
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", no_trials)
+        config = tmp_path / "point.json"
+        config.write_text(json.dumps(harness.spec_to_dict(small_spec())))
+        out = tmp_path / "sweep.csv"
+        args = cli.build_parser().parse_args(
+            ["sweep", "--config", str(config), "--out", str(out)]
+        )
+        with pytest.raises(ConfigurationError, match="expected a sweep spec, got shape 'point'"):
+            cli.cmd_run(args)
+        assert not out.exists()
 
     def test_csv_format(self, tmp_path):
         spec = small_spec(trials=2, sweep=harness.Sweep(param="d", values=(2, 3)))
