@@ -10,7 +10,6 @@ sidecar next to the output.
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 
@@ -26,20 +25,6 @@ from .models import (
 from .sigops import convolve_short
 from .spectral import eig_hermitian
 from .xcorr import compressed_cross_corr, cross_corr_matrix
-
-THREADS_ENV = "BLINDCHAN_THREADS"
-
-
-def _resolve_threads(value):
-    """The --threads value, else the integer in BLINDCHAN_THREADS (default 0, auto)."""
-    if value is not None:
-        return value
-    raw = os.environ.get(THREADS_ENV, "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigurationError(f"{THREADS_ENV}={raw!r} is not an integer") from None
-
 
 def _load_config(path):
     """The JSON object in `path`; a malformed file raises ConfigurationError naming it."""
@@ -115,7 +100,7 @@ def cmd_run(args):
         raise ConfigurationError(f"expected a {shape} spec, got shape {spec.shape!r}")
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    result = harness.run_experiment(spec, threads=_resolve_threads(args.threads))
+    result = harness.run_experiment(spec, threads=args.threads)
     if args.format == "json":
         with open(args.out, "w", newline="") as fh:
             fh.write(harness.result_to_json(result))
@@ -153,8 +138,7 @@ def build_parser():
     for name, (text, _) in _RUNS.items():
         p_run = add_common(sub.add_parser(name, help=text))
         p_run.add_argument("--format", choices=("csv", "json"), default="csv")
-        p_run.add_argument("--threads", type=int, default=None,
-                           help=f"worker threads (0 = auto; env {THREADS_ENV})")
+        p_run.add_argument("--threads", type=int, default=0, help="worker threads (0 = auto)")
         p_run.set_defaults(fn=cmd_run)
 
     p_check = sub.add_parser("check", help="run the named invariant suite")

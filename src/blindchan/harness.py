@@ -9,9 +9,9 @@ per-method results never depend on which other methods were requested.
 
 import hashlib
 import json
+import numbers
 import os
 import sys
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -63,19 +63,23 @@ SOURCES = ("gaussian", "flat_spectrum")
 NORM_PROFILES = ("flat", "spiky")
 
 
+def _is_real(value):
+    """True for a real number other than a boolean (so a JSON string is refused)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def parse_int(value):
-    """int(value), refusing booleans and numbers with a fractional part."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """int(value) of a real number without a fractional part."""
+    if not _is_real(value) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"not an integer: {value!r}")
     return int(value)
 
 
 def parse_float(value):
-    """float(value), refusing booleans, NaN and +-Infinity."""
-    number = float(value)
-    if isinstance(value, bool) or not np.isfinite(number):
+    """float(value) of a real number, refusing NaN and +-Infinity."""
+    if not _is_real(value) or not np.isfinite(float(value)):
         raise ValueError(f"not a finite number: {value!r}")
-    return number
+    return float(value)
 
 
 def _parse_snr(value):
@@ -173,10 +177,8 @@ class ExperimentSpec:
                 raise ConfigurationError("sweep needs a nonempty value list")
         if isinstance(self.sweep, Grid):
             values = self.sweep.d_over_k + self.sweep.l_over_k
-            numeric = all(  # the numbers parse_float accepts
-                isinstance(v, (int, float)) and not isinstance(v, bool)
-                and abs(v) <= sys.float_info.max for v in values
-            )
+            # the numbers parse_float accepts
+            numeric = all(_is_real(v) and abs(v) <= sys.float_info.max for v in values)
             if not (self.sweep.d_over_k and self.sweep.l_over_k and numeric):
                 raise ConfigurationError("grid needs nonempty numeric d-over-k and l-over-k lists")
         for label, cell in _cells(self):
@@ -322,11 +324,22 @@ def _cells(spec):
     if isinstance(spec.sweep, Grid):
         K = spec.filter_len
         return [
-            ((dk, lk), replace(point, subspace_dim=max(1, int(round(dk * K))), l_over_k=float(lk)))
+            ((dk, lk), replace(point, subspace_dim=_grid_dim(dk, K, (dk, lk)), l_over_k=float(lk)))
             for dk in spec.sweep.d_over_k
             for lk in spec.sweep.l_over_k
         ]
     return [(None, point)]
+
+
+def _grid_dim(d_over_k, filter_len, label):
+    """d = round(d-over-k * k), at least 1; ConfigurationError for a ratio
+    that is not positive or whose product with k overflows."""
+    dim = d_over_k * filter_len
+    if not (d_over_k > 0 and dim < np.inf):
+        raise ConfigurationError(
+            f"sweep cell {label}: need 1 <= d <= k, got d-over-k={d_over_k!r}, k={filter_len}"
+        )
+    return max(1, int(round(dim)))
 
 
 def run_trial(spec, trial_index):
@@ -405,14 +418,11 @@ def run_point(spec, threads=1):
     if threads < 1:
         threads = os.cpu_count() or 1
     indices = range(spec.trials)
-    # entered once, in the calling thread: catch_warnings is not thread-safe
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # sweeps probe L < 3K on purpose
-        if threads == 1:
-            outcomes = [run_trial(spec, i) for i in indices]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(pool.map(lambda i: run_trial(spec, i), indices))
+    if threads == 1:
+        outcomes = [run_trial(spec, i) for i in indices]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            outcomes = list(pool.map(lambda i: run_trial(spec, i), indices))
     errors = {m: [out[0][m] for out in outcomes] for m in spec.methods}
     degenerate = {m: [out[1][m] for out in outcomes] for m in spec.methods}
     return PointResult(spec=spec, errors=errors, degenerate=degenerate)

@@ -6,11 +6,15 @@ A degenerate flag marks instances whose two smallest eigenvalues coincide
 (the minimizer is not essentially unique, e.g. channels sharing common
 zeros); the estimate is still returned.
 
+Estimates degrade gracefully below L = 3K, down to L ~ K; L >= 3K is the
+recommended regime.  The solvers report only through their return values and
+never warn: the linearized baseline flags an ill-posed spectrum in
+Estimate.ill_posed and Estimate.condition.
+
 Observations ys are the M x L array of channel outputs (a list of M
 equal-length vectors is also accepted), checked by xcorr._check_channels.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,11 +23,6 @@ from .exceptions import ConfigurationError, DimensionError
 from .sigops import as_signal
 from .spectral import canonical_phase, eig_hermitian
 from .xcorr import _check_channels, compressed_cross_corr, cross_corr_matrix, noise_gram_mean
-
-#: Below length ratio L/K = 3 the estimators degrade; they are not disabled,
-#: only flagged, since they degrade gracefully down to L ~ K.
-RECOMMENDED_LENGTH_RATIO = 3
-
 
 @dataclass(frozen=True)
 class Estimate:
@@ -50,20 +49,9 @@ def _normalize(h):
     return canonical_phase(h / n)
 
 
-def _warn_short(signal_len, filter_len):
-    if signal_len < RECOMMENDED_LENGTH_RATIO * filter_len:
-        warnings.warn(
-            f"L={signal_len} below the recommended {RECOMMENDED_LENGTH_RATIO}*K"
-            f"={RECOMMENDED_LENGTH_RATIO * filter_len}; estimates degrade in this regime",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
 def solve_cross_conv(ys, filter_len):
     """Classical estimator: smallest eigenvector of the cross-correlation Gram."""
     ys = _check_channels(ys, filter_len)
-    _warn_short(ys.shape[1], filter_len)
     eig = eig_hermitian(cross_corr_matrix(ys, filter_len))
     return Estimate(
         h_hat=_normalize(eig.vector), u_hat=None, lambda_min=eig.lambda_min,
@@ -85,7 +73,6 @@ def solve_subspace_cross_conv(ys, model, noise_var):
     M, K, D = model.bases.shape
     ys = _check_channels(ys, K, M)
     L = ys.shape[1]
-    _warn_short(L, K)
     compressed = compressed_cross_corr(ys, model.bases)
     shift = noise_gram_mean(M, L, noise_var)
     if shift != 0:
@@ -151,12 +138,6 @@ def solve_linearized_ls(ys, model):
 
     magnitude = np.abs(yhat)
     ill_posed = bool(np.any(magnitude.min(axis=1) < 1e-12 * magnitude.max(axis=1)))
-    if ill_posed:
-        warnings.warn(
-            "observed spectra contain near-zero bins; the linearized system is ill-posed",
-            RuntimeWarning,
-            stacklevel=2,
-        )
 
     bin_energy = (np.abs(yhat) ** 2).sum(axis=0)
     gram = np.zeros((L, L), dtype=np.complex128)

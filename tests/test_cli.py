@@ -94,6 +94,10 @@ class TestGapCommand:
         ({"k": 8, "m": 3, "l-over-k": True}, "'l-over-k'"),
         ({"k": 8, "m": 3, "l-over-k": 1e308}, "'l-over-k'"),
         ({"k": 8, "m": 3, "l-over-k": 1e9}, "'l-over-k'"),
+        ({"k": 8, "m": "3"}, "'m'"),
+        ({"k": 8, "m": 3, "d": "2"}, "'d'"),
+        ({"k": 8, "m": 3, "l-over-k": "4"}, "'l-over-k'"),
+        ({"k": 8, "m": 3, "seed": "1"}, "'seed'"),
     ])
     def test_bad_gap_config_exits_nonzero_before_writing(self, tmp_path, capsys,
                                                           config, key):
@@ -193,6 +197,10 @@ class TestRunCommands:
         ("snr-db", float("-inf")),
         ("percentile", True),
         ("l-over-k", 1e308),
+        ("k", "8"),
+        ("l-over-k", "20"),
+        ("percentile", "95"),
+        ("seed", " 7 "),
     ])
     def test_nonfinite_or_boolean_number_exits_nonzero_before_running(
             self, tmp_path, capsys, monkeypatch, key, value):
@@ -206,16 +214,19 @@ class TestRunCommands:
         assert f"'{key}'" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bad_threads_env_exits_nonzero(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("BLINDCHAN_THREADS", "abc")
-        cfg = write_config(tmp_path)
-        out = tmp_path / "trials.csv"
-        assert main(["trial", "--config", str(cfg), "--out", str(out)]) == 2
-        assert "BLINDCHAN_THREADS" in capsys.readouterr().err
+    def test_bad_grid_ratio_exits_nonzero_before_running(self, tmp_path, capsys, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", no_trials)
+        cfg = write_config(tmp_path, sweep={"d-over-k": [1e308], "l-over-k": [4]})
+        out = tmp_path / "phase.csv"
+        assert main(["phase", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "sweep cell (1e+308, 4): need 1 <= d <= k" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_nonpositive_threads_env_means_auto(self, tmp_path, monkeypatch, value):
+    def test_nonpositive_threads_means_auto(self, tmp_path, monkeypatch, value):
         sizes = []
 
         class Recording(ThreadPoolExecutor):
@@ -225,9 +236,9 @@ class TestRunCommands:
 
         monkeypatch.setattr(harness, "ThreadPoolExecutor", Recording)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        monkeypatch.setenv("BLINDCHAN_THREADS", value)
         cfg = write_config(tmp_path)
-        assert main(["trial", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 0
+        assert main(["trial", "--config", str(cfg), "--out", str(tmp_path / "t.csv"),
+                     "--threads", value]) == 0
         assert sizes == [3]
 
     def test_missing_config_exits_nonzero(self, tmp_path):

@@ -123,6 +123,10 @@ class TestStrictSpec:
             ({"percentile": float("inf")}, "spec key .percentile. has a bad value inf"),
             ({"l-over-k": 1e308}, "key .l-over-k. gives more than 16777216 samples"),
             ({"l-over-k": 1e9}, "key .l-over-k. gives more than 16777216 samples at k=8: 1000000000.0"),
+            ({"k": "8"}, "spec key .k. has a bad value .8."),
+            ({"l-over-k": "20"}, "spec key .l-over-k. has a bad value .20."),
+            ({"percentile": "95"}, "spec key .percentile. has a bad value .95."),
+            ({"seed": " 7 "}, "spec key .seed. has a bad value . 7 ."),
         ],
     )
     def test_bad_point_rejected(self, overrides, message):
@@ -152,6 +156,8 @@ class TestStrictSpec:
             ({"param": "snr-db", "values": [True]}, "bad snr-db sweep value True"),
             ({"param": "l-over-k", "values": [5, 1e308]}, r"sweep cell 1e\+308: key .l-over-k."),
             ({"param": "l-over-k", "values": [5, 1e9]}, "sweep cell 1000000000.0: key .l-over-k."),
+            ({"param": "d", "values": ["2", "3"]}, "bad d sweep value .2."),
+            ({"param": "snr-db", "values": [20, "10"]}, "bad snr-db sweep value .10."),
         ],
     )
     def test_bad_sweep_cell_rejected(self, sweep, message):
@@ -167,6 +173,10 @@ class TestStrictSpec:
              r"sweep cell \(0\.25, 1e\+308\): key .l-over-k."),
             ({"d-over-k": [0.25], "l-over-k": [4, 1e9]},
              r"sweep cell \(0\.25, 1000000000\.0\): key .l-over-k."),
+            ({"d-over-k": [1e308], "l-over-k": [4]}, r"sweep cell \(1e\+308, 4\): need 1 <= d <= k"),
+            ({"d-over-k": [0.25, -0.5], "l-over-k": [4]},
+             r"sweep cell \(-0\.5, 4\): need 1 <= d <= k"),
+            ({"d-over-k": [0.0], "l-over-k": [4]}, r"sweep cell \(0\.0, 4\): need 1 <= d <= k"),
         ],
     )
     def test_bad_grid_cell_rejected(self, grid, message):
@@ -303,9 +313,25 @@ class TestRunPoint:
         harness.run_point(small_spec(trials=2), threads=threads)
         assert sizes == [3]
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_trials_see_the_callers_warning_filters(self, monkeypatch, threads):
+        seen = []
+        solve = harness.solve_subspace_cross_conv
+
+        def recording(*args):
+            seen.append(list(warnings.filters))
+            return solve(*args)
+
+        monkeypatch.setattr(harness, "solve_subspace_cross_conv", recording)
+        before = list(warnings.filters)
+        harness.run_point(small_spec(l_over_k=2, trials=4), threads=threads)
+        assert len(seen) == 4
+        assert all(filters == before for filters in seen)
+        assert warnings.filters == before
+
     def test_pooled_run_leaves_warning_filters_alone(self):
-        # short windows (L = 2K) make the solvers warn; the suppression must
-        # not outlive a pooled run
+        # short windows (L = 2K), the regime sweeps probe on purpose, must
+        # leave no trace in the process-wide warning filters
         spec = small_spec(filter_len=32, n_channels=4, subspace_dim=8, l_over_k=2, trials=40)
         before = list(warnings.filters)
         for seed in range(3):
