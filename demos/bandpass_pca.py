@@ -17,10 +17,10 @@ L = 20 * K
 snr_db = 40.0
 streams = bc.RngStreams(21)
 
-model = bc.gen_pca_subspace(
+bases = bc.gen_pca_subspace(
     bc.bandpass_pulse, K, D, 50 * D, streams.stream("basis"), n_channels=M
 )
-u, filters = bc.gen_channels_in_subspace(model, streams.stream("coef"))
+u, filters = bc.gen_channels_in_subspace(bases, streams.stream("coef"))
 
 spectra = np.abs(np.fft.fft(filters, n=L, axis=1)) ** 2
 per_bin = spectra.sum(axis=0)
@@ -29,14 +29,11 @@ print("  -> most DFT bins carry essentially no channel energy\n")
 
 x = bc.gen_source("gaussian", L, 1.0, streams.stream("source"))
 noise_var = bc.sigma_for_snr(bc.db_to_linear(snr_db), K, L, M, x, u)
-noise = streams.stream("noise")
-ys = bc.convolve_short(x, filters) + np.array(
-    [bc.complex_gaussian(noise, L, var=noise_var) for _ in range(M)]
-)
+ys = bc.add_noise(bc.convolve_short(x, filters), np.sqrt(noise_var), streams.stream("noise"))
 
 cc = bc.solve_cross_conv(ys, K)
-sccc = bc.solve_subspace_cross_conv(ys, model, noise_var)
-ls = bc.solve_linearized_ls(ys, model)
+sccc = bc.solve_subspace_cross_conv(ys, bases, noise_var)
+ls = bc.solve_linearized_ls(ys, bases)
 
 print(f"at SNR {snr_db:.0f} dB (K={K}, M={M}, D={D}, L={L}):")
 print(f"  classical cross-convolution  error = {bc.sin_angle(cc.h_hat, filters):.3f}")

@@ -15,8 +15,8 @@ L = 20 * K
 snr_db = 20.0
 streams = bc.RngStreams(7)
 
-model = bc.gen_gaussian_subspace(K, D, M, streams.stream("basis"))
-u, filters = bc.gen_channels_in_subspace(model, streams.stream("coef"))
+bases = bc.gen_gaussian_subspace(K, D, M, streams.stream("basis"))
+u, filters = bc.gen_channels_in_subspace(bases, streams.stream("coef"))
 x = bc.gen_source("gaussian", L, 1.0, streams.stream("source"))
 noise_var = bc.sigma_for_snr(bc.db_to_linear(snr_db), K, L, M, x, u)
 noise = streams.stream("noise")
@@ -25,9 +25,9 @@ ys = bc.convolve_short(x, filters) + ws
 
 estimates = {
     "classical cross-convolution": bc.solve_cross_conv(ys, K),
-    "subspace-constrained       ": bc.solve_subspace_cross_conv(ys, model, noise_var),
-    "non-blind least squares    ": bc.solve_oracle_ls(ys, x, model),
-    "linearized least squares   ": bc.solve_linearized_ls(ys, model),
+    "subspace-constrained       ": bc.solve_subspace_cross_conv(ys, bases, noise_var),
+    "non-blind least squares    ": bc.solve_oracle_ls(ys, x, bases),
+    "linearized least squares   ": bc.solve_linearized_ls(ys, bases),
 }
 
 print(f"K={K}, M={M}, D={D}, L={L}, SNR={snr_db:.0f} dB\n")

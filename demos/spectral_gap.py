@@ -23,9 +23,9 @@ print("  -> an exact null vector exists, but the next eigenvalue is barely above
 print("     any noise of comparable size scrambles the estimate.")
 
 # the same construction with channels confined to a D-dimensional model
-model = bc.gen_gaussian_subspace(K, D, M, streams.stream("basis"))
-u, filters = bc.gen_channels_in_subspace(model, streams.stream("coef"))
-info = bc.eig_hermitian(bc.compressed_cross_corr(bc.convolve_short(x, filters), model.bases))
+bases = bc.gen_gaussian_subspace(K, D, M, streams.stream("basis"))
+u, filters = bc.gen_channels_in_subspace(bases, streams.stream("coef"))
+info = bc.eig_hermitian(bc.compressed_cross_corr(bc.convolve_short(x, filters), bases))
 print(f"\nsubspace-compressed matrix ({M * D} x {M * D}):")
 print(f"  gap ratio: {info.gap_ratio:.2f}")
 print("  -> compressing by the model basis lifts the gap by orders of magnitude,")

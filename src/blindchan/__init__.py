@@ -40,8 +40,8 @@ from .metrics import (
 )
 from .models import (
     RngStreams,
-    SubspaceModel,
     add_noise,
+    apply_bases,
     bandpass_pulse,
     complex_gaussian,
     gen_channels_in_subspace,

@@ -11,7 +11,6 @@ sidecar next to the output.
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from . import checks, harness
 from .exceptions import BlindchanError, ConfigurationError
@@ -26,8 +25,9 @@ from .sigops import convolve_short
 from .spectral import eig_hermitian
 from .xcorr import compressed_cross_corr, cross_corr_matrix
 
-def _load_config(path):
-    """The JSON object in `path`; a malformed file raises ConfigurationError naming it."""
+def _load_config(path, seed):
+    """The JSON object in `path` with a `--seed` value (unless None) written over its
+    seed, so one key table checks both; a malformed file raises ConfigurationError naming it."""
     with open(path) as fh:
         try:
             config = json.load(fh)
@@ -35,6 +35,8 @@ def _load_config(path):
             raise ConfigurationError(f"{path}: not valid JSON: {err}") from None
     if not isinstance(config, dict):
         raise ConfigurationError(f"{path}: expected a JSON object, got {type(config).__name__}")
+    if seed is not None:
+        config["seed"] = seed
     return config
 
 
@@ -55,16 +57,16 @@ _GAP_FIELDS = {
     "m": ("n_channels", harness.parse_int, harness.REQUIRED),
     "d": ("dim", _optional_int, None),
     "l-over-k": ("l_over_k", harness.parse_float, 4),
-    "seed": ("seed", harness.parse_int, 0),
+    "seed": ("seed", harness.parse_seed, 0),
 }
 
 
 def cmd_gap(args):
-    config = harness.parse_keys(_load_config(args.config), _GAP_FIELDS, "gap config")
+    config = harness.parse_keys(_load_config(args.config, args.seed), _GAP_FIELDS, "gap config")
     K, M, D = config["filter_len"], config["n_channels"], config["dim"]
     L = harness.signal_len(config["l_over_k"], K)
     harness.check_dimensions(K, M, D, L)
-    streams = RngStreams(config["seed"] if args.seed is None else args.seed)
+    streams = RngStreams(config["seed"])
 
     x = gen_source("gaussian", L, 1.0, streams.stream("source"))
     h = complex_gaussian(streams.stream("channels"), M, K)
@@ -72,9 +74,9 @@ def cmd_gap(args):
     print(f"unconstrained gap_ratio: {eig.gap_ratio:.6e}")
 
     if D is not None:
-        model = gen_gaussian_subspace(K, D, M, streams.stream("basis"))
-        _, filters = gen_channels_in_subspace(model, streams.stream("subspace-channels"))
-        eig = eig_hermitian(compressed_cross_corr(convolve_short(x, filters), model.bases))
+        bases = gen_gaussian_subspace(K, D, M, streams.stream("basis"))
+        _, filters = gen_channels_in_subspace(bases, streams.stream("subspace-channels"))
+        eig = eig_hermitian(compressed_cross_corr(convolve_short(x, filters), bases))
         print(f"subspace-constrained gap_ratio (d={D}): {eig.gap_ratio:.6e}")
 
     spectrum = eig.eigenvalues / eig.lambda_max
@@ -95,11 +97,9 @@ _RUNS = {
 
 def cmd_run(args):
     _, shape = _RUNS[args.command]
-    spec = harness.spec_from_dict(_load_config(args.config))
+    spec = harness.spec_from_dict(_load_config(args.config, args.seed))
     if spec.shape != shape:
         raise ConfigurationError(f"expected a {shape} spec, got shape {spec.shape!r}")
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
     result = harness.run_experiment(spec, threads=args.threads)
     if args.format == "json":
         with open(args.out, "w", newline="") as fh:

@@ -39,18 +39,18 @@ from .solvers import (
 )
 
 #: Each method's estimator as a function of one instance (observations,
-#: source, model, noise variance).  The solvers are looked up at call time,
-#: so rebinding one of this module's attributes reaches every trial.
+#: source, (M, K, D) bases, noise variance).  The solvers are looked up at
+#: call time, so rebinding one of this module's attributes reaches every trial.
 _SOLVERS = {
-    "cc": lambda ys, x, model, noise_var: solve_cross_conv(ys, model.filter_len),
-    "sccc": lambda ys, x, model, noise_var: solve_subspace_cross_conv(ys, model, noise_var),
-    "oracle": lambda ys, x, model, noise_var: solve_oracle_ls(ys, x, model),
-    "ls": lambda ys, x, model, noise_var: solve_linearized_ls(ys, model),
+    "cc": lambda ys, x, bases, noise_var: solve_cross_conv(ys, bases.shape[1]),
+    "sccc": lambda ys, x, bases, noise_var: solve_subspace_cross_conv(ys, bases, noise_var),
+    "oracle": lambda ys, x, bases, noise_var: solve_oracle_ls(ys, x, bases),
+    "ls": lambda ys, x, bases, noise_var: solve_linearized_ls(ys, bases),
 }
 
 METHODS = tuple(_SOLVERS)
 
-#: Each basis kind's subspace model as a function of (K, D, M, rng).
+#: Each basis kind's (M, K, D) bases as a function of (K, D, M, rng).
 _BASES = {
     "gaussian": lambda K, D, M, rng: gen_gaussian_subspace(K, D, M, rng),
     "pca": lambda K, D, M, rng: gen_pca_subspace(
@@ -82,8 +82,19 @@ def parse_float(value):
     return float(value)
 
 
+def parse_seed(value):
+    """parse_int(value), refusing a negative seed."""
+    if parse_int(value) < 0:
+        raise ValueError(f"negative seed: {value!r}")
+    return int(value)
+
+
 def _parse_snr(value):
-    return None if value in (None, "noiseless") else parse_float(value)
+    """None for noiseless, else a finite dB value with |snr-db| <= MAX_SNR_DB."""
+    db = None if value in (None, "noiseless") else parse_float(value)
+    if db is not None and abs(db) > MAX_SNR_DB:
+        raise ValueError(f"|snr-db| above {MAX_SNR_DB}: {value!r}")
+    return db
 
 
 def _parse_list(value):
@@ -109,7 +120,7 @@ _SPEC_FIELDS = {
     "source": ("source", str, "gaussian"),
     "norm-profile": ("norm_profile", str, "flat"),
     "percentile": ("percentile", parse_float, 95),
-    "seed": ("seed", parse_int, 0),
+    "seed": ("seed", parse_seed, 0),
 }
 
 #: Keys a 1-D sweep may vary; each value is parsed like the key's spec value.
@@ -122,6 +133,9 @@ LOG_FLOOR = 1e-16
 #: largest shipped L is 4,096 samples, while at M = 16 channels one M x L
 #: complex output array at this ceiling already takes 4 GiB.
 MAX_SIGNAL_LEN = 2**24
+
+#: Largest |snr-db| a config may ask for: a linear SNR from 1e-30 to 1e30.
+MAX_SNR_DB = 300
 
 
 @dataclass(frozen=True)
@@ -210,8 +224,10 @@ def check_dimensions(filter_len, n_channels, subspace_dim, signal_len, where="")
 
 
 def signal_len(l_over_k, filter_len, where=""):
-    """Signal length L = round(l-over-k * k); ConfigurationError naming
-    l-over-k when L overflows or exceeds MAX_SIGNAL_LEN."""
+    """Signal length L = round(l-over-k * k); ConfigurationError naming k when
+    k > MAX_SIGNAL_LEN (L >= k), else l-over-k when L overflows or exceeds it."""
+    if filter_len > MAX_SIGNAL_LEN:
+        raise ConfigurationError(f"{where}key 'k' is above {MAX_SIGNAL_LEN}, so L >= k is too long")
     length = l_over_k * filter_len
     if length > MAX_SIGNAL_LEN:  # an overflow to inf included
         raise ConfigurationError(
@@ -353,10 +369,10 @@ def run_trial(spec, trial_index):
     L = signal_len(spec.l_over_k, K)
     streams = RngStreams(spec.seed)
 
-    model = _BASES[spec.basis](K, D, M, streams.stream("basis", trial_index))
+    bases = _BASES[spec.basis](K, D, M, streams.stream("basis", trial_index))
 
     u, filters = gen_channels_in_subspace(
-        model, streams.stream("channels", trial_index), spec.norm_profile
+        bases, streams.stream("channels", trial_index), spec.norm_profile
     )
     x = gen_source(spec.source, L, 1.0, streams.stream("source", trial_index))
     if spec.snr_db is None:
@@ -364,14 +380,12 @@ def run_trial(spec, trial_index):
     else:
         noise_var = sigma_for_snr(db_to_linear(spec.snr_db), K, L, M, x, u)
     noise_stream = streams.stream("noise", trial_index)
-    sigma_w = np.sqrt(noise_var)
-    clean = convolve_short(x, filters)
-    ys = np.stack([add_noise(y, sigma_w, noise_stream) for y in clean])
+    ys = add_noise(convolve_short(x, filters), np.sqrt(noise_var), noise_stream)
 
     errors = {}
     degenerate = {}
     for method in spec.methods:
-        est = _SOLVERS[method](ys, x, model, noise_var)
+        est = _SOLVERS[method](ys, x, bases, noise_var)
         errors[method] = sin_angle(est.h_hat, filters)
         degenerate[method] = bool(est.degenerate)
     return errors, degenerate

@@ -17,7 +17,7 @@ from .sigops import as_signal
 
 
 def sin_angle(a, b):
-    """Principal angle sine between two nonzero vectors, clamped to [0, 1].
+    """Principal angle sine between two nonzero finite vectors, clamped to [0, 1].
 
     Invariant to nonzero complex scaling of either argument.  Evaluated as
     the normalized projection residual ||b - a <a,b>/||a||^2|| / ||b||, which
@@ -28,8 +28,8 @@ def sin_angle(a, b):
     b = np.asarray(b, dtype=np.complex128).reshape(-1)
     na = np.linalg.norm(a)
     nb = np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        raise InputError("sin_angle requires nonzero vectors")
+    if not (0 < na < np.inf and 0 < nb < np.inf):  # NaN fails too
+        raise InputError("sin_angle requires nonzero vectors with finite entries and norms")
     a_unit = a / na
     residual = b - a_unit * np.vdot(a_unit, b)
     return float(min(1.0, np.linalg.norm(residual) / nb))

@@ -1,4 +1,4 @@
-"""Random instance generation: subspace bases, channels, sources, noise.
+"""Random instance generation: (M, K, D) subspace bases, channels, sources, noise.
 
 Every draw comes from a seeded substream so experiments are reproducible and
 stream-isolated: a (master seed, purpose label, trial index) triple always
@@ -11,7 +11,6 @@ checks hold with exactly this normalization.
 """
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,47 +40,20 @@ def complex_gaussian(rng, *shape, var=1.0):
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-@dataclass(frozen=True)
-class SubspaceModel:
-    """Per-channel bases Phi_m stacked as an (M, K, D) array.
-
-    Applying the model to stacked coefficients concatenates Phi_m u_m in
-    channel order (block-diagonal action).
-    """
-
-    bases: np.ndarray
-
-    @property
-    def n_channels(self):
-        return self.bases.shape[0]
-
-    @property
-    def filter_len(self):
-        return self.bases.shape[1]
-
-    def apply(self, u):
-        """Map stacked coefficients u in C^{MD} to stacked filters in C^{MK}."""
-        M, K, D = self.bases.shape
-        u = np.asarray(u, dtype=np.complex128)
-        if u.shape != (M * D,):
-            raise DimensionError(f"expected coefficients of length {M * D}, got shape {u.shape}")
-        return np.einsum("mkd,md->mk", self.bases, u.reshape(M, D)).reshape(M * K)
-
-    def block_diag(self):
-        """Dense MK x MD block-diagonal matrix (small-scale oracles)."""
-        M, K, D = self.bases.shape
-        out = np.zeros((M * K, M * D), dtype=np.complex128)
-        for m in range(M):
-            out[m * K : (m + 1) * K, m * D : (m + 1) * D] = self.bases[m]
-        return out
+def apply_bases(bases, u):
+    """The M x K filters Phi_m u_m of stacked coefficients u in C^{MD} and (M, K, D) bases."""
+    M, K, D = bases.shape
+    u = np.asarray(u, dtype=np.complex128)
+    if u.shape != (M * D,):
+        raise DimensionError(f"expected coefficients of length {M * D}, got shape {u.shape}")
+    return np.einsum("mkd,md->mk", bases, u.reshape(M, D))
 
 
 def gen_gaussian_subspace(filter_len, dim, n_channels, rng):
-    """Generic model: independent K x D bases with iid CN(0,1) entries."""
+    """Generic model: (M, K, D) bases with iid CN(0,1) entries."""
     if not 1 <= dim <= filter_len:
         raise ConfigurationError(f"need 1 <= D <= K, got D={dim}, K={filter_len}")
-    bases = complex_gaussian(rng, n_channels, filter_len, dim)
-    return SubspaceModel(bases=bases)
+    return complex_gaussian(rng, n_channels, filter_len, dim)
 
 
 def bandpass_pulse(t, filter_len):
@@ -111,7 +83,7 @@ def gen_pca_subspace(pulse, filter_len, dim, n_train, rng, n_channels=1):
 
     Draws n_train filters from the parametric family, forms the K x K sample
     second-moment matrix and keeps its D leading orthonormal eigenvectors,
-    shared by all channels.
+    shared by all channels of the returned (M, K, D) bases.
     """
     if n_train < dim:
         raise ConfigurationError(f"need n_train >= D, got n_train={n_train}, D={dim}")
@@ -126,8 +98,7 @@ def gen_pca_subspace(pulse, filter_len, dim, n_train, rng, n_channels=1):
     second_moment = train.conj().T @ train / n_train
     _, v = np.linalg.eigh((second_moment + second_moment.conj().T) / 2)
     basis = v[:, ::-1][:, :dim]
-    bases = np.repeat(basis[None, :, :], n_channels, axis=0)
-    return SubspaceModel(bases=bases)
+    return np.repeat(basis[None, :, :], n_channels, axis=0)
 
 
 def default_train_size(dim):
@@ -135,7 +106,7 @@ def default_train_size(dim):
     return 50 * dim
 
 
-def gen_channels_in_subspace(model, rng, norm_profile="flat"):
+def gen_channels_in_subspace(bases, rng, norm_profile="flat"):
     """Draw coefficients u and the channels h = Phi u they induce.
 
     Returns (u, filters): u stacked in C^{MD}, filters the M x K array whose
@@ -144,7 +115,7 @@ def gen_channels_in_subspace(model, rng, norm_profile="flat"):
     norm_profile "flat" rescales every block to unit norm (flatness 1);
     "spiky" puts all energy on the first block (flatness sqrt(M)).
     """
-    M, K, D = model.bases.shape
+    M, _, D = bases.shape
     u = complex_gaussian(rng, M, D)
     if norm_profile == "flat":
         u = u / np.linalg.norm(u, axis=1, keepdims=True)
@@ -154,7 +125,7 @@ def gen_channels_in_subspace(model, rng, norm_profile="flat"):
     else:
         raise InputError(f"unknown norm profile {norm_profile!r}")
     u_flat = u.reshape(-1)
-    return u_flat, model.apply(u_flat).reshape(M, K)
+    return u_flat, apply_bases(bases, u_flat)
 
 
 def gen_source(kind, signal_len, sigma_x, rng):
@@ -176,13 +147,18 @@ def gen_source(kind, signal_len, sigma_x, rng):
 
 
 def add_noise(s, sigma_w, rng):
-    """Add iid CN(0, sigma_w^2) noise; sigma_w = 0 returns the signal unchanged."""
-    s = as_signal(s)
-    if sigma_w < 0:
-        raise InputError(f"noise level must be >= 0, got {sigma_w}")
+    """Add iid CN(0, sigma_w^2) noise to a signal or an M x L array in one draw, real then
+    imaginary parts row by row as M one-row calls would; sigma_w = 0 adds none."""
+    s = np.asarray(s, dtype=np.complex128)
+    if s.ndim not in (1, 2):
+        raise InputError(f"signal must be a vector or an M x L array, got shape {s.shape}")
+    as_signal(s.reshape(-1))  # nonempty and finite
+    if not 0 <= sigma_w < np.inf:  # NaN fails too
+        raise InputError(f"noise level must be finite and >= 0, got {sigma_w}")
     if sigma_w == 0:
         return s.copy()
-    return s + complex_gaussian(rng, len(s), var=sigma_w**2)
+    z = rng.standard_normal((*s.shape[:-1], 2, s.shape[-1]))
+    return s + np.sqrt(sigma_w**2 / 2.0) * (z[..., 0, :] + 1j * z[..., 1, :])
 
 
 def sigma_for_snr(eta_target, filter_len, signal_len, n_channels, x, u):

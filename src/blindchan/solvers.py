@@ -13,6 +13,7 @@ Estimate.ill_posed and Estimate.condition.
 
 Observations ys are the M x L array of channel outputs (a list of M
 equal-length vectors is also accepted), checked by xcorr._check_channels.
+The subspace estimators take the model as its (M, K, D) basis array.
 """
 
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigurationError, DimensionError
+from .models import apply_bases
 from .sigops import as_signal
 from .spectral import canonical_phase, eig_hermitian
 from .xcorr import _check_channels, compressed_cross_corr, cross_corr_matrix, noise_gram_mean
@@ -59,42 +61,42 @@ def solve_cross_conv(ys, filter_len):
     )
 
 
-def solve_subspace_cross_conv(ys, model, noise_var):
+def solve_subspace_cross_conv(ys, bases, noise_var):
     """Subspace-constrained estimator with noise debias.
 
-    Compresses the cross-correlation Gram by block congruence with the model
+    Compresses the cross-correlation Gram by block congruence with the
     bases, built in the frequency domain at M*L*D memory (the MK x MK Gram
     is never formed), subtracts the expected noise Gram noise_var*(M-1)*L
     (applied as a shift of the diagonal blocks), and maps the smallest
-    eigenvector back through the model.  noise_var is an explicit input: it
+    eigenvector back through the bases.  noise_var is an explicit input: it
     must be known or estimated deliberately (see estimate_noise_variance),
     never guessed silently.
     """
-    M, K, D = model.bases.shape
+    M, K, D = bases.shape
     ys = _check_channels(ys, K, M)
     L = ys.shape[1]
-    compressed = compressed_cross_corr(ys, model.bases)
+    compressed = compressed_cross_corr(ys, bases)
     shift = noise_gram_mean(M, L, noise_var)
     if shift != 0:
         block = np.arange(M * D).reshape(M, D)
-        grams = model.bases.conj().swapaxes(1, 2) @ model.bases
+        grams = bases.conj().swapaxes(1, 2) @ bases
         compressed[block[:, :, None], block[:, None, :]] -= shift * grams
     eig = eig_hermitian(compressed)
     return Estimate(
-        h_hat=_normalize(model.apply(eig.vector)), u_hat=eig.vector, lambda_min=eig.lambda_min,
-        gap_ratio=eig.gap_ratio, degenerate=eig.degenerate,
+        h_hat=_normalize(apply_bases(bases, eig.vector).reshape(-1)), u_hat=eig.vector,
+        lambda_min=eig.lambda_min, gap_ratio=eig.gap_ratio, degenerate=eig.degenerate,
     )
 
 
-def solve_oracle_ls(ys, x, model):
+def solve_oracle_ls(ys, x, bases):
     """Non-blind baseline: per-channel least squares with the source known exactly."""
-    M, K, D = model.bases.shape
+    M, K, D = bases.shape
     ys = _check_channels(ys, K, M)
     x = as_signal(x)
     L = ys.shape[1]
     if len(x) != L:
         raise DimensionError(f"source length {len(x)} differs from signal length {L}")
-    designs = np.fft.ifft(np.fft.fft(x)[:, None] * np.fft.fft(model.bases, n=L, axis=1), axis=1)
+    designs = np.fft.ifft(np.fft.fft(x)[:, None] * np.fft.fft(bases, n=L, axis=1), axis=1)
     u_hat = np.zeros((M, D), dtype=np.complex128)
     for m, design in enumerate(designs):
         u_hat[m], _, _, svals = np.linalg.lstsq(design, ys[m], rcond=None)
@@ -105,12 +107,12 @@ def solve_oracle_ls(ys, x, model):
             )
     u_flat = u_hat.reshape(-1)
     return Estimate(
-        h_hat=_normalize(model.apply(u_flat)), u_hat=u_flat, lambda_min=0.0,
+        h_hat=_normalize(apply_bases(bases, u_flat).reshape(-1)), u_hat=u_flat, lambda_min=0.0,
         gap_ratio=np.nan, degenerate=False,
     )
 
 
-def solve_linearized_ls(ys, model):
+def solve_linearized_ls(ys, bases):
     """Linearized baseline: joint recovery of inverse source spectrum and channels.
 
     Reconstruction of the classical linearized formulation (the exact system
@@ -131,7 +133,7 @@ def solve_linearized_ls(ys, model):
     mean part of the spectrum is unexcited and this linearization is
     ill-posed there.
     """
-    M, K, _ = model.bases.shape
+    M, K, _ = bases.shape
     ys = _check_channels(ys, K, M)
     L = ys.shape[1]
     yhat = np.fft.fft(ys, axis=1)
@@ -142,7 +144,7 @@ def solve_linearized_ls(ys, model):
     bin_energy = (np.abs(yhat) ** 2).sum(axis=0)
     gram = np.zeros((L, L), dtype=np.complex128)
     gram[np.diag_indices(L)] = bin_energy
-    for y_hat, basis_hat in zip(yhat, np.fft.fft(model.bases, n=L, axis=1)):
+    for y_hat, basis_hat in zip(yhat, np.fft.fft(bases, n=L, axis=1)):
         w = np.conj(y_hat)[:, None] * np.linalg.qr(basis_hat)[0]
         gram -= w @ w.conj().T
 

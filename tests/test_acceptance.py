@@ -42,12 +42,12 @@ def test_criterion_02_noiseless_exact_recovery():
     worst_sccc = 0.0
     for i in range(50):
         rng = streams.stream("instance", i)
-        model = gen_gaussian_subspace(16, 4, 4, rng)
-        _, filters = gen_channels_in_subspace(model, rng)
+        bases = gen_gaussian_subspace(16, 4, 4, rng)
+        _, filters = gen_channels_in_subspace(bases, rng)
         x = complex_gaussian(rng, 48)
         ys = convolve_short(x, filters)
         cc = solvers.solve_cross_conv(ys, 16)
-        sccc = solvers.solve_subspace_cross_conv(ys, model, 0.0)
+        sccc = solvers.solve_subspace_cross_conv(ys, bases, 0.0)
         worst_cc = max(worst_cc, metrics.sin_angle(cc.h_hat, filters))
         worst_sccc = max(worst_sccc, metrics.sin_angle(sccc.h_hat, filters))
     ok = worst_cc <= 1e-6 and worst_sccc <= 1e-8
@@ -70,9 +70,9 @@ def test_criterion_03_spectral_gap_reproduction():
         h = complex_gaussian(rng, M, K)
         ys = convolve_short(x, h)
         tiny += spectral.eig_hermitian(xcorr.cross_corr_matrix(ys, K)).gap_ratio <= 1e-3
-        model = gen_gaussian_subspace(K, D, M, rng)
-        _, filters = gen_channels_in_subspace(model, rng)
-        compressed = xcorr.compressed_cross_corr(convolve_short(x, filters), model.bases)
+        bases = gen_gaussian_subspace(K, D, M, rng)
+        _, filters = gen_channels_in_subspace(bases, rng)
+        compressed = xcorr.compressed_cross_corr(convolve_short(x, filters), bases)
         open_gap += spectral.eig_hermitian(compressed).gap_ratio >= 0.05
     ok = tiny >= 18 and open_gap >= 18
     report(3, ok, "spectral-gap contrast on 20 seeds",

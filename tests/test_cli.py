@@ -63,18 +63,18 @@ class TestGapCommand:
         K, M, D = cfg["k"], cfg["m"], cfg["d"]
         streams = RngStreams(cfg["seed"])
         x = gen_source("gaussian", cfg["l-over-k"] * K, 1.0, streams.stream("source"))
-        model = gen_gaussian_subspace(K, D, M, streams.stream("basis"))
-        _, filters = gen_channels_in_subspace(model, streams.stream("subspace-channels"))
+        bases = gen_gaussian_subspace(K, D, M, streams.stream("basis"))
+        _, filters = gen_channels_in_subspace(bases, streams.stream("subspace-channels"))
         ys = convolve_short(x, filters)
 
         def normalized_spectrum(a):
             w = np.linalg.eigvalsh((a + a.conj().T) / 2)[::-1]
             return w / w[0]
 
-        w = normalized_spectrum(xcorr.compressed_cross_corr(ys, model.bases))
+        w = normalized_spectrum(xcorr.compressed_cross_corr(ys, bases))
         expected = "".join(format(float(v), ".12g") + "\n" for v in w)
         assert out.read_bytes() == expected.encode()
-        phi = model.block_diag()
+        phi = checks.block_diag(bases)
         congruence = phi.conj().T @ xcorr.cross_corr_matrix(ys, K) @ phi
         np.testing.assert_allclose(w, normalized_spectrum(congruence), rtol=0, atol=1e-12)
 
@@ -98,6 +98,9 @@ class TestGapCommand:
         ({"k": 8, "m": 3, "d": "2"}, "'d'"),
         ({"k": 8, "m": 3, "l-over-k": "4"}, "'l-over-k'"),
         ({"k": 8, "m": 3, "seed": "1"}, "'seed'"),
+        ({"k": 8, "m": 3, "seed": -2}, "'seed'"),
+        ({"k": 2**25, "m": 3, "l-over-k": 1}, "'k'"),
+        ({"k": 1e308, "m": 3}, "'k'"),
     ])
     def test_bad_gap_config_exits_nonzero_before_writing(self, tmp_path, capsys,
                                                           config, key):
@@ -201,6 +204,10 @@ class TestRunCommands:
         ("l-over-k", "20"),
         ("percentile", "95"),
         ("seed", " 7 "),
+        ("seed", -1),
+        ("snr-db", 301),
+        ("snr-db", -2900),
+        ("k", 2**25),
     ])
     def test_nonfinite_or_boolean_number_exits_nonzero_before_running(
             self, tmp_path, capsys, monkeypatch, key, value):
@@ -213,6 +220,30 @@ class TestRunCommands:
         assert main(["trial", "--config", str(cfg), "--out", str(out)]) == 2
         assert f"'{key}'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_seed_flag_exits_nonzero_before_running(self, tmp_path, capsys,
+                                                             monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", no_trials)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "trials.csv"
+        assert main(["trial", "--config", str(cfg), "--out", str(out), "--seed", "-1"]) == 2
+        assert "'seed'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_extreme_snr_sweep_exits_nonzero_before_running(self, tmp_path, capsys,
+                                                            monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", no_trials)
+        cfg = write_config(tmp_path, sweep={"param": "snr-db", "values": [10, 4000]})
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "bad snr-db sweep value 4000" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_bad_grid_ratio_exits_nonzero_before_running(self, tmp_path, capsys, monkeypatch):
         def no_trials(*args):

@@ -1,6 +1,8 @@
-"""Every narrative script under demos/ runs to completion against src/."""
+"""Every narrative script under demos/ and every Python block of the README
+runs to completion against src/."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,15 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = ROOT / "README.md"
+
+
+def run_against_src(args):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=300,
+    )
 
 
 def test_demos_are_found():
@@ -17,9 +28,13 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_exits_zero(demo):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, str(demo)], env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, timeout=300,
-    )
+    result = run_against_src([str(demo)])
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_python_blocks_exit_zero():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        result = run_against_src(["-c", block])
+        assert result.returncode == 0, f"{block}\n{result.stderr}"

@@ -127,11 +127,31 @@ class TestStrictSpec:
             ({"l-over-k": "20"}, "spec key .l-over-k. has a bad value .20."),
             ({"percentile": "95"}, "spec key .percentile. has a bad value .95."),
             ({"seed": " 7 "}, "spec key .seed. has a bad value . 7 ."),
+            ({"seed": -1}, "spec key .seed. has a bad value -1"),
+            ({"snr-db": 301}, "spec key .snr-db. has a bad value 301"),
+            ({"snr-db": -301}, "spec key .snr-db. has a bad value -301"),
+            ({"snr-db": 4000}, "spec key .snr-db. has a bad value 4000"),
+            ({"snr-db": -2900}, "spec key .snr-db. has a bad value -2900"),
+            ({"k": 1e308}, "key .k. is above 16777216, so L >= k is too long"),
+            ({"k": 2**25, "l-over-k": 1}, "key .k. is above 16777216, so L >= k is too long"),
         ],
     )
     def test_bad_point_rejected(self, overrides, message):
         with pytest.raises(ConfigurationError, match=message):
             harness.spec_from_dict(point_config(**overrides))
+
+    @pytest.mark.parametrize("snr_db", [300, -300, 300.0])
+    def test_snr_bound_accepted(self, snr_db):
+        assert harness.spec_from_dict(point_config(**{"snr-db": snr_db})).snr_db == snr_db
+
+    @pytest.mark.parametrize("sweep,where", [
+        ({"param": "d", "values": [2, 3]}, "sweep cell 2: "),
+        ({"d-over-k": [0.25], "l-over-k": [4]}, r"sweep cell \(0\.25, 4\): "),
+    ])
+    def test_huge_k_named_in_every_cell(self, sweep, where):
+        # L >= k, so a k above the signal-length ceiling is the fault, not l-over-k
+        with pytest.raises(ConfigurationError, match=where + "key .k. is above 16777216, so L >= k is too long"):
+            harness.spec_from_dict(point_config(k=2**25, sweep=sweep))
 
     def test_integral_numbers_accepted(self):
         spec = harness.spec_from_dict(point_config(k=8.0, trials=3.0))
@@ -158,6 +178,10 @@ class TestStrictSpec:
             ({"param": "l-over-k", "values": [5, 1e9]}, "sweep cell 1000000000.0: key .l-over-k."),
             ({"param": "d", "values": ["2", "3"]}, "bad d sweep value .2."),
             ({"param": "snr-db", "values": [20, "10"]}, "bad snr-db sweep value .10."),
+            ({"param": "snr-db", "values": [10, 301]}, "bad snr-db sweep value 301"),
+            ({"param": "snr-db", "values": [10, -301]}, "bad snr-db sweep value -301"),
+            ({"param": "snr-db", "values": [10, 4000]}, "bad snr-db sweep value 4000"),
+            ({"param": "snr-db", "values": [10, -2900]}, "bad snr-db sweep value -2900"),
         ],
     )
     def test_bad_sweep_cell_rejected(self, sweep, message):

@@ -27,6 +27,16 @@ class TestSinAngle:
         with pytest.raises(InputError):
             metrics.sin_angle(np.zeros(3), np.ones(3))
 
+    @pytest.mark.parametrize("a,b", [
+        ([np.nan, 1], [1, 0]),
+        ([1, 0], [np.nan, 1]),
+        ([np.inf, 1], [1, 0]),
+    ])
+    def test_nonfinite_vector_rejected(self, a, b):
+        # a NaN estimate must not be recorded as the worst error, 1
+        with pytest.raises(InputError, match="finite"):
+            metrics.sin_angle(a, b)
+
 
 class TestAngleInequality:
     def test_closed_form_matches_theta_grid(self, rng):
@@ -235,7 +245,7 @@ class TestNoiseCorrNorms:
 def test_metric_report_assembles_everything(rng):
     from conftest import make_instance
 
-    model, u, truth, x, ys = make_instance(rng, 3, 4, 24, dim=2, noise_var=0.1)
+    bases, u, truth, x, ys = make_instance(rng, 3, 4, 24, dim=2, noise_var=0.1)
     ws = [np.zeros(24) for _ in range(3)]
     report = metrics.metric_report(truth, truth, x, u, ws, 4, 3, 0.1, gap_ratio=0.3)
     assert report.sin_angle <= 1e-12

@@ -3,7 +3,7 @@ import pytest
 
 from blindchan.exceptions import ConfigurationError, InputError
 from blindchan.metrics import autocorr_norm, flatness
-from blindchan import models
+from blindchan import checks, models
 
 
 class TestRngStreams:
@@ -32,21 +32,21 @@ class TestRngStreams:
 
 class TestGaussianSubspace:
     def test_unit_second_moment(self, rng):
-        model = models.gen_gaussian_subspace(100, 50, 20, rng)
-        mean_sq = np.mean(np.abs(model.bases) ** 2)
+        bases = models.gen_gaussian_subspace(100, 50, 20, rng)
+        mean_sq = np.mean(np.abs(bases) ** 2)
         assert 0.98 <= mean_sq <= 1.02
 
     def test_square_basis_invertible(self, rng):
-        model = models.gen_gaussian_subspace(12, 12, 3, rng)
-        assert min(np.linalg.svd(phi, compute_uv=False)[-1] for phi in model.bases) > 0
+        bases = models.gen_gaussian_subspace(12, 12, 3, rng)
+        assert min(np.linalg.svd(phi, compute_uv=False)[-1] for phi in bases) > 0
 
     def test_condition_number_bounded_for_tall_bases(self, rng):
         # K >= 64 D keeps the blocks well conditioned for nearly every draw
         K, D = 64, 1
         good = 0
         for _ in range(100):
-            model = models.gen_gaussian_subspace(K, D, 1, rng)
-            s = np.linalg.svd(model.bases[0], compute_uv=False)
+            bases = models.gen_gaussian_subspace(K, D, 1, rng)
+            s = np.linalg.svd(bases[0], compute_uv=False)
             good += s[0] / s[-1] <= 3
         assert good >= 95
 
@@ -63,9 +63,9 @@ def full_support_pulse(t, filter_len):
 class TestPcaSubspace:
     def test_full_basis_reproduces_training(self, rng):
         K = 16
-        model = models.gen_pca_subspace(full_support_pulse, K, K, 200, rng)
+        bases = models.gen_pca_subspace(full_support_pulse, K, K, 200, rng)
         fresh = models.sample_parametric_filter(full_support_pulse, K, rng)
-        basis = model.bases[0]
+        basis = bases[0]
         residual = fresh - basis @ (basis.conj().T @ fresh)
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(fresh)
 
@@ -76,8 +76,8 @@ class TestPcaSubspace:
             models.gen_pca_subspace(models.bandpass_pulse, 16, 16, 200, rng)
 
     def test_orthonormal_columns(self, rng):
-        model = models.gen_pca_subspace(models.bandpass_pulse, 24, 6, 300, rng)
-        gram = model.bases[0].conj().T @ model.bases[0]
+        bases = models.gen_pca_subspace(models.bandpass_pulse, 24, 6, 300, rng)
+        gram = bases[0].conj().T @ bases[0]
         np.testing.assert_allclose(gram, np.eye(6), atol=1e-10)
 
     def test_projection_residual_non_increasing_in_dim(self, rng):
@@ -87,17 +87,17 @@ class TestPcaSubspace:
         )
         residuals = []
         for dim in (2, 4, 8, 16):
-            model = models.gen_pca_subspace(
+            bases = models.gen_pca_subspace(
                 models.bandpass_pulse, K, dim, 800, np.random.default_rng(5)
             )
-            basis = model.bases[0]
+            basis = bases[0]
             proj = fresh @ basis.conj() @ basis.T
             residuals.append(np.linalg.norm(fresh - proj))
         assert all(a >= b - 1e-12 for a, b in zip(residuals, residuals[1:]))
 
     def test_shared_across_channels(self, rng):
-        model = models.gen_pca_subspace(models.bandpass_pulse, 16, 4, 200, rng, n_channels=3)
-        np.testing.assert_array_equal(model.bases[0], model.bases[2])
+        bases = models.gen_pca_subspace(models.bandpass_pulse, 16, 4, 200, rng, n_channels=3)
+        np.testing.assert_array_equal(bases[0], bases[2])
 
     def test_insufficient_training(self, rng):
         with pytest.raises(ConfigurationError):
@@ -106,27 +106,27 @@ class TestPcaSubspace:
 
 class TestChannelsInSubspace:
     def test_flat_profile_flatness_one(self, rng):
-        model = models.gen_gaussian_subspace(8, 3, 4, rng)
-        u, _ = models.gen_channels_in_subspace(model, rng, "flat")
+        bases = models.gen_gaussian_subspace(8, 3, 4, rng)
+        u, _ = models.gen_channels_in_subspace(bases, rng, "flat")
         assert flatness(u, 4) == pytest.approx(1.0, abs=1e-12)
 
     def test_spiky_profile_flatness_sqrt_m(self, rng):
-        model = models.gen_gaussian_subspace(8, 3, 4, rng)
-        u, _ = models.gen_channels_in_subspace(model, rng, "spiky")
+        bases = models.gen_gaussian_subspace(8, 3, 4, rng)
+        u, _ = models.gen_channels_in_subspace(bases, rng, "spiky")
         assert flatness(u, 4) == pytest.approx(2.0, abs=1e-12)
 
     def test_channels_lie_in_model_range(self, rng):
-        model = models.gen_gaussian_subspace(8, 3, 4, rng)
-        _, filters = models.gen_channels_in_subspace(model, rng)
-        phi = model.block_diag()
+        bases = models.gen_gaussian_subspace(8, 3, 4, rng)
+        _, filters = models.gen_channels_in_subspace(bases, rng)
+        phi = checks.block_diag(bases)
         h = filters.reshape(-1)
         proj = phi @ np.linalg.lstsq(phi, h, rcond=None)[0]
         assert np.linalg.norm(h - proj) <= 1e-10 * np.linalg.norm(h)
 
     def test_unknown_profile(self, rng):
-        model = models.gen_gaussian_subspace(8, 3, 4, rng)
+        bases = models.gen_gaussian_subspace(8, 3, 4, rng)
         with pytest.raises(InputError):
-            models.gen_channels_in_subspace(model, rng, "lumpy")
+            models.gen_channels_in_subspace(bases, rng, "lumpy")
 
 
 class TestGenSource:
@@ -162,6 +162,51 @@ class TestAddNoise:
         cov = draws.conj().T @ draws / len(draws)
         target = sw**2 * np.eye(L)
         assert np.linalg.norm(cov - target) <= 0.05 * np.linalg.norm(target)
+
+    @pytest.mark.parametrize("M,L", [(4, 64), (16, 640), (3, 29)])
+    def test_stack_equals_per_row_draws(self, M, L):
+        # one draw for the M x L outputs: row by row, real parts then imaginary
+        # parts, so the bits and the stream state match M one-row draws
+        clean = models.complex_gaussian(np.random.default_rng(M * L), M, L)
+        sw = 0.37
+        stacked_rng = np.random.default_rng(11)
+        looped_rng = np.random.default_rng(11)
+        stacked = models.add_noise(clean, sw, stacked_rng)
+        looped = np.stack(
+            [y + models.complex_gaussian(looped_rng, L, var=sw**2) for y in clean]
+        )
+        np.testing.assert_array_equal(stacked, looped)
+        np.testing.assert_array_equal(stacked_rng.standard_normal(4), looped_rng.standard_normal(4))
+
+    def test_vector_equals_one_row(self):
+        s = models.complex_gaussian(np.random.default_rng(3), 29)
+        got = models.add_noise(s, 0.5, np.random.default_rng(4))
+        want = s + models.complex_gaussian(np.random.default_rng(4), 29, var=0.25)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(
+            models.add_noise(s[None, :], 0.5, np.random.default_rng(4)), want[None, :]
+        )
+
+    def test_zero_noise_leaves_stack_and_stream(self, rng):
+        clean = models.complex_gaussian(rng, 3, 16)
+        stream = np.random.default_rng(5)
+        got = models.add_noise(clean, 0.0, stream)
+        np.testing.assert_array_equal(got, clean)
+        assert got is not clean
+        np.testing.assert_array_equal(
+            stream.standard_normal(4), np.random.default_rng(5).standard_normal(4)
+        )
+
+    @pytest.mark.parametrize("s", [np.zeros((2, 3, 4)), np.zeros((0, 4)), [[1.0, np.nan]]])
+    def test_bad_signal_rejected(self, s, rng):
+        with pytest.raises(InputError):
+            models.add_noise(s, 1.0, rng)
+
+    @pytest.mark.parametrize("sw", [-0.5, np.nan, np.inf])
+    def test_bad_noise_level_rejected(self, sw, rng):
+        # a NaN level used to return all-NaN outputs without a word
+        with pytest.raises(InputError, match="noise level"):
+            models.add_noise(np.ones((2, 4)), sw, rng)
 
     def test_channels_get_independent_draws(self, rng):
         L, sw = 8, 1.0

@@ -57,8 +57,8 @@ class TestEigHermitian:
     def test_noiseless_subspace_matrix_aligns_with_coefficients(self, rng):
         from blindchan.solvers import solve_subspace_cross_conv
 
-        model, u, truth, _, ys = make_instance(rng, 3, 8, 32, dim=3)
-        est = solve_subspace_cross_conv(ys, model, 0.0)
+        bases, u, truth, _, ys = make_instance(rng, 3, 8, 32, dim=3)
+        est = solve_subspace_cross_conv(ys, bases, 0.0)
         assert sin_angle(est.u_hat, u) <= 1e-8
 
     def test_rejects_nonfinite(self):
@@ -84,8 +84,8 @@ def pca_dense_matrices():
 
     K, M, D, L = 32, 16, 6, 640
     rng = np.random.default_rng(640)
-    model = gen_pca_subspace(bandpass_pulse, K, D, 50 * D, rng, n_channels=M)
-    u, filters = gen_channels_in_subspace(model, rng)
+    bases = gen_pca_subspace(bandpass_pulse, K, D, 50 * D, rng, n_channels=M)
+    u, filters = gen_channels_in_subspace(bases, rng)
     x = complex_gaussian(rng, L)
     noise_var = sigma_for_snr(100.0, K, L, M, x, u)
     ys = noisy_outputs(x, filters, rng, noise_var)
@@ -98,8 +98,8 @@ def pca_dense_matrices():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solvers, "eig_hermitian", capture)
         solvers.solve_cross_conv(ys, K)
-        solvers.solve_subspace_cross_conv(ys, model, noise_var)
-        solvers.solve_linearized_ls(ys, model)
+        solvers.solve_subspace_cross_conv(ys, bases, noise_var)
+        solvers.solve_linearized_ls(ys, bases)
     return captured
 
 

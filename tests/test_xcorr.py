@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from blindchan.checks import explicit_compressed_gram
+from blindchan.checks import block_diag, explicit_compressed_gram
 from blindchan.exceptions import ConfigurationError, DimensionError
-from blindchan.models import SubspaceModel, complex_gaussian
+from blindchan.models import complex_gaussian
 from blindchan.sigops import conv_matrix
 from blindchan.spectral import eig_hermitian
 from blindchan import solvers, xcorr
@@ -134,9 +134,9 @@ class TestCompressedCrossCorr:
     def test_matches_explicit_oracle(self, rng, shape):
         M, K, D, L = shape
         ys = [complex_gaussian(rng, L) for _ in range(M)]
-        model = SubspaceModel(bases=complex_gaussian(rng, M, K, D))
-        oracle = explicit_compressed_gram(ys, model)
-        fast = xcorr.compressed_cross_corr(ys, model.bases)
+        bases = complex_gaussian(rng, M, K, D)
+        oracle = explicit_compressed_gram(ys, bases)
+        fast = xcorr.compressed_cross_corr(ys, bases)
         assert np.linalg.norm(fast - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
     @pytest.mark.parametrize("noise_var", [0.0, 0.3])
@@ -145,7 +145,7 @@ class TestCompressedCrossCorr:
         # the matrix sccc hands to its eigensolve is the explicit compressed
         # Gram minus the noise Gram noise_var*(M-1)*L*I compressed the same way
         M, K, D, L = shape
-        model, _, _, _, ys = make_instance(rng, M, K, L, dim=D, noise_var=noise_var)
+        bases, _, _, _, ys = make_instance(rng, M, K, L, dim=D, noise_var=noise_var)
         seen = []
 
         def recording(matrix):
@@ -153,15 +153,15 @@ class TestCompressedCrossCorr:
             return eig_hermitian(matrix)
 
         monkeypatch.setattr(solvers, "eig_hermitian", recording)
-        solvers.solve_subspace_cross_conv(ys, model, noise_var)
-        phi = model.block_diag()
+        solvers.solve_subspace_cross_conv(ys, bases, noise_var)
+        phi = block_diag(bases)
         shift = xcorr.noise_gram_mean(M, L, noise_var)
-        oracle = explicit_compressed_gram(ys, model) - shift * (phi.conj().T @ phi)
+        oracle = explicit_compressed_gram(ys, bases) - shift * (phi.conj().T @ phi)
         assert np.linalg.norm(seen[0] - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
     def test_noiseless_annihilates_coefficients(self, rng):
-        model, u, _, _, ys = make_instance(rng, 3, 8, 32, dim=3)
-        compressed = xcorr.compressed_cross_corr(ys, model.bases)
+        bases, u, _, _, ys = make_instance(rng, 3, 8, 32, dim=3)
+        compressed = xcorr.compressed_cross_corr(ys, bases)
         assert np.linalg.norm(compressed @ u) <= 1e-10 * np.linalg.norm(compressed, 2)
 
     def test_shape_checks(self, rng):
