@@ -3,16 +3,18 @@
 Subcommands: gap, trial, sweep, phase, check.  Configurations are JSON files
 (kebab-case keys, documented in the README); `--seed` overrides the config
 file's seed.  The Monte Carlo commands (trial, sweep, phase) also take
-`--format` and `--threads`, which sizes the worker pool (0 = auto) without
-affecting results, and echo their resolved spec to a `.provenance.json`
-sidecar next to the output.
+`--format` and `--threads`, which sizes the pool of forked worker processes
+(0 = auto) without affecting results, and echo their resolved spec and the
+BLAS thread setting to a `.provenance.json` sidecar next to the output.
+Every command runs with OpenBLAS pinned to one thread, so its output does
+not depend on OPENBLAS_NUM_THREADS.
 """
 
 import argparse
 import json
 import sys
 
-from . import checks, harness
+from . import blas, checks, harness
 from .exceptions import BlindchanError, ConfigurationError
 from .models import (
     RngStreams,
@@ -42,7 +44,11 @@ def _load_config(path, seed):
 
 def _write_provenance(out_path, result):
     sidecar = f"{out_path}.provenance.json"
-    payload = {"spec": harness.spec_to_dict(result.spec), "provenance": result.provenance}
+    payload = {
+        "spec": harness.spec_to_dict(result.spec),
+        "provenance": result.provenance,
+        "blas_threads": blas.thread_setting(),
+    }
     with open(sidecar, "w", newline="") as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -138,7 +144,7 @@ def build_parser():
     for name, (text, _) in _RUNS.items():
         p_run = add_common(sub.add_parser(name, help=text))
         p_run.add_argument("--format", choices=("csv", "json"), default="csv")
-        p_run.add_argument("--threads", type=int, default=0, help="worker threads (0 = auto)")
+        p_run.add_argument("--threads", type=int, default=0, help="worker processes (0 = auto)")
         p_run.set_defaults(fn=cmd_run)
 
     p_check = sub.add_parser("check", help="run the named invariant suite")
@@ -151,7 +157,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        with blas.single_thread():
+            return args.fn(args)
     except (BlindchanError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -5,6 +5,8 @@ An experiment is a declarative spec: one parameter point, a 1-D sweep, or a
 trial derives its own substreams for (basis, channels, source, noise) from
 (seed, trial index), so results are bit-reproducible at any worker count and
 per-method results never depend on which other methods were requested.
+Trials run with OpenBLAS pinned to one thread, so results do not depend on
+the BLAS thread count either.
 """
 
 import hashlib
@@ -12,11 +14,11 @@ import json
 import numbers
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import blas
 from .exceptions import ConfigurationError, InputError
 from .metrics import db_to_linear, sin_angle
 from .models import (
@@ -170,6 +172,8 @@ class ExperimentSpec:
         """Check the spec and every cell it expands to; raise ConfigurationError."""
         if self.trials < 1:
             raise ConfigurationError(f"need trials >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ConfigurationError(f"need seed >= 0, got seed={self.seed}")
         if not self.methods:
             raise ConfigurationError("at least one method must be requested")
         for name, value, known in (
@@ -197,6 +201,10 @@ class ExperimentSpec:
                 raise ConfigurationError("grid needs nonempty numeric d-over-k and l-over-k lists")
         for label, cell in _cells(self):
             where = "" if label is None else f"sweep cell {label}: "
+            if cell.snr_db is not None and not abs(cell.snr_db) <= MAX_SNR_DB:
+                raise ConfigurationError(
+                    f"{where}need |snr-db| <= {MAX_SNR_DB}, got snr-db={cell.snr_db!r}"
+                )
             L = signal_len(cell.l_over_k, cell.filter_len, where)
             check_dimensions(cell.filter_len, cell.n_channels, cell.subspace_dim, L, where)
         return self
@@ -423,20 +431,54 @@ class PointResult:
         return int(sum(self.degenerate[method]))
 
 
+def _run_trials(spec, indices):
+    """run_trial on each index, looked up at call time: a rebinding of this
+    module's run_trial made before a worker is forked reaches the worker."""
+    return [run_trial(spec, i) for i in indices]
+
+
+def _fork_context():
+    """The "fork" start method: a forked worker sees this module as the caller
+    left it (a rebound run_trial, the OpenBLAS pin), where a spawned one
+    would import it afresh.  The workers fork before the pool starts a thread."""
+    import multiprocessing  # here, not at the top, like ProcessPoolExecutor
+
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:
+        raise ConfigurationError(
+            "threads > 1 runs trials in forked worker processes, and this platform "
+            "has no 'fork' start method; run with threads=1"
+        ) from None
+
+
 def run_point(spec, threads=1):
     """Run all trials of a single parameter point (the unit of parallelism).
 
-    threads < 1 means one worker per CPU (os.cpu_count()).
+    Trials run with OpenBLAS pinned to one thread (blas.single_thread).
+    threads > 1 runs them in that many forked worker processes, worker w
+    taking trials w, w + threads, ...; threads < 1 means one worker per CPU
+    (os.cpu_count()).  Results are the same at any thread count.
     """
     spec = _point_spec(spec).validate()
     if threads < 1:
         threads = os.cpu_count() or 1
-    indices = range(spec.trials)
-    if threads == 1:
-        outcomes = [run_trial(spec, i) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(lambda i: run_trial(spec, i), indices))
+    with blas.single_thread():
+        if threads == 1:
+            outcomes = _run_trials(spec, range(spec.trials))
+        else:
+            # imported here: multiprocessing adds about 20 ms to every start of
+            # the program, and only a pool needs it
+            from concurrent.futures import ProcessPoolExecutor
+
+            outcomes = [None] * spec.trials
+            with ProcessPoolExecutor(threads, mp_context=_fork_context()) as pool:
+                chunks = [
+                    pool.submit(_run_trials, spec, range(w, spec.trials, threads))
+                    for w in range(min(threads, spec.trials))
+                ]
+                for w, chunk in enumerate(chunks):
+                    outcomes[w::threads] = chunk.result()
     errors = {m: [out[0][m] for out in outcomes] for m in spec.methods}
     degenerate = {m: [out[1][m] for out in outcomes] for m in spec.methods}
     return PointResult(spec=spec, errors=errors, degenerate=degenerate)

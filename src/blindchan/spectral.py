@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import blas
 from .exceptions import InputError
 
 #: Two smallest eigenvalues closer than this (relative to the largest) are
@@ -80,7 +81,12 @@ def _check_matrix(A):
         raise InputError(f"expected a square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise InputError("matrix contains non-finite entries")
-    return (A + A.conj().T) / 2
+    # (A^H + A) / 2 in one new array, Fortran-ordered as LAPACK reads it;
+    # addition commutes exactly, so the bits are those of (A + A^H) / 2
+    sym = A.conj().T
+    sym += A
+    sym /= 2
+    return sym
 
 
 def eig_hermitian(A):
@@ -90,7 +96,8 @@ def eig_hermitian(A):
     descending.  The eigenvector of lambda_min comes from two steps of
     inverse iteration shifted to sigma = lambda_min - 4 n eps |lambda|_max:
     A - sigma I stays nonsingular even when A is exactly singular, and each
-    step shrinks the error by about 4 n eps |lambda|_max / gap.
+    step shrinks the error by about 4 n eps |lambda|_max / gap.  A - sigma I
+    is factored once for both steps (blas.lu_solver).
     """
     A = _check_matrix(A)
     n = A.shape[0]
@@ -104,8 +111,9 @@ def eig_hermitian(A):
     v = np.exp(1j * np.pi * k * k / n) / np.sqrt(n)
     if scale > 0:  # the zero matrix takes every vector as an eigenvector
         A[np.diag_indices(n)] -= w[0] - 4 * n * np.finfo(float).eps * scale  # A is our copy
+        solve = blas.lu_solver(A)
         for _ in range(2):
-            v = np.linalg.solve(A, v)
+            v = solve(v)
             v /= np.linalg.norm(v)
     return EigenResult(eigenvalues=w[::-1], vector=canonical_phase(v))
 

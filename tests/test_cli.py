@@ -1,12 +1,15 @@
+import concurrent.futures
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from blindchan import checks, harness, xcorr
+from blindchan import blas, checks, harness, xcorr
 from blindchan.cli import main
 
 REPRODUCE = Path(__file__).resolve().parent.parent / "reproduce"
@@ -122,6 +125,19 @@ class TestGapCommand:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def run_in_subprocess(openblas_threads, *argv):
+    """`blindchan *argv` in a fresh interpreter with OPENBLAS_NUM_THREADS set
+    to `openblas_threads`, or unset for None."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-m", "blindchan.cli", *argv], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+
+
 class TestRunCommands:
     def test_trial_writes_csv_and_provenance(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -132,6 +148,17 @@ class TestRunCommands:
         assert len(lines) == 1 + 3 * 2
         sidecar = json.loads((tmp_path / "trials.csv.provenance.json").read_text())
         assert sidecar["spec"]["seed"] == 11
+
+    @pytest.mark.parametrize("library", ["bundled", "missing"])
+    def test_sidecar_records_blas_threads(self, tmp_path, monkeypatch, library):
+        if library == "missing":
+            monkeypatch.setattr(blas, "LIB", None)
+        elif blas.LIB is None:
+            pytest.skip("numpy bundles no scipy-openblas here")
+        out = tmp_path / "trials.csv"
+        assert main(["trial", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "trials.csv.provenance.json").read_text())
+        assert sidecar["blas_threads"] == (1 if library == "bundled" else "uncontrolled")
 
     def test_seed_override_wins(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -260,12 +287,12 @@ class TestRunCommands:
     def test_nonpositive_threads_means_auto(self, tmp_path, monkeypatch, value):
         sizes = []
 
-        class Recording(ThreadPoolExecutor):
+        class Recording(ProcessPoolExecutor):
             def __init__(self, max_workers=None, **kwargs):
                 sizes.append(max_workers)
                 super().__init__(max_workers, **kwargs)
 
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         cfg = write_config(tmp_path)
         assert main(["trial", "--config", str(cfg), "--out", str(tmp_path / "t.csv"),
@@ -285,6 +312,28 @@ class TestRunCommands:
         assert text.endswith("\n")
         body = "\n".join(text.splitlines()[1:])
         assert "." in body
+
+    @pytest.mark.skipif(blas.LIB is None, reason="numpy bundles no scipy-openblas here")
+    def test_blas_thread_count_does_not_change_bytes(self, tmp_path):
+        # unpinned, trial 2's ls error reads 0.99817462211 at one OpenBLAS
+        # thread and 0.998174622109 at two
+        cfg = write_config(
+            tmp_path, k=32, m=8, d=6, basis="pca", methods=["cc", "ls"], trials=4,
+            seed=1111, **{"l-over-k": 10, "snr-db": 40},
+        )
+        trials, gaps = set(), set()
+        for setting in (None, "1", "2"):
+            for threads in ("1", "2"):
+                out = tmp_path / f"trials-{setting}-{threads}.csv"
+                run_in_subprocess(setting, "trial", "--config", str(cfg), "--out", str(out),
+                                  "--threads", threads)
+                trials.add(out.read_bytes())
+            out = tmp_path / f"gap-{setting}.txt"
+            run_in_subprocess(setting, "gap", "--config", str(REPRODUCE / "spectral_gap.json"),
+                              "--out", str(out))
+            gaps.add(out.read_bytes())
+        assert len(trials) == 1
+        assert len(gaps) == 1
 
     def test_thread_count_does_not_change_bytes(self, tmp_path):
         cfg = write_config(tmp_path, trials=4)

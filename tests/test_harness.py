@@ -1,8 +1,10 @@
+import concurrent.futures
 import importlib.util
 import json
+import multiprocessing
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -161,6 +163,18 @@ class TestStrictSpec:
     def test_reported_spec_fails_on_its_first_fault(self):
         with pytest.raises(ConfigurationError, match="unknown basis 'nope'"):
             harness.spec_from_dict(point_config(m=1, d=20, basis="nope"))
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"snr_db": 4000.0}, r"need \|snr-db\| <= 300, got snr-db=4000\.0"),
+        ({"snr_db": float("nan")}, r"need \|snr-db\| <= 300, got snr-db=nan"),
+        ({"seed": -1}, "need seed >= 0, got seed=-1"),
+    ])
+    def test_spec_built_in_python_is_checked_like_a_config(self, overrides, message):
+        # the key tables refuse these values in a config file; validate() must
+        # refuse them too, before any trial or worker process starts
+        spec = small_spec(trials=2).validate()
+        with pytest.raises(ConfigurationError, match=message):
+            harness.run_experiment(replace(spec, **overrides), threads=2)
 
     @pytest.mark.parametrize(
         "sweep,message",
@@ -324,12 +338,12 @@ class TestRunPoint:
     def test_auto_threads_mean_one_worker_per_cpu(self, monkeypatch, threads):
         sizes = []
 
-        class Recording(ThreadPoolExecutor):
+        class Recording(ProcessPoolExecutor):
             def __init__(self, max_workers=None, **kwargs):
                 sizes.append(max_workers)
                 super().__init__(max_workers, **kwargs)
 
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         harness.run_point(small_spec(trials=2), threads=threads)
         assert sizes == [3]
@@ -338,20 +352,35 @@ class TestRunPoint:
         assert sizes == [3]
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_trials_see_the_callers_warning_filters(self, monkeypatch, threads):
-        seen = []
+    def test_trials_see_the_callers_warning_filters(self, monkeypatch, tmp_path, threads):
+        # worker processes report one line per call through a file
+        record = tmp_path / "filters.txt"
         solve = harness.solve_subspace_cross_conv
 
         def recording(*args):
-            seen.append(list(warnings.filters))
+            with open(record, "a") as fh:
+                fh.write(repr(warnings.filters) + "\n")
             return solve(*args)
 
         monkeypatch.setattr(harness, "solve_subspace_cross_conv", recording)
         before = list(warnings.filters)
         harness.run_point(small_spec(l_over_k=2, trials=4), threads=threads)
+        seen = record.read_text().splitlines()
         assert len(seen) == 4
-        assert all(filters == before for filters in seen)
+        assert all(filters == repr(before) for filters in seen)
         assert warnings.filters == before
+
+    def test_pool_without_fork_is_refused_before_any_trial(self, monkeypatch):
+        def no_fork(method=None):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        monkeypatch.setattr(harness, "run_trial", no_trials)
+        with pytest.raises(ConfigurationError, match="no 'fork' start method"):
+            harness.run_point(small_spec(trials=2), threads=2)
 
     def test_pooled_run_leaves_warning_filters_alone(self):
         # short windows (L = 2K), the regime sweeps probe on purpose, must
