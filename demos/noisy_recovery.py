@@ -9,26 +9,29 @@ least-squares baseline on identical data.
 import numpy as np
 
 import blindchan as bc
+from blindchan import blas
 
 K, M, D = 32, 4, 8
 L = 20 * K
 snr_db = 20.0
 streams = bc.RngStreams(7)
 
-bases = bc.gen_gaussian_subspace(K, D, M, streams.stream("basis"))
-u, filters = bc.gen_channels_in_subspace(bases, streams.stream("coef"))
-x = bc.gen_source("gaussian", L, 1.0, streams.stream("source"))
-noise_var = bc.sigma_for_snr(bc.db_to_linear(snr_db), K, L, M, x, u)
-noise = streams.stream("noise")
-ws = np.array([bc.complex_gaussian(noise, L, var=noise_var) for _ in range(M)])
-ys = bc.convolve_short(x, filters) + ws
+# one BLAS thread, so every printed digit is the same at any OPENBLAS_NUM_THREADS
+with blas.single_thread():
+    bases = bc.gen_gaussian_subspace(K, D, M, streams.stream("basis"))
+    u, filters = bc.gen_channels_in_subspace(bases, streams.stream("coef"))
+    x = bc.gen_source("gaussian", L, 1.0, streams.stream("source"))
+    noise_var = bc.sigma_for_snr(bc.db_to_linear(snr_db), K, L, M, x, u)
+    noise = streams.stream("noise")
+    ws = np.array([bc.complex_gaussian(noise, L, var=noise_var) for _ in range(M)])
+    ys = bc.convolve_short(x, filters) + ws
 
-estimates = {
-    "classical cross-convolution": bc.solve_cross_conv(ys, K),
-    "subspace-constrained       ": bc.solve_subspace_cross_conv(ys, bases, noise_var),
-    "non-blind least squares    ": bc.solve_oracle_ls(ys, x, bases),
-    "linearized least squares   ": bc.solve_linearized_ls(ys, bases),
-}
+    estimates = {
+        "classical cross-convolution": bc.solve_cross_conv(ys, K),
+        "subspace-constrained       ": bc.solve_subspace_cross_conv(ys, bases, noise_var),
+        "non-blind least squares    ": bc.solve_oracle_ls(ys, x, bases),
+        "linearized least squares   ": bc.solve_linearized_ls(ys, bases),
+    }
 
 print(f"K={K}, M={M}, D={D}, L={L}, SNR={snr_db:.0f} dB\n")
 for name, est in estimates.items():

@@ -53,7 +53,6 @@ from .models import (
 from .sigops import circular_convolve, circulant, conv_matrix, convolve_short, zero_pad
 from .solvers import (
     Estimate,
-    estimate_noise_variance,
     solve_cross_conv,
     solve_linearized_ls,
     solve_oracle_ls,

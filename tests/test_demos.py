@@ -1,5 +1,6 @@
 """Every narrative script under demos/ and every Python block of the README
-runs to completion against src/."""
+runs to completion against src/, and a demo prints the same bytes at any
+OpenBLAS thread count."""
 
 import os
 import re
@@ -14,10 +15,10 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 README = ROOT / "README.md"
 
 
-def run_against_src(args):
+def run_against_src(args, **env):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, *args], env={**os.environ, "PYTHONPATH": path, **env},
         capture_output=True, text=True, timeout=300,
     )
 
@@ -30,6 +31,13 @@ def test_demos_are_found():
 def test_demo_exits_zero(demo):
     result = run_against_src([str(demo)])
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_stdout_does_not_follow_blas_threads(demo):
+    one, two = (run_against_src([str(demo)], OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
+    assert one.returncode == two.returncode == 0, one.stderr + two.stderr
+    assert one.stdout == two.stdout
 
 
 def test_readme_python_blocks_exit_zero():

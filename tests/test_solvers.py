@@ -23,7 +23,8 @@ from conftest import make_instance, noisy_outputs
 
 
 def bandpass_instance(seed, filter_len=32, n_channels=8, dim=6, l_over_k=10, snr_db=40.0):
-    """One observation set drawn from the shared band-pass PCA model."""
+    """One observation set drawn from the shared band-pass PCA model, with its
+    noise variance."""
     rng = np.random.default_rng(seed)
     L = l_over_k * filter_len
     bases = gen_pca_subspace(bandpass_pulse, filter_len, dim, 50 * dim, rng,
@@ -32,7 +33,7 @@ def bandpass_instance(seed, filter_len=32, n_channels=8, dim=6, l_over_k=10, snr
     x = complex_gaussian(rng, L)
     noise_var = sigma_for_snr(10 ** (snr_db / 10), filter_len, L, n_channels, x, u)
     ys = noisy_outputs(x, filters, rng, noise_var)
-    return bases, filters.reshape(-1), x, ys
+    return bases, filters.reshape(-1), x, ys, noise_var
 
 
 class TestCrossConv:
@@ -198,7 +199,6 @@ ESTIMATORS = {
     "sccc": lambda ys, x, bases: solvers.solve_subspace_cross_conv(ys, bases, 0.0),
     "oracle": lambda ys, x, bases: solvers.solve_oracle_ls(ys, x, bases),
     "ls": lambda ys, x, bases: solvers.solve_linearized_ls(ys, bases),
-    "noise_var": lambda ys, x, bases: solvers.estimate_noise_variance(ys),
 }
 
 #: fault -> (observations, source) with the fault injected, the error it must
@@ -271,7 +271,7 @@ class TestLinearizedLs:
         errs = []
         conds = []
         for seed in range(10):
-            bases, truth, x, ys = bandpass_instance(seed, snr_db=80.0)
+            bases, truth, x, ys, _ = bandpass_instance(seed, snr_db=80.0)
             est = solvers.solve_linearized_ls(ys, bases)
             errs.append(sin_angle(est.h_hat, truth))
             conds.append(est.condition)
@@ -291,23 +291,10 @@ class TestLinearizedLs:
         assert est.ill_posed
 
     def test_scale_invariance(self, rng):
-        bases, truth, x, ys = bandpass_instance(3, snr_db=20.0)
+        bases, truth, x, ys, _ = bandpass_instance(3, snr_db=20.0)
         base = solvers.solve_linearized_ls(ys, bases)
         scaled = solvers.solve_linearized_ls([(0.5 - 2j) * y for y in ys], bases)
         assert sin_angle(base.h_hat, scaled.h_hat) <= 1e-10
-
-
-def test_noise_variance_estimator_on_bandpass(rng):
-    # the quiet out-of-band bins carry noise only, so the estimate lands
-    # within a factor of a few of the truth on a band-pass instance
-    K, M, D, L = 32, 8, 6, 320
-    bases = gen_pca_subspace(bandpass_pulse, K, D, 50 * D, rng, n_channels=M)
-    u, filters = gen_channels_in_subspace(bases, rng)
-    x = complex_gaussian(rng, L)
-    true_var = sigma_for_snr(100.0, K, L, M, x, u)
-    ys = noisy_outputs(x, filters, rng, true_var)
-    got = solvers.estimate_noise_variance(ys)
-    assert 0.3 * true_var <= got <= 3.0 * true_var
 
 
 def eigh_reference(matrix):
@@ -319,10 +306,10 @@ def eigh_reference(matrix):
 @pytest.mark.parametrize("method", ["cc", "sccc", "ls"])
 def test_estimator_matches_full_eigh_reference(monkeypatch, method):
     # the inverse-iteration eigenpair must leave every estimate where the
-    # full decomposition puts it
+    # full decomposition puts it; ls compares its structured solve with the
+    # dense path its guards fall back to
     for seed in (77, 78, 79):
-        bases, _, _, ys = bandpass_instance(seed, snr_db=20.0)
-        noise_var = solvers.estimate_noise_variance(ys)
+        bases, _, _, ys, noise_var = bandpass_instance(seed, snr_db=20.0)
         run = {
             "cc": lambda: solvers.solve_cross_conv(ys, 32),
             "sccc": lambda: solvers.solve_subspace_cross_conv(ys, bases, noise_var),
@@ -331,6 +318,7 @@ def test_estimator_matches_full_eigh_reference(monkeypatch, method):
         fast = run()
         with monkeypatch.context() as patch:
             patch.setattr(solvers, "eig_hermitian", eigh_reference)
+            patch.setattr(solvers, "_LS_MAX_STEPS", 0)
             full = run()
         assert sin_angle(fast.h_hat, full.h_hat) <= 1e-9
         assert fast.degenerate == full.degenerate
@@ -353,11 +341,88 @@ def test_sccc_matches_time_domain_compression(monkeypatch):
     # the frequency-domain compressed Gram must leave the estimate where the
     # block congruence of the full Gram puts it
     for seed in (77, 78, 79):
-        bases, _, _, ys = bandpass_instance(seed, snr_db=20.0)
-        noise_var = solvers.estimate_noise_variance(ys)
+        bases, _, _, ys, noise_var = bandpass_instance(seed, snr_db=20.0)
         fast = solvers.solve_subspace_cross_conv(ys, bases, noise_var)
         with monkeypatch.context() as patch:
             patch.setattr(solvers, "compressed_cross_corr", time_domain_compression)
             slow = solvers.solve_subspace_cross_conv(ys, bases, noise_var)
         assert sin_angle(fast.h_hat, slow.h_hat) <= 1e-9
         assert fast.degenerate == slow.degenerate
+
+
+def ls_system(seed, basis, filter_len, n_channels, dim, l_over_k, snr_db):
+    """Observations, bases and the ls Gram's (energy, W) factors of one instance."""
+    if basis == "pca":
+        bases, _, _, ys, _ = bandpass_instance(seed, filter_len, n_channels, dim, l_over_k, snr_db)
+    else:
+        rng = np.random.default_rng(seed)
+        L = l_over_k * filter_len
+        bases = gen_gaussian_subspace(filter_len, dim, n_channels, rng)
+        u, filters = gen_channels_in_subspace(bases, rng)
+        x = complex_gaussian(rng, L)
+        noise_var = sigma_for_snr(10 ** (snr_db / 10), filter_len, L, n_channels, x, u)
+        ys = noisy_outputs(x, filters, rng, noise_var)
+    return ys, bases, solvers._ls_factors(np.fft.fft(ys, axis=1), bases)
+
+
+class TestStructuredLs:
+    """The secular-equation solve of the ls Gram pinned to dense eigh."""
+
+    #: |lambda - lambda_eigh| <= C eps lambda_max, sin-angle <= C eps lambda_max / gap
+    C = 64
+
+    @pytest.mark.parametrize("cell", [
+        ("pca", 32, 16, 6, 20, 20), ("pca", 32, 8, 6, 20, 60), ("pca", 32, 8, 6, 20, 80),
+        ("pca", 32, 16, 6, 2, 20), ("pca", 32, 8, 6, 2, 80),
+        ("gaussian", 32, 4, 8, 2, 20), ("gaussian", 32, 4, 8, 4, 80),
+        ("gaussian", 32, 4, 8, 10, 20), ("gaussian", 64, 4, 8, 2, 80),
+    ], ids=lambda cell: "-".join(map(str, cell)))
+    def test_matches_dense_eigh(self, cell):
+        eps = np.finfo(float).eps
+        for seed in (1, 2):
+            ys, bases, (energy, w) = ls_system(seed, *cell)
+            vals, vecs = np.linalg.eigh(solvers._ls_gram(energy, w))
+            lam_max = np.abs(vals).max()
+            gap = vals[1] - vals[0]
+            lam, s = solvers._ls_smallest_pair(energy, w)
+            assert abs(lam - vals[0]) <= self.C * eps * lam_max
+            assert np.linalg.norm(s) == pytest.approx(1.0, abs=1e-12)
+            assert sin_angle(s, vecs[:, 0]) <= self.C * eps * lam_max / gap
+            est = solvers.solve_linearized_ls(ys, bases)
+            assert est.lambda_min == lam and not est.degenerate
+            assert np.isnan(est.gap_ratio)
+
+    def test_exhausted_budget_takes_the_dense_path(self, monkeypatch):
+        ys, bases, (energy, w) = ls_system(3, "pca", 32, 8, 6, 20, 20)
+        structured = solvers.solve_linearized_ls(ys, bases)
+        seen = []
+        eig_hermitian = solvers.eig_hermitian
+
+        def spy(a):
+            seen.append(a.shape)
+            return eig_hermitian(a)
+
+        monkeypatch.setattr(solvers, "eig_hermitian", spy)
+        assert solvers._ls_smallest_pair(energy, w) is not None
+        monkeypatch.setattr(solvers, "_LS_MAX_STEPS", 0)
+        assert solvers._ls_smallest_pair(energy, w) is None
+        dense = solvers.solve_linearized_ls(ys, bases)
+        assert seen == [(640, 640)]
+        assert sin_angle(dense.h_hat, structured.h_hat) <= 1e-9
+        assert dense.lambda_min == pytest.approx(structured.lambda_min, rel=1e-12)
+        assert dense.degenerate == structured.degenerate
+
+    def test_exact_tie_is_flagged_degenerate(self, monkeypatch, rng):
+        # bins 3 and 9 have equal energy 1 and zero W rows, so they decouple and
+        # lambda_1 = lambda_2 = 1; every other eigenvalue is at least 3
+        L, MD = 32, 6
+        w = complex_gaussian(rng, L, MD)
+        w[[3, 9]] = 0
+        energy = 3 + np.linalg.norm(w, 2) ** 2 + rng.random(L)
+        energy[[3, 9]] = 1.0
+        assert solvers._ls_smallest_pair(energy, w) is None
+        ys, bases, _ = ls_system(4, "gaussian", 8, 2, 3, 4, 20)
+        monkeypatch.setattr(solvers, "_ls_factors", lambda yhat, bases: (energy, w))
+        est = solvers.solve_linearized_ls(ys, bases)
+        assert est.degenerate
+        assert est.lambda_min == pytest.approx(1.0, abs=1e-12)

@@ -99,7 +99,8 @@ def pca_dense_matrices():
         patch.setattr(solvers, "eig_hermitian", capture)
         solvers.solve_cross_conv(ys, K)
         solvers.solve_subspace_cross_conv(ys, bases, noise_var)
-        solvers.solve_linearized_ls(ys, bases)
+    # ls solves its Gram by structure; the dense path it falls back to gets this matrix
+    captured.append(solvers._ls_gram(*solvers._ls_factors(np.fft.fft(ys, axis=1), bases)))
     return captured
 
 
