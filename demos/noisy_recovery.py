@@ -1,9 +1,13 @@
-"""All four estimators on one noisy instance, with the instance diagnostics.
+"""All four estimators on one noisy instance, and why the constrained one works.
 
 Draws channels in a generic Gaussian subspace, observes them at 20 dB SNR,
 and compares the classical eigenvector method, the subspace-constrained
 variant, the non-blind least squares (known source), and the linearized
-least-squares baseline on identical data.
+least-squares baseline on identical data.  Then it certifies the
+subspace-constrained estimate: with A0 the compressed Gram of the clean
+outputs and E the debiased noisy Gram minus A0, the Davis-Kahan sin-theta
+theorem bounds the angle its eigenvector moves by 4 ||E q|| / gap whenever
+the noise is small against the spectral gap, ||E|| <= gap / 5.
 """
 
 import numpy as np
@@ -24,7 +28,8 @@ with blas.single_thread():
     noise_var = bc.sigma_for_snr(bc.db_to_linear(snr_db), K, L, M, x, u)
     noise = streams.stream("noise")
     ws = np.array([bc.complex_gaussian(noise, L, var=noise_var) for _ in range(M)])
-    ys = bc.convolve_short(x, filters) + ws
+    clean = bc.convolve_short(x, filters)
+    ys = clean + ws
 
     estimates = {
         "classical cross-convolution": bc.solve_cross_conv(ys, K),
@@ -33,6 +38,9 @@ with blas.single_thread():
         "linearized least squares   ": bc.solve_linearized_ls(ys, bases),
     }
 
+    a0 = bc.debiased_compressed_gram(clean, bases, 0.0)
+    report = bc.davis_kahan_check(a0, bc.debiased_compressed_gram(ys, bases, noise_var) - a0)
+
 print(f"K={K}, M={M}, D={D}, L={L}, SNR={snr_db:.0f} dB\n")
 for name, est in estimates.items():
     err = bc.sin_angle(est.h_hat, filters)
@@ -40,11 +48,9 @@ for name, est in estimates.items():
     print(f"  {name}  sin-angle error = {err:.4f}{flag}")
 
 sccc = estimates["subspace-constrained       "]
-rep = bc.metric_report(sccc.h_hat, filters, x, u, ws, K, M, noise_var, sccc.gap_ratio)
-print("\ninstance diagnostics:")
-print(f"  snr eta      = {rep.eta:8.1f}   (target {bc.db_to_linear(snr_db):.0f})")
-print(f"  flatness mu  = {rep.mu:8.3f}   (1 = perfectly balanced channels)")
-print(f"  rho_x        = {rep.rho_x:8.1f}   vs source energy {np.linalg.norm(x)**2:.1f}")
-print(f"  rho_xw       = {rep.rho_xw:8.2f}")
-print(f"  rho_w        = {rep.rho_w:8.2f}   rho_bar_w = {rep.rho_bar_w:.2f}")
-print(f"  gap ratio    = {rep.gap_ratio:8.3f}")
+print("\nDavis-Kahan certificate of the subspace-constrained estimate:")
+print(f"  ||E|| / gap           = {report.perturbation_norm / report.gap:.3f}"
+      f"   (premise ||E|| <= gap/5 {'holds' if report.premise_holds else 'fails'})")
+print(f"  bound 4 ||E q|| / gap = {report.rhs:.3f}")
+print(f"  observed sin-angle    = {report.lhs:.4f}"
+      f"  (sccc coefficient error {bc.sin_angle(sccc.u_hat, u):.4f})")

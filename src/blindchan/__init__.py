@@ -26,18 +26,7 @@ from .harness import (
     spec_from_dict,
     spec_to_dict,
 )
-from .metrics import (
-    MetricReport,
-    autocorr_norm,
-    crosscorr_norm,
-    db_to_linear,
-    flatness,
-    metric_report,
-    min_phase_distance,
-    noise_corr_norms,
-    sin_angle,
-    snr,
-)
+from .metrics import db_to_linear, min_phase_distance, sin_angle, snr
 from .models import (
     RngStreams,
     add_noise,
@@ -53,6 +42,7 @@ from .models import (
 from .sigops import circular_convolve, circulant, conv_matrix, convolve_short, zero_pad
 from .solvers import (
     Estimate,
+    debiased_compressed_gram,
     solve_cross_conv,
     solve_linearized_ls,
     solve_oracle_ls,

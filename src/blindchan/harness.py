@@ -77,9 +77,19 @@ def parse_int(value):
     return int(value)
 
 
+def _is_finite(value):
+    """A real number other than a boolean, NaN or +-Infinity, within float range."""
+    return _is_real(value) and abs(value) <= sys.float_info.max
+
+
+def _is_integer(value):
+    """An integer other than a boolean (a float such as 8.0 is not one)."""
+    return _is_real(value) and isinstance(value, numbers.Integral)
+
+
 def parse_float(value):
-    """float(value) of a real number, refusing NaN and +-Infinity."""
-    if not _is_real(value) or not np.isfinite(float(value)):
+    """float(value) of a finite real number."""
+    if not _is_finite(value):
         raise ValueError(f"not a finite number: {value!r}")
     return float(value)
 
@@ -123,6 +133,16 @@ _SPEC_FIELDS = {
     "norm-profile": ("norm_profile", str, "flat"),
     "percentile": ("percentile", parse_float, 95),
     "seed": ("seed", parse_seed, 0),
+}
+
+#: What each spec field must hold, by key: a spec built in Python skips the
+#: key tables, so validate holds its fields to their rules (the range of
+#: snr-db and the names of basis, source and norm-profile are checked later).
+_FIELD_KINDS = {
+    **dict.fromkeys(("k", "m", "d", "trials", "seed"), _is_integer),
+    **dict.fromkeys(("l-over-k", "percentile"), _is_finite),
+    "snr-db": lambda value: value is None or _is_real(value),
+    "methods": lambda value: isinstance(value, (list, tuple)),
 }
 
 #: Keys a 1-D sweep may vary; each value is parsed like the key's spec value.
@@ -170,6 +190,10 @@ class ExperimentSpec:
 
     def validate(self):
         """Check the spec and every cell it expands to; raise ConfigurationError."""
+        for key, holds in _FIELD_KINDS.items():
+            value = getattr(self, _SPEC_FIELDS[key][0])
+            if not holds(value):
+                raise ConfigurationError(f"spec key {key!r} has a bad value {value!r}")
         if self.trials < 1:
             raise ConfigurationError(f"need trials >= 1, got {self.trials}")
         if self.seed < 0:
@@ -184,6 +208,9 @@ class ExperimentSpec:
         ):
             if value not in known:
                 raise ConfigurationError(f"unknown {name} {value!r}; expected one of {known}")
+        repeated = [m for i, m in enumerate(self.methods) if m in self.methods[:i]]
+        if repeated:
+            raise ConfigurationError(f"key 'methods' lists {repeated[0]!r} more than once")
         if not 0 < self.percentile <= 100:
             raise ConfigurationError(f"percentile must be in (0, 100], got {self.percentile}")
         if isinstance(self.sweep, Sweep):
@@ -194,9 +221,7 @@ class ExperimentSpec:
             if not self.sweep.values:
                 raise ConfigurationError("sweep needs a nonempty value list")
         if isinstance(self.sweep, Grid):
-            values = self.sweep.d_over_k + self.sweep.l_over_k
-            # the numbers parse_float accepts
-            numeric = all(_is_real(v) and abs(v) <= sys.float_info.max for v in values)
+            numeric = all(map(_is_finite, self.sweep.d_over_k + self.sweep.l_over_k))
             if not (self.sweep.d_over_k and self.sweep.l_over_k and numeric):
                 raise ConfigurationError("grid needs nonempty numeric d-over-k and l-over-k lists")
         for label, cell in _cells(self):
@@ -205,8 +230,19 @@ class ExperimentSpec:
                 raise ConfigurationError(
                     f"{where}need |snr-db| <= {MAX_SNR_DB}, got snr-db={cell.snr_db!r}"
                 )
-            L = signal_len(cell.l_over_k, cell.filter_len, where)
-            check_dimensions(cell.filter_len, cell.n_channels, cell.subspace_dim, L, where)
+            K, D = cell.filter_len, cell.subspace_dim
+            L = signal_len(cell.l_over_k, K, where)
+            check_dimensions(K, cell.n_channels, D, L, where)
+            if cell.basis == "pca" and D >= K:
+                raise ConfigurationError(
+                    f"{where}basis 'pca' needs d < k: tap 0 of every band-pass training filter "
+                    f"is zero, so the family spans k - 1 directions; got d={D}, k={K}"
+                )
+            if "ls" in cell.methods and L < 2:
+                raise ConfigurationError(
+                    f"{where}method 'ls' needs round(l-over-k * k) >= 2 samples, "
+                    f"got {L}; raise l-over-k"
+                )
         return self
 
     @property

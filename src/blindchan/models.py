@@ -112,8 +112,8 @@ def gen_channels_in_subspace(bases, rng, norm_profile="flat"):
     Returns (u, filters): u stacked in C^{MD}, filters the M x K array whose
     row m is channel m's impulse response.
 
-    norm_profile "flat" rescales every block to unit norm (flatness 1);
-    "spiky" puts all energy on the first block (flatness sqrt(M)).
+    norm_profile "flat" rescales every block u_m to unit norm; "spiky"
+    puts all energy on the first block, a unit u_1 and zero elsewhere.
     """
     M, _, D = bases.shape
     u = complex_gaussian(rng, M, D)

@@ -65,15 +65,15 @@ def solve_cross_conv(ys, filter_len):
     )
 
 
-def solve_subspace_cross_conv(ys, bases, noise_var):
-    """Subspace-constrained estimator with noise debias.
+def debiased_compressed_gram(ys, bases, noise_var):
+    """The MD x MD matrix sccc eigendecomposes.
 
-    Compresses the cross-correlation Gram by block congruence with the
+    The cross-correlation Gram compressed by block congruence with the
     bases, built in the frequency domain at M*L*D memory (the MK x MK Gram
-    is never formed), subtracts the expected noise Gram noise_var*(M-1)*L
-    (applied as a shift of the diagonal blocks), and maps the smallest
-    eigenvector back through the bases.  noise_var is an explicit input: it
-    must be known or estimated deliberately, never guessed silently.
+    is never formed), minus the compressed expected noise Gram
+    noise_var*(M-1)*L*I: each diagonal block shifted by its basis Gram.  At
+    noise_var = 0 it is the compressed Gram of clean outputs, the unperturbed
+    side of spectral.davis_kahan_check.
     """
     M, K, D = bases.shape
     ys = _check_channels(ys, K, M)
@@ -84,7 +84,17 @@ def solve_subspace_cross_conv(ys, bases, noise_var):
         block = np.arange(M * D).reshape(M, D)
         grams = bases.conj().swapaxes(1, 2) @ bases
         compressed[block[:, :, None], block[:, None, :]] -= shift * grams
-    eig = eig_hermitian(compressed)
+    return compressed
+
+
+def solve_subspace_cross_conv(ys, bases, noise_var):
+    """Subspace-constrained estimator with noise debias.
+
+    The smallest eigenvector of debiased_compressed_gram, mapped back
+    through the bases.  noise_var is an explicit input: it must be known or
+    estimated deliberately, never guessed silently.
+    """
+    eig = eig_hermitian(debiased_compressed_gram(ys, bases, noise_var))
     return Estimate(
         h_hat=_normalize(apply_bases(bases, eig.vector).reshape(-1)), u_hat=eig.vector,
         lambda_min=eig.lambda_min, gap_ratio=eig.gap_ratio, degenerate=eig.degenerate,

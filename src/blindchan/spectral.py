@@ -15,6 +15,7 @@ import numpy as np
 
 from . import blas
 from .exceptions import InputError
+from .metrics import sin_angle
 
 #: Two smallest eigenvalues closer than this (relative to the largest) are
 #: treated as degenerate: the minimizer is no longer essentially unique.
@@ -129,8 +130,6 @@ def davis_kahan_check(A, E):
 
     Report-only: no exception is raised when the bound fails.
     """
-    from .metrics import sin_angle  # local import to avoid a cycle
-
     A = _check_matrix(A)
     E = _check_matrix(E)
     res = eig_hermitian(A)

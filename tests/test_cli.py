@@ -283,6 +283,26 @@ class TestRunCommands:
         assert "sweep cell (1e+308, 4): need 1 <= d <= k" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,overrides,named", [
+        ("sweep", {"basis": "pca", "methods": ["sccc"], "sweep": {"param": "d", "values": [4, 8]}},
+         "sweep cell 8: basis 'pca' needs d < k"),
+        ("trial", {"basis": "pca", "d": 8}, "basis 'pca' needs d < k"),
+        ("phase", {"basis": "pca", "sweep": {"d-over-k": [0.5, 1], "l-over-k": [4]}},
+         "sweep cell (1, 4): basis 'pca' needs d < k"),
+        ("trial", {"k": 1, "m": 2, "d": 1, "l-over-k": 1, "methods": ["ls"]}, "raise l-over-k"),
+        ("trial", {"methods": ["cc", "cc"]}, "key 'methods' lists 'cc' more than once"),
+    ])
+    def test_cell_that_cannot_run_exits_nonzero_before_running(
+            self, tmp_path, capsys, monkeypatch, command, overrides, named):
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda *args: calls.append(args))
+        cfg = write_config(tmp_path, **overrides)
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out), "--threads", "1"]) == 2
+        assert named in capsys.readouterr().err
+        assert calls == []
+        assert list(tmp_path.iterdir()) == [cfg]
+
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_nonpositive_threads_means_auto(self, tmp_path, monkeypatch, value):
         sizes = []

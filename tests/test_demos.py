@@ -1,9 +1,10 @@
 """Every narrative script under demos/ and every Python block of the README
-runs to completion against src/, and a demo prints the same bytes at any
-OpenBLAS thread count."""
+runs to completion against src/, a demo prints the same bytes at any
+OpenBLAS thread count, and the noisy-recovery certificate holds."""
 
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -38,6 +39,14 @@ def test_demo_stdout_does_not_follow_blas_threads(demo):
     one, two = (run_against_src([str(demo)], OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
     assert one.returncode == two.returncode == 0, one.stderr + two.stderr
     assert one.stdout == two.stdout
+
+
+def test_noisy_recovery_certificate_holds():
+    # the Davis-Kahan theorem: where its premise holds, the smallest
+    # eigenvector moves by at most the bound, so this is no tolerance
+    report = runpy.run_path(str(ROOT / "demos" / "noisy_recovery.py"))["report"]
+    assert report.premise_holds
+    assert report.lhs <= report.rhs
 
 
 def test_readme_python_blocks_exit_zero():

@@ -81,10 +81,10 @@ class TestStrictSpec:
     @pytest.fixture(autouse=True)
     def no_trials(self, monkeypatch):
         # every rejection must come before the first trial
-        def fail(*args):
-            raise AssertionError("a trial ran before the spec was rejected")
-
-        monkeypatch.setattr(harness, "run_trial", fail)
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", lambda *args: calls.append(args))
+        yield
+        assert calls == [], "a trial ran before the spec was rejected"
 
     def test_unknown_keys_named(self):
         raw = {"k": 8, "m": 3, "d": 2, "snr_db": 10, "trails": 5}
@@ -168,10 +168,20 @@ class TestStrictSpec:
         ({"snr_db": 4000.0}, r"need \|snr-db\| <= 300, got snr-db=4000\.0"),
         ({"snr_db": float("nan")}, r"need \|snr-db\| <= 300, got snr-db=nan"),
         ({"seed": -1}, "need seed >= 0, got seed=-1"),
+        ({"filter_len": 8.7}, "spec key 'k' has a bad value 8.7"),
+        ({"n_channels": 3.0}, "spec key 'm' has a bad value 3.0"),
+        ({"subspace_dim": 2.5}, "spec key 'd' has a bad value 2.5"),
+        ({"trials": 1.5}, "spec key 'trials' has a bad value 1.5"),
+        ({"seed": True}, "spec key 'seed' has a bad value True"),
+        ({"l_over_k": float("nan")}, "spec key 'l-over-k' has a bad value nan"),
+        ({"percentile": "95"}, "spec key 'percentile' has a bad value '95'"),
+        ({"snr_db": "noiseless"}, "spec key 'snr-db' has a bad value 'noiseless'"),
+        ({"methods": "cc"}, "spec key 'methods' has a bad value 'cc'"),
     ])
     def test_spec_built_in_python_is_checked_like_a_config(self, overrides, message):
-        # the key tables refuse these values in a config file; validate() must
-        # refuse them too, before any trial or worker process starts
+        # the key tables refuse these values in a config file, and an integer
+        # key holds an integer; validate() must refuse them too, before any
+        # trial or worker process starts
         spec = small_spec(trials=2).validate()
         with pytest.raises(ConfigurationError, match=message):
             harness.run_experiment(replace(spec, **overrides), threads=2)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from blindchan.exceptions import ConfigurationError, InputError
-from blindchan.metrics import autocorr_norm, flatness
 from blindchan import checks, models
 
 
@@ -106,14 +105,18 @@ class TestPcaSubspace:
 
 class TestChannelsInSubspace:
     def test_flat_profile_flatness_one(self, rng):
+        # flatness sqrt(M) max_m ||u_m|| / ||u|| is 1 exactly when the blocks share a norm
         bases = models.gen_gaussian_subspace(8, 3, 4, rng)
         u, _ = models.gen_channels_in_subspace(bases, rng, "flat")
-        assert flatness(u, 4) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(u.reshape(4, 3), axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_spiky_profile_flatness_sqrt_m(self, rng):
+        # ... and sqrt(M) when one block carries all of it
         bases = models.gen_gaussian_subspace(8, 3, 4, rng)
         u, _ = models.gen_channels_in_subspace(bases, rng, "spiky")
-        assert flatness(u, 4) == pytest.approx(2.0, abs=1e-12)
+        norms = np.linalg.norm(u.reshape(4, 3), axis=1)
+        assert norms[0] == pytest.approx(1.0, abs=1e-12)
+        assert np.all(norms[1:] == 0)
 
     def test_channels_lie_in_model_range(self, rng):
         bases = models.gen_gaussian_subspace(8, 3, 4, rng)
@@ -131,9 +134,14 @@ class TestChannelsInSubspace:
 
 class TestGenSource:
     def test_flat_spectrum_autocorr_is_energy(self, rng):
+        # every |fft(x)|^2 is L sigma_x^2, so the circular autocorrelation
+        # ifft(|fft(x)|^2) is ||x||^2 at lag 0 and zero at every other lag
         x = models.gen_source("flat_spectrum", 64, 1.3, rng)
-        ratio = autocorr_norm(x, 8) / np.linalg.norm(x) ** 2
-        assert ratio == pytest.approx(1.0, abs=1e-10)
+        np.testing.assert_allclose(np.abs(np.fft.fft(x)) ** 2, 64 * 1.3**2, rtol=1e-12)
+        autocorr = np.fft.ifft(np.abs(np.fft.fft(x)) ** 2)
+        energy = np.linalg.norm(x) ** 2
+        assert autocorr[0].real == pytest.approx(energy, rel=1e-12)
+        np.testing.assert_allclose(autocorr[1:], 0, rtol=0, atol=1e-12 * energy)
 
     def test_gaussian_sample_variance(self, rng):
         x = models.gen_source("gaussian", 100_000, 0.8, rng)

@@ -1,4 +1,4 @@
-"""Property tests: spec round trips and estimator equivariances.
+"""Property tests: spec round trips, parse-time checking and estimator equivariances.
 
 Hypothesis runs derandomized with a small example budget, so every run draws
 the same examples and the suite stays deterministic and fast.
@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blindchan import harness, solvers
+from blindchan.exceptions import ConfigurationError
 from blindchan.metrics import sin_angle
 
 from conftest import make_instance
@@ -72,6 +73,36 @@ def test_spec_round_trips_through_json(spec):
     spec = spec.validate()
     raw = json.loads(json.dumps(harness.spec_to_dict(spec)))
     assert harness.spec_from_dict(raw) == spec
+
+
+# ---------------------------------------------------------------------------
+# Parse-time checking is complete: a config spec_from_dict accepts runs
+
+
+@st.composite
+def small_configs(draw):
+    k = draw(st.integers(1, 8))
+    return {
+        "k": k,
+        "m": draw(st.integers(2, 4)),
+        "d": draw(st.integers(1, k)),
+        "l-over-k": draw(st.sampled_from([1, 1.5, 2, 3])),
+        "basis": draw(st.sampled_from(harness.BASES)),
+        "methods": draw(st.lists(st.sampled_from(harness.METHODS), min_size=1, unique=True)),
+        "snr-db": draw(st.sampled_from(["noiseless", 20])),
+        "trials": 1,
+    }
+
+
+@PROPERTY
+@given(small_configs())
+def test_accepted_config_runs_its_first_trial(config):
+    # a config that fails, fails at parse time naming its key, not inside a trial
+    try:
+        spec = harness.spec_from_dict(config)
+    except ConfigurationError:
+        return
+    harness.run_trial(spec, 0)
 
 
 # ---------------------------------------------------------------------------
