@@ -212,7 +212,7 @@ def check_compress_vs_explicit(rng):
         M = int(rng.integers(2, 5))
         K = int(rng.integers(1, 9))
         D = int(rng.integers(1, K + 1))
-        L = int(rng.integers(K, 4 * K + 2))
+        L = int(rng.integers(K, 10 * K + 1))
         ys = [complex_gaussian(rng, L) for _ in range(M)]
         bases = complex_gaussian(rng, M, K, D)
         oracle = explicit_compressed_gram(ys, bases)

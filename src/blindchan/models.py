@@ -70,12 +70,13 @@ def bandpass_pulse(t, filter_len):
     return window * np.exp(2j * np.pi * 0.125 * t)
 
 
-def sample_parametric_filter(pulse, filter_len, rng):
-    """One training filter: the pulse at a continuous random shift and log-uniform amplitude."""
+def sample_parametric_filter(pulse, filter_len, n, rng):
+    """n training filters as an n x K array: the pulse at a continuous random shift and
+    log-uniform amplitude, drawn shift then amplitude per filter in one call."""
     half = filter_len / 4.0
-    shift = rng.uniform(half, filter_len - half)
-    amp = np.exp(rng.uniform(np.log(0.5), np.log(2.0)))
-    return amp * pulse(np.arange(filter_len) - shift, filter_len)
+    shift, log_amp = rng.uniform([half, np.log(0.5)], [filter_len - half, np.log(2.0)], (n, 2)).T
+    grid = np.arange(filter_len) - shift[:, None]
+    return np.exp(log_amp)[:, None] * pulse(grid, filter_len)
 
 
 def gen_pca_subspace(pulse, filter_len, dim, n_train, rng, n_channels=1):
@@ -87,7 +88,7 @@ def gen_pca_subspace(pulse, filter_len, dim, n_train, rng, n_channels=1):
     """
     if n_train < dim:
         raise ConfigurationError(f"need n_train >= D, got n_train={n_train}, D={dim}")
-    train = np.stack([sample_parametric_filter(pulse, filter_len, rng) for _ in range(n_train)])
+    train = sample_parametric_filter(pulse, filter_len, n_train, rng)
     # structural rank guard: exact zeros only, so a smooth family with tiny
     # trailing eigenvalues still yields its full orthonormal eigenbasis
     if np.count_nonzero(np.linalg.svd(train, compute_uv=False)) < dim:

@@ -69,8 +69,9 @@ def debiased_compressed_gram(ys, bases, noise_var):
     """The MD x MD matrix sccc eigendecomposes.
 
     The cross-correlation Gram compressed by block congruence with the
-    bases, built in the frequency domain at M*L*D memory (the MK x MK Gram
-    is never formed), minus the compressed expected noise Gram
+    bases, built by xcorr.compressed_cross_corr from the lags |l| < K of the
+    pair correlations at DFT length min(L, 2K) (the MK x MK Gram is never
+    formed), minus the compressed expected noise Gram
     noise_var*(M-1)*L*I: each diagonal block shifted by its basis Gram.  At
     noise_var = 0 it is the compressed Gram of clean outputs, the unperturbed
     side of spectral.davis_kahan_check.

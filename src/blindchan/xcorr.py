@@ -6,10 +6,11 @@ stacked constraint matrix has M(M-1)/2 * L rows and M*K columns.  Its Gram
 matrix is what the classical estimator eigendecomposes.  The Gram is
 assembled here block-wise from M(M+1)/2 length-L FFT cross-correlations,
 never forming the tall constraint matrix.  The subspace estimator needs only
-the Gram compressed by the model bases, which is built directly in the
-frequency domain at M*L*D memory, never forming the MK x MK Gram.  The
-explicit construction is retained (size-capped) as the reference oracle of
-both.
+the Gram compressed by the model bases.  Each K x K block reads the lags
+|l| < K of one pair correlation, so the compression is built from those lags
+alone, at DFT length N = min(L, 2K): its cost beyond the correlations
+follows K, not L, and the MK x MK Gram is never formed.  The explicit
+construction is retained (size-capped) as the reference oracle of both.
 """
 
 import numpy as np
@@ -67,6 +68,17 @@ def cross_relation_matrix(ys, filter_len):
     return out.reshape(len(i) * L, M * K)
 
 
+def _pair_spectra(ys):
+    """(a, b, conj(fft(y_a)) * fft(y_b)) over the channel pairs a <= b of checked ys, in
+    np.triu_indices order: the DFTs of the M(M+1)/2 length-L pair correlations."""
+    fhat = np.fft.fft(ys, axis=1)
+    a, b = np.nonzero(~np.tri(len(ys), k=-1, dtype=bool))
+    spectra = fhat[a]
+    np.conjugate(spectra, out=spectra)
+    spectra *= fhat[b]
+    return a, b, spectra
+
+
 def cross_corr_matrix(ys, filter_len):
     """Assemble the Gram of the stacked constraints from fast correlations.
 
@@ -78,13 +90,12 @@ def cross_corr_matrix(ys, filter_len):
     ys = _check_channels(ys, filter_len)
     M, L = ys.shape
     K = filter_len
-    fhat = np.fft.fft(ys, axis=1)
     # Correlation block (a, b) = T_{y_a}^H T_{y_b} is the top-left K x K corner
     # of the circulant C_a^H C_b, whose (i, j) entry is r[(i-j) mod L] with
     # r = ifft(conj(fft(a)) * fft(b)); block (b, a) is its conjugate transpose.
-    a, b = np.triu_indices(M)
+    a, b, spectra = _pair_spectra(ys)
     idx = (np.arange(K)[:, None] - np.arange(K)[None, :]) % L
-    blocks = np.fft.ifft(np.conj(fhat[a]) * fhat[b], axis=1)[:, idx]
+    blocks = np.fft.ifft(spectra, axis=1, out=spectra)[:, idx]
     out = np.empty((M, K, M, K), dtype=np.complex128)
     out[a, :, b] = -blocks.conj().transpose(0, 2, 1)
     out[b, :, a] = -blocks
@@ -97,15 +108,21 @@ def cross_corr_matrix(ys, filter_len):
 def compressed_cross_corr(ys, bases):
     """The Gram compressed by the model bases, Phi^H A Phi, built from FFTs.
 
-    bases is M x K x D.  Never forms the MK x MK Gram: with Phi_hat_n the
-    length-L DFT of the zero-padded basis n and V = [diag(conj(yhat_n))
-    Phi_hat_n]_n (L x MD), Parseval turns every block of the congruence into
-    a product of DFTs,
+    bases is M x K x D.  Block (n, m) of the Gram is minus the K x K Toeplitz
+    corner of the pair correlation r_mn = ifft(conj(yhat_m) * yhat_n), plus
+    the summed self-correlations on the diagonal, so it reads only the lags
+    |l| < K.  Wrap those lags into a length N = min(L, 2K) sequence (for
+    L <= 2K, r_mn itself) with length-N DFT S_mn, and let Phi_hat_n be the
+    length-N DFT of the zero-padded basis n; then the compressed block is
 
-        (blockdiag_n(Phi_hat_n^H diag(sum_a |yhat_a|^2) Phi_hat_n) - V^H V) / L,
+        (delta_nm Phi_hat_n^H diag(sum_a S_aa) Phi_hat_n - Phi_hat_n^H diag(S_mn) Phi_hat_m) / N,
 
-    so the cost is one L x MD Gram product plus M small diagonal blocks, at
-    M*L*D memory.  Equals block_diag(bases)^H cross_corr_matrix(ys, K) block_diag(bases).
+    exact because circular correlation at N >= 2K - 1 aliases no lag below K.
+    Beyond the M(M+1)/2 length-L correlations this costs M(M+1)/2 length-N
+    DFTs (none when L <= 2K) and one D x N by N x (M-n)D product per channel
+    n, about M^2 D^2 N multiply-adds at M*N*D memory, with the lower blocks
+    mirrored; the MK x MK Gram is never formed.  Equals
+    block_diag(bases)^H cross_corr_matrix(ys, K) block_diag(bases).
     """
     bases = np.asarray(bases, dtype=np.complex128)
     if bases.ndim != 3:
@@ -113,15 +130,31 @@ def compressed_cross_corr(ys, bases):
     M, K, D = bases.shape
     ys = _check_channels(ys, K, M)
     L = ys.shape[1]
-    yhat = np.fft.fft(ys, axis=1)
-    phat = np.fft.fft(bases, n=L, axis=1)  # M x L x D
-    energy = (yhat.real**2 + yhat.imag**2).sum(axis=0)
-    v = (np.conj(yhat)[:, :, None] * phat).transpose(1, 0, 2).reshape(L, M * D)
-    out = -(v.conj().T @ v)
-    for n in range(M):
-        block = slice(n * D, (n + 1) * D)
-        out[block, block] += phat[n].conj().T @ (energy[:, None] * phat[n])
-    return out / L
+    N = min(L, 2 * K)
+    a, b, spectra = _pair_spectra(ys)
+    if N < L:  # lags -(K-1)..K-1 of each correlation, wrapped at length N = 2K
+        corr = np.fft.ifft(spectra, axis=1, out=spectra)
+        window = np.zeros((len(corr), N), dtype=np.complex128)
+        window[:, :K] = corr[:, :K]
+        window[:, N - K + 1 :] = corr[:, L - K + 1 :]
+        spectra = np.fft.fft(window, axis=1, out=window)
+    # the weights of pair (n, m >= n) are the symbol of block (n, m) over N:
+    # -conj(S_nm) = -S_mn off the diagonal blocks, sum_a S_aa - S_nn on them
+    starts = np.flatnonzero(a == b)  # pair (n, n); pairs (n, m > n) follow it
+    self_spectra = spectra[starts].real
+    weights = np.conjugate(spectra, out=spectra)
+    weights *= -1.0 / N
+    weights[starts] = (self_spectra.sum(axis=0) - self_spectra) / N
+    phat = np.fft.fft(np.ascontiguousarray(bases.transpose(0, 2, 1)), n=N, axis=2)  # M x D x N
+    rest = np.empty_like(phat)
+    out = np.empty((M * D, M * D), dtype=np.complex128)
+    for n, start in enumerate(starts):
+        row = slice(n * D, (n + 1) * D)
+        np.multiply(weights[start : start + M - n, None, :], phat[n:], out=rest[n:])
+        phat_h = np.conjugate(phat[n], out=phat[n])  # later rows read only phat[n + 1:]
+        out[row, n * D :] = phat_h @ rest[n:].reshape((M - n) * D, N).T
+        out[(n + 1) * D :, row] = out[row, (n + 1) * D :].conj().T
+    return out
 
 
 def noise_gram_mean(n_channels, signal_len, noise_var):

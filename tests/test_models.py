@@ -59,11 +59,37 @@ def full_support_pulse(t, filter_len):
     return np.exp(-np.abs(t) / filter_len) * np.exp(0.5j * t)
 
 
+def per_draw_pca_basis(pulse, filter_len, dim, n_train, rng, n_channels):
+    """gen_pca_subspace with its training filters drawn one rng.uniform pair at a time."""
+    half = filter_len / 4.0
+    rows = []
+    for _ in range(n_train):
+        shift = rng.uniform(half, filter_len - half)
+        amp = np.exp(rng.uniform(np.log(0.5), np.log(2.0)))
+        rows.append(amp * pulse(np.arange(filter_len) - shift, filter_len))
+    train = np.stack(rows)
+    second_moment = train.conj().T @ train / n_train
+    _, v = np.linalg.eigh((second_moment + second_moment.conj().T) / 2)
+    return np.repeat(v[:, ::-1][None, :, :dim], n_channels, axis=0)
+
+
 class TestPcaSubspace:
+    @pytest.mark.parametrize(
+        "filter_len,dim,n_train,seed", [(32, 6, 300, 0), (33, 5, 250, 1), (7, 3, 150, 2), (64, 8, 41, 3)]
+    )
+    def test_batched_draws_match_per_draw_loop(self, filter_len, dim, n_train, seed):
+        # one uniform call for all filters consumes the stream in the per-draw order
+        pulse = models.bandpass_pulse
+        batched_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        bases = models.gen_pca_subspace(pulse, filter_len, dim, n_train, batched_rng, n_channels=2)
+        want = per_draw_pca_basis(pulse, filter_len, dim, n_train, loop_rng, 2)
+        np.testing.assert_array_equal(bases, want)
+        np.testing.assert_array_equal(batched_rng.random(4), loop_rng.random(4))
+
     def test_full_basis_reproduces_training(self, rng):
         K = 16
         bases = models.gen_pca_subspace(full_support_pulse, K, K, 200, rng)
-        fresh = models.sample_parametric_filter(full_support_pulse, K, rng)
+        fresh = models.sample_parametric_filter(full_support_pulse, K, 1, rng)[0]
         basis = bases[0]
         residual = fresh - basis @ (basis.conj().T @ fresh)
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(fresh)
@@ -81,9 +107,7 @@ class TestPcaSubspace:
 
     def test_projection_residual_non_increasing_in_dim(self, rng):
         K = 32
-        fresh = np.stack(
-            [models.sample_parametric_filter(models.bandpass_pulse, K, rng) for _ in range(100)]
-        )
+        fresh = models.sample_parametric_filter(models.bandpass_pulse, K, 100, rng)
         residuals = []
         for dim in (2, 4, 8, 16):
             bases = models.gen_pca_subspace(

@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blindchan import harness, solvers
+from blindchan import harness, solvers, xcorr
+from blindchan.checks import explicit_compressed_gram
 from blindchan.exceptions import ConfigurationError
 from blindchan.metrics import sin_angle
+from blindchan.models import complex_gaussian
 
 from conftest import make_instance
 
@@ -103,6 +105,29 @@ def test_accepted_config_runs_its_first_trial(config):
     except ConfigurationError:
         return
     harness.run_trial(spec, 0)
+
+
+# ---------------------------------------------------------------------------
+# The lag-window compressed Gram equals the explicit one at every length
+
+
+@st.composite
+def compression_cases(draw):
+    M = draw(st.integers(2, 4))
+    K = draw(st.integers(1, 8))
+    D = draw(st.integers(1, K))
+    L = draw(st.integers(K, 10 * K))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return complex_gaussian(rng, M, L), complex_gaussian(rng, M, K, D)
+
+
+@PROPERTY
+@given(compression_cases())
+def test_compressed_gram_matches_explicit(case):
+    ys, bases = case
+    oracle = explicit_compressed_gram(ys, bases)
+    fast = xcorr.compressed_cross_corr(ys, bases)
+    assert np.linalg.norm(fast - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
 # ---------------------------------------------------------------------------

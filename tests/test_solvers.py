@@ -337,11 +337,25 @@ def time_domain_compression(ys, bases):
     return out
 
 
+def gaussian_instance(seed, filter_len, n_channels, dim, l_over_k, snr_db):
+    """One observation set drawn from a Gaussian-basis model, with its noise variance."""
+    rng = np.random.default_rng(seed)
+    L = l_over_k * filter_len
+    bases = gen_gaussian_subspace(filter_len, dim, n_channels, rng)
+    u, filters = gen_channels_in_subspace(bases, rng)
+    x = complex_gaussian(rng, L)
+    noise_var = sigma_for_snr(10 ** (snr_db / 10), filter_len, L, n_channels, x, u)
+    return bases, noisy_outputs(x, filters, rng, noise_var), noise_var
+
+
 def test_sccc_matches_time_domain_compression(monkeypatch):
     # the frequency-domain compressed Gram must leave the estimate where the
-    # block congruence of the full Gram puts it
-    for seed in (77, 78, 79):
-        bases, _, _, ys, noise_var = bandpass_instance(seed, snr_db=20.0)
+    # block congruence of the full Gram puts it, also where the lag window
+    # wraps a long signal (K=64, L=8K)
+    instances = [bandpass_instance(seed, snr_db=20.0) for seed in (77, 78, 79)]
+    instances = [(bases, ys, noise_var) for bases, _, _, ys, noise_var in instances]
+    instances.append(gaussian_instance(80, 64, 4, 8, 8, 20.0))
+    for bases, ys, noise_var in instances:
         fast = solvers.solve_subspace_cross_conv(ys, bases, noise_var)
         with monkeypatch.context() as patch:
             patch.setattr(solvers, "compressed_cross_corr", time_domain_compression)
@@ -355,13 +369,7 @@ def ls_system(seed, basis, filter_len, n_channels, dim, l_over_k, snr_db):
     if basis == "pca":
         bases, _, _, ys, _ = bandpass_instance(seed, filter_len, n_channels, dim, l_over_k, snr_db)
     else:
-        rng = np.random.default_rng(seed)
-        L = l_over_k * filter_len
-        bases = gen_gaussian_subspace(filter_len, dim, n_channels, rng)
-        u, filters = gen_channels_in_subspace(bases, rng)
-        x = complex_gaussian(rng, L)
-        noise_var = sigma_for_snr(10 ** (snr_db / 10), filter_len, L, n_channels, x, u)
-        ys = noisy_outputs(x, filters, rng, noise_var)
+        bases, ys, _ = gaussian_instance(seed, filter_len, n_channels, dim, l_over_k, snr_db)
     return ys, bases, solvers._ls_factors(np.fft.fft(ys, axis=1), bases)
 
 

@@ -117,7 +117,8 @@ class TestCrossCorrMatrix:
 
 
 #: (M, K, D, L) shapes for the compressed Gram, with the edges M=2, D=1,
-#: D=K, L=K and L<3K.
+#: D=K, L=K and L<3K, and the lag window's boundary: L = 2K-1, 2K, 2K+1
+#: (the first length it wraps at), a prime L > 2K, and L = 8K and 20K.
 COMPRESSED_SHAPES = [
     (2, 6, 3, 24),
     (3, 8, 1, 32),
@@ -126,6 +127,12 @@ COMPRESSED_SHAPES = [
     (3, 8, 4, 12),
     (2, 3, 3, 3),
     (5, 7, 3, 40),
+    (3, 8, 3, 15),
+    (3, 8, 3, 16),
+    (3, 8, 3, 17),
+    (3, 7, 2, 31),
+    (4, 8, 4, 64),
+    (2, 6, 3, 120),
 ]
 
 
