@@ -72,7 +72,8 @@ def _pair_spectra(ys):
     """(a, b, conj(fft(y_a)) * fft(y_b)) over the channel pairs a <= b of checked ys, in
     np.triu_indices order: the DFTs of the M(M+1)/2 length-L pair correlations."""
     fhat = np.fft.fft(ys, axis=1)
-    a, b = np.nonzero(~np.tri(len(ys), k=-1, dtype=bool))
+    n = np.arange(len(ys))
+    a, b = np.nonzero(n[:, None] <= n)  # np.triu_indices(M) at a quarter of its cost
     spectra = fhat[a]
     np.conjugate(spectra, out=spectra)
     spectra *= fhat[b]
@@ -95,7 +96,8 @@ def cross_corr_matrix(ys, filter_len):
     # r = ifft(conj(fft(a)) * fft(b)); block (b, a) is its conjugate transpose.
     a, b, spectra = _pair_spectra(ys)
     idx = (np.arange(K)[:, None] - np.arange(K)[None, :]) % L
-    blocks = np.fft.ifft(spectra, axis=1, out=spectra)[:, idx]
+    blocks = np.fft.ifft(spectra, axis=1)[:, idx]
+    del spectra  # free before the Gram is assembled
     out = np.empty((M, K, M, K), dtype=np.complex128)
     out[a, :, b] = -blocks.conj().transpose(0, 2, 1)
     out[b, :, a] = -blocks
@@ -133,11 +135,13 @@ def compressed_cross_corr(ys, bases):
     N = min(L, 2 * K)
     a, b, spectra = _pair_spectra(ys)
     if N < L:  # lags -(K-1)..K-1 of each correlation, wrapped at length N = 2K
-        corr = np.fft.ifft(spectra, axis=1, out=spectra)
+        corr = np.fft.ifft(spectra, axis=1)
+        del spectra  # keep at most two sequence stacks alive
         window = np.zeros((len(corr), N), dtype=np.complex128)
         window[:, :K] = corr[:, :K]
         window[:, N - K + 1 :] = corr[:, L - K + 1 :]
-        spectra = np.fft.fft(window, axis=1, out=window)
+        del corr
+        spectra = np.fft.fft(window, axis=1)
     # the weights of pair (n, m >= n) are the symbol of block (n, m) over N:
     # -conj(S_nm) = -S_mn off the diagonal blocks, sum_a S_aa - S_nn on them
     starts = np.flatnonzero(a == b)  # pair (n, n); pairs (n, m > n) follow it
