@@ -31,7 +31,7 @@ with blas.single_thread():
     print(f"channel ensemble spectrum dynamic range: {'> 1e12' if span > 1e12 else f'{span:.1e}'}")
     print("  -> most DFT bins carry essentially no channel energy\n")
 
-    x = bc.gen_source("gaussian", L, 1.0, streams.stream("source"))
+    x = bc.gen_source("gaussian", L, streams.stream("source"))
     noise_var = bc.sigma_for_snr(bc.db_to_linear(snr_db), K, L, M, x, u)
     ys = bc.add_noise(bc.convolve_short(x, filters), np.sqrt(noise_var), streams.stream("noise"))
 

@@ -24,12 +24,10 @@ streams = bc.RngStreams(7)
 with blas.single_thread():
     bases = bc.gen_gaussian_subspace(K, D, M, streams.stream("basis"))
     u, filters = bc.gen_channels_in_subspace(bases, streams.stream("coef"))
-    x = bc.gen_source("gaussian", L, 1.0, streams.stream("source"))
+    x = bc.gen_source("gaussian", L, streams.stream("source"))
     noise_var = bc.sigma_for_snr(bc.db_to_linear(snr_db), K, L, M, x, u)
-    noise = streams.stream("noise")
-    ws = np.array([bc.complex_gaussian(noise, L, var=noise_var) for _ in range(M)])
     clean = bc.convolve_short(x, filters)
-    ys = clean + ws
+    ys = bc.add_noise(clean, np.sqrt(noise_var), streams.stream("noise"))
 
     estimates = {
         "classical cross-convolution": bc.solve_cross_conv(ys, K),

@@ -14,7 +14,7 @@ streams = bc.RngStreams(1)
 
 # one BLAS thread, so every printed digit is the same at any OPENBLAS_NUM_THREADS
 with blas.single_thread():
-    x = bc.gen_source("gaussian", L, 1.0, streams.stream("source"))
+    x = bc.gen_source("gaussian", L, streams.stream("source"))
 
     # unstructured random channels: the classical setting
     h = bc.complex_gaussian(streams.stream("channels"), M, K)

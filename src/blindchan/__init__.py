@@ -26,7 +26,7 @@ from .harness import (
     spec_from_dict,
     spec_to_dict,
 )
-from .metrics import db_to_linear, min_phase_distance, sin_angle, snr
+from .metrics import db_to_linear, min_phase_distance, sin_angle
 from .models import (
     RngStreams,
     add_noise,
@@ -39,7 +39,7 @@ from .models import (
     gen_source,
     sigma_for_snr,
 )
-from .sigops import circular_convolve, circulant, conv_matrix, convolve_short, zero_pad
+from .sigops import circulant, conv_matrix, convolve_short, zero_pad
 from .solvers import (
     Estimate,
     debiased_compressed_gram,

@@ -74,7 +74,7 @@ def cmd_gap(args):
     harness.check_dimensions(K, M, D, L)
     streams = RngStreams(config["seed"])
 
-    x = gen_source("gaussian", L, 1.0, streams.stream("source"))
+    x = gen_source("gaussian", L, streams.stream("source"))
     h = complex_gaussian(streams.stream("channels"), M, K)
     eig = eig_hermitian(cross_corr_matrix(convolve_short(x, h), K))
     print(f"unconstrained gap_ratio: {eig.gap_ratio:.6e}")

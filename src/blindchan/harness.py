@@ -22,6 +22,8 @@ from . import blas
 from .exceptions import ConfigurationError, InputError
 from .metrics import db_to_linear, sin_angle
 from .models import (
+    NORM_PROFILES,
+    SOURCES,
     RngStreams,
     add_noise,
     bandpass_pulse,
@@ -61,8 +63,6 @@ _BASES = {
 }
 
 BASES = tuple(_BASES)
-SOURCES = ("gaussian", "flat_spectrum")
-NORM_PROFILES = ("flat", "spiky")
 
 
 def _is_real(value):
@@ -339,9 +339,12 @@ def spec_from_dict(raw):
 
 
 def spec_to_dict(spec):
-    """Inverse of spec_from_dict (canonical kebab-case keys)."""
+    """Inverse of spec_from_dict (canonical kebab-case keys); float keys are written as
+    floats, as spec_from_dict parses them, so equal specs get one spec_hash."""
     out = {key: getattr(spec, name) for key, (name, _, _) in _SPEC_FIELDS.items()}
-    out["snr-db"] = "noiseless" if spec.snr_db is None else spec.snr_db
+    out["l-over-k"] = float(spec.l_over_k)
+    out["percentile"] = float(spec.percentile)
+    out["snr-db"] = "noiseless" if spec.snr_db is None else float(spec.snr_db)
     out["methods"] = list(spec.methods)
     if isinstance(spec.sweep, Sweep):
         out["sweep"] = {"param": spec.sweep.param, "values": list(spec.sweep.values)}
@@ -418,7 +421,7 @@ def run_trial(spec, trial_index):
     u, filters = gen_channels_in_subspace(
         bases, streams.stream("channels", trial_index), spec.norm_profile
     )
-    x = gen_source(spec.source, L, 1.0, streams.stream("source", trial_index))
+    x = gen_source(spec.source, L, streams.stream("source", trial_index))
     if spec.snr_db is None:
         noise_var = 0.0
     else:
@@ -454,8 +457,8 @@ class PointResult:
     errors: dict  # method -> list[float], index = trial
     degenerate: dict  # method -> list[bool]
 
-    def percentile(self, method, p=None):
-        return aggregate_percentile(self.errors[method], p or self.spec.percentile)
+    def percentile(self, method):
+        return aggregate_percentile(self.errors[method], self.spec.percentile)
 
     def median(self, method):
         return float(np.median(self.errors[method]))
@@ -494,11 +497,13 @@ def run_point(spec, threads=1):
     Trials run with OpenBLAS pinned to one thread (blas.single_thread).
     threads > 1 runs them in that many forked worker processes, worker w
     taking trials w, w + threads, ...; threads < 1 means one worker per CPU
-    (os.cpu_count()).  Results are the same at any thread count.
+    (os.cpu_count()).  No more workers than trials are started, so a
+    one-trial spec runs serially.  Results are the same at any thread count.
     """
     spec = _point_spec(spec).validate()
     if threads < 1:
         threads = os.cpu_count() or 1
+    threads = min(threads, spec.trials)
     with blas.single_thread():
         if threads == 1:
             outcomes = _run_trials(spec, range(spec.trials))
@@ -511,7 +516,7 @@ def run_point(spec, threads=1):
             with ProcessPoolExecutor(threads, mp_context=_fork_context()) as pool:
                 chunks = [
                     pool.submit(_run_trials, spec, range(w, spec.trials, threads))
-                    for w in range(min(threads, spec.trials))
+                    for w in range(threads)
                 ]
                 for w, chunk in enumerate(chunks):
                     outcomes[w::threads] = chunk.result()

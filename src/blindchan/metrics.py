@@ -1,4 +1,4 @@
-"""Scalar diagnostics: principal angles and the SNR of the observation model.
+"""Scalar diagnostics: principal angles and the dB-to-linear conversion.
 
 How much noise an eigenvector estimate absorbs is measured directly, by
 spectral.davis_kahan_check on the noiseless matrix and its noise
@@ -8,7 +8,6 @@ perturbation.
 import numpy as np
 
 from .exceptions import InputError
-from .sigops import as_signal
 
 
 def sin_angle(a, b):
@@ -45,14 +44,3 @@ def min_phase_distance(a, b):
 
 def db_to_linear(db):
     return float(10.0 ** (db / 10.0))
-
-
-def snr(filter_len, signal_len, n_channels, x, u, noise_var):
-    """Signal-to-noise ratio K ||x||^2 ||u||^2 / (M L sigma_w^2) of the
-    observation model; noise_var = 0 returns inf."""
-    x = as_signal(x)
-    u = np.asarray(u, dtype=np.complex128).reshape(-1)
-    if noise_var == 0:
-        return np.inf
-    num = filter_len * np.linalg.norm(x) ** 2 * np.linalg.norm(u) ** 2
-    return float(num / (n_channels * signal_len * noise_var))

@@ -107,6 +107,12 @@ def default_train_size(dim):
     return 50 * dim
 
 
+#: The names gen_channels_in_subspace and gen_source dispatch on; a spec's
+#: norm-profile and source must be one of them.
+NORM_PROFILES = ("flat", "spiky")
+SOURCES = ("gaussian", "flat_spectrum")
+
+
 def gen_channels_in_subspace(bases, rng, norm_profile="flat"):
     """Draw coefficients u and the channels h = Phi u they induce.
 
@@ -129,21 +135,22 @@ def gen_channels_in_subspace(bases, rng, norm_profile="flat"):
     return u_flat, apply_bases(bases, u_flat)
 
 
-def gen_source(kind, signal_len, sigma_x, rng):
-    """Common source of length L.
+def gen_source(kind, signal_len, rng):
+    """Common source of length L and unit power.
 
-    "gaussian": iid CN(0, sigma_x^2).  "flat_spectrum": all DFT magnitudes
-    equal to sqrt(L)*sigma_x with seeded uniform phases, so the circulant
-    Gram of the source is an exact multiple of the identity.
+    "gaussian": iid CN(0, 1).  "flat_spectrum": all DFT magnitudes equal to
+    sqrt(L) with seeded uniform phases, so the circulant Gram of the source
+    is an exact multiple of the identity.  Trials set the noise from the
+    source energy and the estimators are scale equivariant, so no error
+    depends on the source power.
     """
     if signal_len < 1:
         raise ConfigurationError(f"need L >= 1, got {signal_len}")
     if kind == "gaussian":
-        return complex_gaussian(rng, signal_len, var=sigma_x**2)
+        return complex_gaussian(rng, signal_len)
     if kind == "flat_spectrum":
         phase = rng.uniform(0.0, 2 * np.pi, signal_len)
-        spec = np.sqrt(signal_len) * sigma_x * np.exp(1j * phase)
-        return np.fft.ifft(spec)
+        return np.fft.ifft(np.sqrt(signal_len) * np.exp(1j * phase))
     raise InputError(f"unknown source kind {kind!r}")
 
 

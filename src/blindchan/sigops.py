@@ -1,10 +1,12 @@
-"""Core signal operations: circular convolution and short-filter operators.
+"""Core signal operations: circular convolution and its dense matrices.
 
 All signals are 1-D complex128 vectors of a common length L; channel impulse
 responses are short vectors of length K <= L that stand for signals whose last
-L - K entries are zero.  Convolutions are circular (indices mod L) and are
-evaluated with length-L FFTs: unnormalized forward transform, 1/L on the
-inverse, any mixed-radix L supported.
+L - K entries are zero.  convolve_short is the one circular convolution
+(indices mod L), evaluated with length-L FFTs: unnormalized forward
+transform, 1/L on the inverse, any mixed-radix L supported.  A filter of
+full length K = L makes it the circular convolution of two signals.
+circulant and conv_matrix are its dense matrices, for small-scale oracles.
 
 The M channel outputs are one M x L array (row m from channel m), built by
 convolve_short from the M x K filter stack; a list of M vectors also works.
@@ -36,15 +38,6 @@ def zero_pad(h, length):
     out = np.zeros(length, dtype=np.complex128)
     out[: len(h)] = h
     return out
-
-
-def circular_convolve(a, b):
-    """Circular convolution c[l] = sum_k a[k] b[(l-k) mod L] via length-L FFTs."""
-    a = as_signal(a)
-    b = as_signal(b)
-    if len(a) != len(b):
-        raise DimensionError(f"length mismatch: {len(a)} vs {len(b)}")
-    return np.fft.ifft(np.fft.fft(a) * np.fft.fft(b))
 
 
 def circulant(v):

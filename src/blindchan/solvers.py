@@ -22,7 +22,7 @@ import numpy as np
 
 from .exceptions import ConfigurationError, DimensionError
 from .models import apply_bases
-from .sigops import as_signal
+from .sigops import as_signal, convolve_short
 from .spectral import DEGENERACY_RTOL, canonical_phase, eig_hermitian
 from .xcorr import _check_channels, compressed_cross_corr, cross_corr_matrix, noise_gram_mean
 
@@ -57,7 +57,6 @@ def _normalize(h):
 
 def solve_cross_conv(ys, filter_len):
     """Classical estimator: smallest eigenvector of the cross-correlation Gram."""
-    ys = _check_channels(ys, filter_len)
     eig = eig_hermitian(cross_corr_matrix(ys, filter_len))
     return Estimate(
         h_hat=_normalize(eig.vector), u_hat=None, lambda_min=eig.lambda_min,
@@ -76,11 +75,9 @@ def debiased_compressed_gram(ys, bases, noise_var):
     noise_var = 0 it is the compressed Gram of clean outputs, the unperturbed
     side of spectral.davis_kahan_check.
     """
-    M, K, D = bases.shape
-    ys = _check_channels(ys, K, M)
-    L = ys.shape[1]
-    compressed = compressed_cross_corr(ys, bases)
-    shift = noise_gram_mean(M, L, noise_var)
+    compressed = compressed_cross_corr(ys, bases)  # checks ys against the bases
+    M, _, D = bases.shape
+    shift = noise_gram_mean(M, len(ys[0]), noise_var)
     if shift != 0:
         block = np.arange(M * D).reshape(M, D)
         grams = bases.conj().swapaxes(1, 2) @ bases
@@ -110,10 +107,11 @@ def solve_oracle_ls(ys, x, bases):
     L = ys.shape[1]
     if len(x) != L:
         raise DimensionError(f"source length {len(x)} differs from signal length {L}")
-    designs = np.fft.ifft(np.fft.fft(x)[:, None] * np.fft.fft(bases, n=L, axis=1), axis=1)
+    # row m * D + d is the source convolved with basis column d of channel m
+    designs = convolve_short(x, bases.transpose(0, 2, 1).reshape(M * D, K)).reshape(M, D, L)
     u_hat = np.zeros((M, D), dtype=np.complex128)
     for m, design in enumerate(designs):
-        u_hat[m], _, _, svals = np.linalg.lstsq(design, ys[m], rcond=None)
+        u_hat[m], _, _, svals = np.linalg.lstsq(design.T, ys[m], rcond=None)
         if svals[-1] <= svals[0] * 1e-12:
             raise ConfigurationError(
                 f"channel {m}: source/basis design matrix is rank deficient "

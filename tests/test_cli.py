@@ -65,7 +65,7 @@ class TestGapCommand:
         cfg = json.loads((REPRODUCE / "spectral_gap.json").read_text())
         K, M, D = cfg["k"], cfg["m"], cfg["d"]
         streams = RngStreams(cfg["seed"])
-        x = gen_source("gaussian", cfg["l-over-k"] * K, 1.0, streams.stream("source"))
+        x = gen_source("gaussian", cfg["l-over-k"] * K, streams.stream("source"))
         bases = gen_gaussian_subspace(K, D, M, streams.stream("basis"))
         _, filters = gen_channels_in_subspace(bases, streams.stream("subspace-channels"))
         ys = convolve_short(x, filters)
@@ -383,6 +383,13 @@ class TestCheckCommand:
         assert main(["check", "--level", "fast"]) == 0
         out = capsys.readouterr().out
         assert "PASS conv_fft_vs_naive" in out
+        assert "FAIL" not in out
+
+    def test_full_suite_green(self, capsys):
+        # the Monte Carlo expectation identities and the SNR formula check
+        assert main(["check", "--level", "full"]) == 0
+        out = capsys.readouterr().out
+        assert "PASS snr_empirical_vs_formula" in out
         assert "FAIL" not in out
 
     def test_injected_sign_flip_is_caught(self, monkeypatch, rng):

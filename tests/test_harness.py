@@ -63,6 +63,18 @@ class TestSpecRoundtrip:
                 {"k": 8, "m": 3, "d": 2, "sweep": {"d-over-k": [0.5]}}
             )
 
+    @pytest.mark.parametrize("snr_db", [20, 20.0, None])
+    def test_python_spec_hashes_like_its_round_trip(self, snr_db):
+        # integer l_over_k, percentile and snr_db compare equal to the floats
+        # JSON parsing stores, so they must hash equal too
+        spec = harness.ExperimentSpec(
+            filter_len=32, n_channels=4, subspace_dim=8, l_over_k=20, snr_db=snr_db,
+            trials=50, methods=("cc", "sccc"), percentile=95, seed=31,
+        )
+        again = harness.spec_from_dict(json.loads(json.dumps(harness.spec_to_dict(spec))))
+        assert again == spec
+        assert harness.spec_hash(again) == harness.spec_hash(spec)
+
     def test_hash_stable_and_seed_sensitive(self):
         a = harness.spec_hash(small_spec())
         b = harness.spec_hash(small_spec())
@@ -344,8 +356,9 @@ class TestRunPoint:
             assert point.median(method) == np.median(errs)
             assert point.percentile(method) == harness.aggregate_percentile(errs, 95)
 
-    @pytest.mark.parametrize("threads", [0, -2])
-    def test_auto_threads_mean_one_worker_per_cpu(self, monkeypatch, threads):
+    @staticmethod
+    def record_pool_sizes(monkeypatch):
+        """The max_workers of every process pool run_point opens, in order."""
         sizes = []
 
         class Recording(ProcessPoolExecutor):
@@ -354,12 +367,28 @@ class TestRunPoint:
                 super().__init__(max_workers, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        return sizes
+
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_auto_threads_mean_one_worker_per_cpu(self, monkeypatch, threads):
+        sizes = self.record_pool_sizes(monkeypatch)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        harness.run_point(small_spec(trials=2), threads=threads)
+        harness.run_point(small_spec(trials=4), threads=threads)
         assert sizes == [3]
         monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: run serially
-        harness.run_point(small_spec(trials=2), threads=threads)
+        harness.run_point(small_spec(trials=4), threads=threads)
         assert sizes == [3]
+
+    def test_no_more_workers_than_trials(self, monkeypatch):
+        sizes = self.record_pool_sizes(monkeypatch)
+        spec = small_spec(trials=2)
+        assert harness.run_point(spec, threads=4).errors == harness.run_point(spec).errors
+        assert sizes == [2]
+
+    def test_one_trial_opens_no_pool(self, monkeypatch):
+        sizes = self.record_pool_sizes(monkeypatch)
+        harness.run_point(small_spec(trials=1), threads=4)
+        assert sizes == []
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_trials_see_the_callers_warning_filters(self, monkeypatch, tmp_path, threads):

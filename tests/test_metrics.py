@@ -3,7 +3,7 @@ import pytest
 
 from blindchan.exceptions import InputError
 from blindchan.models import complex_gaussian
-from blindchan import checks, metrics
+from blindchan import metrics
 
 
 class TestSinAngle:
@@ -64,27 +64,5 @@ class TestAngleInequality:
 
 
 class TestSnr:
-    def test_formula_arithmetic(self):
-        x = np.array([np.sqrt(10), 0, 0, 0, 0], dtype=complex)
-        u = np.array([1.0, 1.0], dtype=complex)
-        assert metrics.snr(4, 5, 2, x, u, 1.0) == pytest.approx(8.0)
-
-    def test_doubling_noise_halves_snr(self, rng):
-        x = complex_gaussian(rng, 12)
-        u = complex_gaussian(rng, 4)
-        assert metrics.snr(3, 12, 2, x, u, 2.0) == pytest.approx(
-            metrics.snr(3, 12, 2, x, u, 1.0) / 2
-        )
-
-    def test_zero_noise_is_infinite(self, rng):
-        assert metrics.snr(3, 12, 2, complex_gaussian(rng, 12), np.ones(4), 0.0) == np.inf
-
-    def test_empirical_matches_formula(self, rng):
-        x = complex_gaussian(rng, 32)
-        u = complex_gaussian(rng, 9)
-        formula = metrics.snr(8, 32, 3, x, u, 0.5)
-        empirical = checks.empirical_snr(8, 32, 3, x, u, 0.5, 2000, rng)
-        assert empirical == pytest.approx(formula, rel=0.03)
-
     def test_db_conversions(self):
         assert metrics.db_to_linear(20.0) == pytest.approx(100.0)

@@ -158,27 +158,27 @@ class TestChannelsInSubspace:
 
 class TestGenSource:
     def test_flat_spectrum_autocorr_is_energy(self, rng):
-        # every |fft(x)|^2 is L sigma_x^2, so the circular autocorrelation
+        # every |fft(x)|^2 is L, so the circular autocorrelation
         # ifft(|fft(x)|^2) is ||x||^2 at lag 0 and zero at every other lag
-        x = models.gen_source("flat_spectrum", 64, 1.3, rng)
-        np.testing.assert_allclose(np.abs(np.fft.fft(x)) ** 2, 64 * 1.3**2, rtol=1e-12)
+        x = models.gen_source("flat_spectrum", 64, rng)
+        np.testing.assert_allclose(np.abs(np.fft.fft(x)) ** 2, 64, rtol=1e-12)
         autocorr = np.fft.ifft(np.abs(np.fft.fft(x)) ** 2)
         energy = np.linalg.norm(x) ** 2
         assert autocorr[0].real == pytest.approx(energy, rel=1e-12)
         np.testing.assert_allclose(autocorr[1:], 0, rtol=0, atol=1e-12 * energy)
 
     def test_gaussian_sample_variance(self, rng):
-        x = models.gen_source("gaussian", 100_000, 0.8, rng)
-        assert np.mean(np.abs(x) ** 2) == pytest.approx(0.64, rel=0.03)
+        x = models.gen_source("gaussian", 100_000, rng)
+        assert np.mean(np.abs(x) ** 2) == pytest.approx(1.0, rel=0.03)
 
     def test_energy_concentration(self, rng):
-        L, sx = 4096, 1.1
-        x = models.gen_source("gaussian", L, sx, rng)
-        assert np.linalg.norm(x) ** 2 == pytest.approx(L * sx**2, rel=0.05)
+        L = 4096
+        x = models.gen_source("gaussian", L, rng)
+        assert np.linalg.norm(x) ** 2 == pytest.approx(L, rel=0.05)
 
     def test_unknown_kind(self, rng):
         with pytest.raises(InputError):
-            models.gen_source("chirp", 16, 1.0, rng)
+            models.gen_source("chirp", 16, rng)
 
 
 class TestAddNoise:
@@ -266,3 +266,10 @@ class TestSigmaForSnr:
         with pytest.raises(ConfigurationError):
             models.sigma_for_snr(1.0, 4, 8, 2, np.zeros(8), np.ones(4))
 
+    def test_empirical_matches_formula(self, rng):
+        # the Monte Carlo energy ratio at the returned noise variance hits the target
+        x = models.complex_gaussian(rng, 32)
+        u = models.complex_gaussian(rng, 9)
+        noise_var = models.sigma_for_snr(10.0, 8, 32, 3, x, u)
+        empirical = checks.empirical_snr(8, 32, 3, x, u, noise_var, 2000, rng)
+        assert empirical == pytest.approx(10.0, rel=0.03)

@@ -12,14 +12,16 @@ def naive_circular_convolve(a, b):
 
 
 class TestCircularConvolve:
+    """Circular convolution of two signals, through convolve_short."""
+
     def test_impulse_identity(self, rng):
         v = complex_gaussian(rng, 9)
-        out = sigops.circular_convolve(np.eye(9)[0], v)
+        out = sigops.convolve_short(np.eye(9)[0], v)
         np.testing.assert_allclose(out, v, atol=1e-13)
 
     def test_impulse_shift(self, rng):
         v = complex_gaussian(rng, 8)
-        out = sigops.circular_convolve(np.eye(8)[1], v)
+        out = sigops.convolve_short(np.eye(8)[1], v)
         np.testing.assert_allclose(out, np.roll(v, 1), atol=1e-13)
 
     def test_small_example_matches_naive(self):
@@ -27,7 +29,7 @@ class TestCircularConvolve:
         b = np.array([3, 4, 0, 0], dtype=complex)
         expected = naive_circular_convolve(a, b)
         np.testing.assert_allclose(expected, [3, 10, 8, 0], atol=1e-14)
-        np.testing.assert_allclose(sigops.circular_convolve(a, b), expected, atol=1e-13)
+        np.testing.assert_allclose(sigops.convolve_short(a, b), expected, atol=1e-13)
 
     def test_fft_matches_naive_randomized(self, rng):
         for _ in range(100):
@@ -35,7 +37,7 @@ class TestCircularConvolve:
             a = complex_gaussian(rng, L)
             b = complex_gaussian(rng, L)
             scale = np.linalg.norm(a) * np.linalg.norm(b)
-            dev = np.max(np.abs(sigops.circular_convolve(a, b) - naive_circular_convolve(a, b)))
+            dev = np.max(np.abs(sigops.convolve_short(a, b) - naive_circular_convolve(a, b)))
             assert dev <= 1e-12 * scale
 
     def test_commutativity(self, rng):
@@ -43,7 +45,7 @@ class TestCircularConvolve:
             L = int(rng.integers(4, 65))
             a = complex_gaussian(rng, L)
             b = complex_gaussian(rng, L)
-            dev = np.max(np.abs(sigops.circular_convolve(a, b) - sigops.circular_convolve(b, a)))
+            dev = np.max(np.abs(sigops.convolve_short(a, b) - sigops.convolve_short(b, a)))
             assert dev <= 1e-12
 
     def test_linear_circular_agreement(self, rng):
@@ -53,16 +55,16 @@ class TestCircularConvolve:
             L = int(rng.integers(2 * K, 5 * K))
             f = complex_gaussian(rng, K)
             g = complex_gaussian(rng, K)
-            circ = sigops.circular_convolve(sigops.zero_pad(f, L), sigops.zero_pad(g, L))
+            circ = sigops.convolve_short(sigops.zero_pad(f, L), g)
             np.testing.assert_allclose(circ[: 2 * K - 1], np.convolve(f, g), atol=1e-10)
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
-            sigops.circular_convolve(np.ones(4), np.ones(5))
+            sigops.convolve_short(np.ones(4), np.ones(5))
 
     def test_rejects_nonfinite(self):
         with pytest.raises(InputError):
-            sigops.circular_convolve(np.array([1.0, np.nan]), np.ones(2))
+            sigops.convolve_short(np.array([1.0, np.nan]), np.ones(2))
 
 
 #: (M, K, L) shapes of filter stacks, with the edges K = 1, K = L and L < 3K.
@@ -98,7 +100,7 @@ class TestConvolveShort:
         rng = np.random.default_rng([M, K, L])
         x = complex_gaussian(rng, L)
         filters = complex_gaussian(rng, M, K)
-        loop = [sigops.circular_convolve(x, sigops.zero_pad(h, L)) for h in filters]
+        loop = [sigops.convolve_short(x, h) for h in filters]
         np.testing.assert_array_equal(sigops.convolve_short(x, filters), np.array(loop))
 
     @pytest.mark.parametrize("h,error", [

@@ -244,7 +244,7 @@ class TestLinearizedLs:
         K, M, D, L = 8, 3, 3, 64
         bases = gen_gaussian_subspace(K, D, M, rng)
         u, filters = gen_channels_in_subspace(bases, rng)
-        x = gen_source("flat_spectrum", L, 1.0, rng)
+        x = gen_source("flat_spectrum", L, rng)
         ys = convolve_short(x, filters)
         est = solvers.solve_linearized_ls(ys, bases)
         assert sin_angle(est.h_hat, filters) <= 1e-6
@@ -255,7 +255,7 @@ class TestLinearizedLs:
         K, M, D, L = 8, 3, 3, 64
         bases = gen_gaussian_subspace(K, D, M, rng)
         u, filters = gen_channels_in_subspace(bases, rng)
-        x = gen_source("flat_spectrum", L, 1.0, rng)
+        x = gen_source("flat_spectrum", L, rng)
         ys = convolve_short(x, filters)
         s_true = 1.0 / np.fft.fft(x)
         for m in range(M):
