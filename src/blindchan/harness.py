@@ -338,20 +338,28 @@ def spec_from_dict(raw):
     return ExperimentSpec(**fields, sweep=sweep).validate()
 
 
+def _sweep_value(param, value):
+    """A sweep value as its key's parser reads it; "noiseless" is kept as is."""
+    parsed = _SPEC_FIELDS[param][1](value)
+    return value if parsed is None else parsed
+
+
 def spec_to_dict(spec):
-    """Inverse of spec_from_dict (canonical kebab-case keys); float keys are written as
-    floats, as spec_from_dict parses them, so equal specs get one spec_hash."""
+    """Inverse of spec_from_dict (canonical kebab-case keys); float keys, and
+    sweep and grid values, are written as spec_from_dict parses them, so
+    equal specs get one spec_hash."""
     out = {key: getattr(spec, name) for key, (name, _, _) in _SPEC_FIELDS.items()}
     out["l-over-k"] = float(spec.l_over_k)
     out["percentile"] = float(spec.percentile)
     out["snr-db"] = "noiseless" if spec.snr_db is None else float(spec.snr_db)
     out["methods"] = list(spec.methods)
     if isinstance(spec.sweep, Sweep):
-        out["sweep"] = {"param": spec.sweep.param, "values": list(spec.sweep.values)}
+        values = [_sweep_value(spec.sweep.param, v) for v in spec.sweep.values]
+        out["sweep"] = {"param": spec.sweep.param, "values": values}
     elif isinstance(spec.sweep, Grid):
         out["sweep"] = {
-            "d-over-k": list(spec.sweep.d_over_k),
-            "l-over-k": list(spec.sweep.l_over_k),
+            "d-over-k": [parse_float(v) for v in spec.sweep.d_over_k],
+            "l-over-k": [parse_float(v) for v in spec.sweep.l_over_k],
         }
     return out
 

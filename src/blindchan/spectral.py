@@ -1,12 +1,14 @@
 """Hermitian eigen service.
 
-`eig_hermitian` returns the full spectrum plus the smallest eigenpair by
-shifted inverse iteration; every estimator and check reads it.  The
-spectrum comes from LAPACK (numpy.linalg.eigvalsh), which resolves the
-1e-5-scale relative gaps these matrices exhibit; only the one eigenvector
-the estimators read is ever formed.  Returned eigenvectors are
-phase-canonicalized (largest-magnitude entry made real and positive) so
-results are deterministic.
+`eig_hermitian` returns the full spectrum plus the smallest eigenpair;
+every estimator and check reads it.  Both come from one Householder
+reduction to tridiagonal form (blas.spectrum_and_min_vector): the spectrum
+from the kernels numpy.linalg.eigvalsh runs, which resolve the 1e-5-scale
+relative gaps these matrices exhibit, and the one eigenvector the
+estimators read by inverse iteration on the tridiagonal matrix, mapped back
+through the reduction.  Returned eigenvectors are phase-canonicalized
+(largest-magnitude entry made real and positive) so results are
+deterministic.
 """
 
 from dataclasses import dataclass
@@ -84,7 +86,8 @@ def _check_matrix(A):
         raise InputError("matrix contains non-finite entries")
     # (A^H + A) / 2 in one new array, Fortran-ordered as LAPACK reads it;
     # addition commutes exactly, so the bits are those of (A + A^H) / 2
-    sym = A.conj().T
+    sym = np.empty(A.shape, dtype=np.complex128, order="F")
+    np.conjugate(A.T, out=sym)
     sym += A
     sym /= 2
     return sym
@@ -93,29 +96,16 @@ def _check_matrix(A):
 def eig_hermitian(A):
     """Full spectrum and smallest eigenpair of a Hermitian matrix (dimension >= 2).
 
-    The input is symmetrized first.  Eigenvalues come from eigvalsh, sorted
-    descending.  The eigenvector of lambda_min comes from two steps of
-    inverse iteration shifted to sigma = lambda_min - 4 n eps |lambda|_max:
-    A - sigma I stays nonsingular even when A is exactly singular, and each
-    step shrinks the error by about 4 n eps |lambda|_max / gap.  A - sigma I
-    is factored once for both steps (blas.lu_solver).
+    The input is symmetrized first.  Eigenvalues are eigvalsh's, sorted
+    descending.  The eigenvector of lambda_min is found by inverse iteration
+    on the tridiagonal matrix that the spectrum's own Householder reduction
+    produced, so the O(n^3) work is done once; its residual is at roundoff
+    relative to |lambda|_max, and its error is that residual over the gap.
     """
     A = _check_matrix(A)
-    n = A.shape[0]
-    if n < 2:
+    if A.shape[0] < 2:
         raise InputError("need dimension >= 2 for the smallest eigenpair and its gap")
-    w = np.linalg.eigvalsh(A)
-    scale = max(abs(w[0]), abs(w[-1]))
-    # fixed quadratic-phase chirp start: equal-modulus entries sharing no
-    # symmetry (constant, alternating, real) with structured eigenvectors
-    k = np.arange(n)
-    v = np.exp(1j * np.pi * k * k / n) / np.sqrt(n)
-    if scale > 0:  # the zero matrix takes every vector as an eigenvector
-        A[np.diag_indices(n)] -= w[0] - 4 * n * np.finfo(float).eps * scale  # A is our copy
-        solve = blas.lu_solver(A)
-        for _ in range(2):
-            v = solve(v)
-            v /= np.linalg.norm(v)
+    w, v = blas.spectrum_and_min_vector(A)  # overwrites our copy A
     return EigenResult(eigenvalues=w[::-1], vector=canonical_phase(v))
 
 

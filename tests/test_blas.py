@@ -1,49 +1,70 @@
-"""The OpenBLAS pin around trials and the one-factorization inverse iteration."""
+"""The OpenBLAS pin around trials and the LAPACK kernels of the eigensolve."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from blindchan import blas, harness, spectral
+from blindchan.metrics import sin_angle
 from blindchan.models import complex_gaussian
 
 needs_openblas = pytest.mark.skipif(blas.LIB is None, reason="numpy bundles no scipy-openblas here")
 
 
-def two_solves(a):
-    """eig_hermitian's vector by the reference path: two np.linalg.solve calls
-    on the shifted matrix, each factoring it again."""
-    a = (a + a.conj().T) / 2
-    n = len(a)
-    w = np.linalg.eigvalsh(a)
-    k = np.arange(n)
-    v = np.exp(1j * np.pi * k * k / n) / np.sqrt(n)
-    a[np.diag_indices(n)] -= w[0] - 4 * n * np.finfo(float).eps * max(abs(w[0]), abs(w[-1]))
-    for _ in range(2):
-        v = np.linalg.solve(a, v)
-        v /= np.linalg.norm(v)
-    return spectral.canonical_phase(v)
+def test_the_bundled_library_loads():
+    # a misspelled or missing symbol makes blas._load return None without a
+    # word: every needs_openblas test would skip and trials take the fallback
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    if not list(libs.glob("libscipy_openblas64_*.so")):
+        pytest.skip("numpy bundles no scipy-openblas here")
+    assert blas.LIB is not None
 
 
-@pytest.mark.parametrize("path", ["zgetrf", "fallback"])
+@pytest.mark.parametrize("path", ["zhetrd", "fallback"])
 @pytest.mark.parametrize("n", [2, 7, 32, 96, 512, 640])
-def test_one_factorization_matches_two_solves(monkeypatch, n, path):
-    # bit for bit at one BLAS thread, where every run computes
+def test_one_reduction_matches_lapack_bit_for_bit(monkeypatch, n, path):
+    # at one BLAS thread, where every run computes: zhetrd + dsterf is what
+    # eigvalsh runs, and the fallback is one eigh
     if path == "fallback":
         monkeypatch.setattr(blas, "LIB", None)
     elif blas.LIB is None:
         pytest.skip("numpy bundles no scipy-openblas here")
     rng = np.random.default_rng(n)
     a = complex_gaussian(rng, n, n)
+    h = (a + a.conj().T) / 2
     with blas.single_thread():
-        np.testing.assert_array_equal(spectral.eig_hermitian(a).vector, two_solves(a))
+        res = spectral.eig_hermitian(a)
+        if path == "fallback":
+            w, vecs = np.linalg.eigh(h)
+            np.testing.assert_array_equal(res.vector, spectral.canonical_phase(vecs[:, 0]))
+        else:
+            w = np.linalg.eigvalsh(h)
+    np.testing.assert_array_equal(res.eigenvalues[::-1], w)
 
 
-def test_lu_solver_refuses_a_singular_matrix_like_solve():
-    a = np.diag([1.0, 0.0, 2.0]).astype(complex)
-    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-        np.linalg.solve(a, np.ones(3))
-    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-        blas.lu_solver(a)(np.ones(3))
+@needs_openblas
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e200, 1e300])
+def test_extreme_scales_keep_eigvalsh_bits_and_the_vector(scale):
+    # eigvalsh's zheevd first scales max |a_ij| into [2**-485, 2**485]; the
+    # reduction does the same, or zstein overflows at 1e200
+    a = complex_gaussian(np.random.default_rng(9), 9, 9)
+    a = (a + a.conj().T) / 2
+    with blas.single_thread():
+        res = spectral.eig_hermitian(a * scale)
+        np.testing.assert_array_equal(res.eigenvalues[::-1], np.linalg.eigvalsh(a * scale))
+    assert sin_angle(res.vector, spectral.eig_hermitian(a).vector) <= 1e-12
+
+
+def test_a_lapack_failure_names_the_routine(monkeypatch):
+    class Failing:
+        @staticmethod
+        def scipy_LAPACKE_zhetrd64_(*args):
+            return -4  # LAPACK's "argument 4 is illegal"
+
+    monkeypatch.setattr(blas, "LIB", Failing())
+    with pytest.raises(np.linalg.LinAlgError, match="zhetrd info -4"):
+        spectral.eig_hermitian(np.eye(3))
 
 
 def small_spec(**overrides):

@@ -75,6 +75,20 @@ class TestSpecRoundtrip:
         assert again == spec
         assert harness.spec_hash(again) == harness.spec_hash(spec)
 
+    def test_equal_sweeps_hash_equal(self):
+        ints = small_spec(sweep=harness.Sweep("l-over-k", (5, 10)))
+        floats = small_spec(sweep=harness.Sweep("l-over-k", (5.0, 10.0)))
+        assert ints == floats
+        assert harness.spec_hash(ints) == harness.spec_hash(floats)
+
+    def test_equal_json_grids_hash_equal(self):
+        specs = [
+            harness.spec_from_dict(point_config(sweep={"d-over-k": [0.25], "l-over-k": [lk]}))
+            for lk in (4, 4.0)
+        ]
+        assert specs[0] == specs[1]
+        assert harness.spec_hash(specs[0]) == harness.spec_hash(specs[1])
+
     def test_hash_stable_and_seed_sensitive(self):
         a = harness.spec_hash(small_spec())
         b = harness.spec_hash(small_spec())

@@ -5,7 +5,7 @@ from blindchan.checks import davis_kahan_trials
 from blindchan.exceptions import InputError
 from blindchan.metrics import sin_angle
 from blindchan.models import complex_gaussian
-from blindchan import spectral
+from blindchan import blas, spectral
 
 from conftest import make_instance, noisy_outputs
 
@@ -147,6 +147,44 @@ class TestSmallestPairOracle:
             np.testing.assert_allclose(np.abs(v), [0, 1, 0], atol=1e-14)
         if name == "identical_channels":
             assert res.degenerate
+
+
+class TestFallbackOracle(TestSmallestPairOracle):
+    """The same dense-oracle assertions on the path without scipy-openblas."""
+
+    @pytest.fixture(autouse=True)
+    def no_library(self, monkeypatch):
+        monkeypatch.setattr(blas, "LIB", None)
+
+
+class TestSplitAndRepeatedMinimum:
+    """Structured inputs: T splits into blocks, or lambda_min repeats."""
+
+    @pytest.mark.parametrize("name, degenerate", [
+        ("block_diagonal", False), ("repeated_minimum", True), ("identity", True),
+        ("zero_last", False), ("rank_one", True),
+    ])
+    def test_eigenpair(self, rng, name, degenerate):
+        if name == "block_diagonal":  # T splits, and the minimum sits in the later block
+            a = np.zeros((7, 7), dtype=complex)
+            a[:4, :4] = random_gapped_psd(rng, 4, floor=1.0)[0]
+            a[4:, 4:] = random_gapped_psd(rng, 3, floor=0.0)[0]
+        elif name == "repeated_minimum":
+            a = np.diag([3.0, 1.0, 1.0, 2.0, 1.0])
+        elif name == "identity":
+            a = np.eye(6)
+        elif name == "zero_last":
+            a = np.diag([5.0, 4.0, 3.0, 2.0, 0.0])
+        else:
+            x = complex_gaussian(rng, 6)
+            a = np.outer(x, x.conj())
+        res = spectral.eig_hermitian(a)
+        v = res.vector
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(a @ v - res.lambda_min * v) <= 1e-9 * np.linalg.norm(a)
+        assert res.degenerate == degenerate
+        if not degenerate:
+            assert sin_angle(v, np.linalg.eigh(a)[1][:, 0]) <= 1e-10
 
 
 class TestSpectralGap:
