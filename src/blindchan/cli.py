@@ -12,6 +12,7 @@ not depend on OPENBLAS_NUM_THREADS.
 
 import argparse
 import json
+import os
 import sys
 
 from . import blas, checks, harness
@@ -28,18 +29,26 @@ from .spectral import eig_hermitian
 from .xcorr import compressed_cross_corr, cross_corr_matrix
 
 def _load_config(path, seed):
-    """The JSON object in `path` with a `--seed` value (unless None) written over its
-    seed, so one key table checks both; a malformed file raises ConfigurationError naming it."""
-    with open(path) as fh:
-        try:
+    """The JSON object in `path` with a `--seed` value (unless None) written over its seed,
+    so one key table checks both; an unreadable or malformed file raises ConfigurationError."""
+    try:
+        with open(path) as fh:
             config = json.load(fh)
-        except ValueError as err:
-            raise ConfigurationError(f"{path}: not valid JSON: {err}") from None
+    except OSError as err:
+        raise ConfigurationError(f"{path}: cannot read config: {err.strerror}") from None
+    except ValueError as err:
+        raise ConfigurationError(f"{path}: not valid JSON: {err}") from None
     if not isinstance(config, dict):
         raise ConfigurationError(f"{path}: expected a JSON object, got {type(config).__name__}")
     if seed is not None:
         config["seed"] = seed
     return config
+
+
+def _check_out(path):
+    """Raise ConfigurationError naming --out unless `path` names a file in an existing folder."""
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigurationError(f"--out {path}: not a file name in an existing directory")
 
 
 def _write_provenance(out_path, result):
@@ -72,6 +81,7 @@ def cmd_gap(args):
     K, M, D = config["filter_len"], config["n_channels"], config["dim"]
     L = harness.signal_len(config["l_over_k"], K)
     harness.check_dimensions(K, M, D, L)
+    _check_out(args.out)
     streams = RngStreams(config["seed"])
 
     x = gen_source("gaussian", L, streams.stream("source"))
@@ -106,6 +116,7 @@ def cmd_run(args):
     spec = harness.spec_from_dict(_load_config(args.config, args.seed))
     if spec.shape != shape:
         raise ConfigurationError(f"expected a {shape} spec, got shape {spec.shape!r}")
+    _check_out(args.out)
     result = harness.run_experiment(spec, threads=args.threads)
     if args.format == "json":
         with open(args.out, "w", newline="") as fh:

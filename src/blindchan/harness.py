@@ -26,8 +26,7 @@ from .models import (
     SOURCES,
     RngStreams,
     add_noise,
-    bandpass_pulse,
-    default_train_size,
+    check_pca_dim,
     gen_channels_in_subspace,
     gen_gaussian_subspace,
     gen_pca_subspace,
@@ -54,12 +53,10 @@ _SOLVERS = {
 
 METHODS = tuple(_SOLVERS)
 
-#: Each basis kind's (M, K, D) bases as a function of (K, D, M, rng).
+#: Each basis kind's (M, K, D) bases as a function of (K, D, M, rng), looked up at call time.
 _BASES = {
     "gaussian": lambda K, D, M, rng: gen_gaussian_subspace(K, D, M, rng),
-    "pca": lambda K, D, M, rng: gen_pca_subspace(
-        bandpass_pulse, K, D, default_train_size(D), rng, n_channels=M
-    ),
+    "pca": lambda K, D, M, rng: gen_pca_subspace(K, D, M, rng),
 }
 
 BASES = tuple(_BASES)
@@ -233,11 +230,8 @@ class ExperimentSpec:
             K, D = cell.filter_len, cell.subspace_dim
             L = signal_len(cell.l_over_k, K, where)
             check_dimensions(K, cell.n_channels, D, L, where)
-            if cell.basis == "pca" and D >= K:
-                raise ConfigurationError(
-                    f"{where}basis 'pca' needs d < k: tap 0 of every band-pass training filter "
-                    f"is zero, so the family spans k - 1 directions; got d={D}, k={K}"
-                )
+            if cell.basis == "pca":
+                check_pca_dim(K, D, where)
             if "ls" in cell.methods and L < 2:
                 raise ConfigurationError(
                     f"{where}method 'ls' needs round(l-over-k * k) >= 2 samples, "

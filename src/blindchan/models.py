@@ -1,4 +1,4 @@
-"""Random instance generation: (M, K, D) subspace bases, channels, sources, noise.
+"""Random instance generation: bases gen_*_subspace(K, D, M, rng), channels, sources, noise.
 
 Every draw comes from a seeded substream so experiments are reproducible and
 stream-isolated: a (master seed, purpose label, trial index) triple always
@@ -57,7 +57,7 @@ def gen_gaussian_subspace(filter_len, dim, n_channels, rng):
 
 
 def bandpass_pulse(t, filter_len):
-    """Default parametric waveform: Hann-windowed complex exponential.
+    """The band-pass family's waveform: a Hann-windowed complex exponential.
 
     Compact support |t| <= K/4 and center frequency 0.25 of Nyquist
     (0.125 cycles/sample).  The compact window keeps the family's spectrum
@@ -70,41 +70,34 @@ def bandpass_pulse(t, filter_len):
     return window * np.exp(2j * np.pi * 0.125 * t)
 
 
-def sample_parametric_filter(pulse, filter_len, n, rng):
-    """n training filters as an n x K array: the pulse at a continuous random shift and
-    log-uniform amplitude, drawn shift then amplitude per filter in one call."""
+def sample_parametric_filter(filter_len, n, rng):
+    """n band-pass training filters as an n x K array: bandpass_pulse at a continuous
+    random shift and log-uniform amplitude, drawn shift then amplitude per filter in one call."""
     half = filter_len / 4.0
     shift, log_amp = rng.uniform([half, np.log(0.5)], [filter_len - half, np.log(2.0)], (n, 2)).T
     grid = np.arange(filter_len) - shift[:, None]
-    return np.exp(log_amp)[:, None] * pulse(grid, filter_len)
+    return np.exp(log_amp)[:, None] * bandpass_pulse(grid, filter_len)
 
 
-def gen_pca_subspace(pulse, filter_len, dim, n_train, rng, n_channels=1):
-    """Data-driven model: top-D eigenvectors of the training second-moment matrix.
-
-    Draws n_train filters from the parametric family, forms the K x K sample
-    second-moment matrix and keeps its D leading orthonormal eigenvectors,
-    shared by all channels of the returned (M, K, D) bases.
-    """
-    if n_train < dim:
-        raise ConfigurationError(f"need n_train >= D, got n_train={n_train}, D={dim}")
-    train = sample_parametric_filter(pulse, filter_len, n_train, rng)
-    # structural rank guard: exact zeros only, so a smooth family with tiny
-    # trailing eigenvalues still yields its full orthonormal eigenbasis
-    if np.count_nonzero(np.linalg.svd(train, compute_uv=False)) < dim:
+def check_pca_dim(filter_len, dim, where=""):
+    """Raise ConfigurationError, prefixed by `where`, unless 1 <= D < K as a PCA basis needs."""
+    if not 1 <= dim < filter_len:
         raise ConfigurationError(
-            f"training family spans fewer than D={dim} directions; "
-            "increase n_train or lower D"
+            f"{where}basis 'pca' needs d < k: tap 0 of every band-pass training filter "
+            f"is zero, so the family spans k - 1 directions; got d={dim}, k={filter_len}"
         )
-    second_moment = train.conj().T @ train / n_train
+
+
+def gen_pca_subspace(filter_len, dim, n_channels, rng):
+    """Data-driven model: the D leading orthonormal eigenvectors of the K x K second-moment
+    matrix of 50 D band-pass filters (sample_parametric_filter), shared by all M channels.
+    The matrix is conj(sum f f^H), so the basis spans the family's mirror image (centre
+    -0.125 cycles/sample)."""
+    check_pca_dim(filter_len, dim)
+    train = sample_parametric_filter(filter_len, 50 * dim, rng)
+    second_moment = train.conj().T @ train / len(train)
     _, v = np.linalg.eigh((second_moment + second_moment.conj().T) / 2)
-    basis = v[:, ::-1][:, :dim]
-    return np.repeat(basis[None, :, :], n_channels, axis=0)
-
-
-def default_train_size(dim):
-    """Training draws used for the PCA basis unless overridden."""
-    return 50 * dim
+    return np.repeat(v[None, :, ::-1][:, :, :dim], n_channels, axis=0)
 
 
 #: The names gen_channels_in_subspace and gen_source dispatch on; a spec's
@@ -170,7 +163,8 @@ def add_noise(s, sigma_w, rng):
 
 
 def sigma_for_snr(eta_target, filter_len, signal_len, n_channels, x, u):
-    """Noise variance achieving a target SNR: K ||x||^2 ||u||^2 / (M L eta)."""
+    """Noise variance achieving a target SNR: K ||x||^2 ||u||^2 / (M L eta).  K ||u||^2 is
+    the channel energy of iid CN(0, 1) bases; orthonormal (PCA) ones get 10 log10(K) dB less."""
     if eta_target <= 0:
         raise ConfigurationError(f"target SNR must be positive, got {eta_target}")
     x = as_signal(x)

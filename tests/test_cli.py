@@ -9,10 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blindchan import blas, checks, harness, xcorr
+from blindchan import blas, checks, cli, harness, xcorr
 from blindchan.cli import main
 
 REPRODUCE = Path(__file__).resolve().parent.parent / "reproduce"
+
+
+def no_work(*args):
+    raise AssertionError("a trial or eigensolve ran")
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -323,6 +327,39 @@ class TestRunCommands:
         out = tmp_path / "x.csv"
         assert main(["trial", "--config", str(tmp_path / "no.json"),
                      "--out", str(out)]) == 2
+
+    @pytest.mark.parametrize("command", ["gap", "trial"])
+    def test_unreadable_config_exits_nonzero_naming_it(self, tmp_path, capsys, monkeypatch,
+                                                       command):
+        monkeypatch.setattr(harness, "run_trial", no_work)
+        monkeypatch.setattr(cli, "eig_hermitian", no_work)
+        folder = tmp_path / "configs"
+        folder.mkdir()
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(folder), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {folder}: cannot read config")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gap", "trial", "sweep", "phase"])
+    def test_missing_out_directory_exits_nonzero_before_running(
+            self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(harness, "run_trial", no_work)
+        monkeypatch.setattr(cli, "eig_hermitian", no_work)
+        configs = {
+            "gap": {"k": 8, "m": 3, "d": 2},
+            "trial": {},
+            "sweep": {"sweep": {"param": "d", "values": [2]}},
+            "phase": {"sweep": {"d-over-k": [0.25], "l-over-k": [4]}},
+        }
+        if command == "gap":
+            cfg = tmp_path / "gap.json"
+            cfg.write_text(json.dumps(configs["gap"]))
+        else:
+            cfg = write_config(tmp_path, **configs[command])
+        for out in (tmp_path / "missing" / "out.csv", tmp_path):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+            assert f"--out {out}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_outputs_end_with_newline_and_use_dot_decimals(self, tmp_path):
         cfg = write_config(tmp_path, sweep={"param": "d", "values": [2]})

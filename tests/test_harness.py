@@ -296,6 +296,25 @@ class TestStrictSpec:
         for raw in configs:
             harness.spec_from_dict(raw)
 
+    def test_pca_spec_refused_exactly_when_the_generator_refuses(self):
+        rng = np.random.default_rng(0)
+        for k in range(1, 10):
+            for d in range(1, k + 1):
+                spec = small_spec(
+                    filter_len=k, subspace_dim=d, l_over_k=4, basis="pca", methods=("sccc",)
+                )
+                try:
+                    spec.validate()
+                    spec_ok = True
+                except ConfigurationError:
+                    spec_ok = False
+                try:
+                    harness.gen_pca_subspace(k, d, 2, rng)
+                    generator_ok = True
+                except ConfigurationError:
+                    generator_ok = False
+                assert spec_ok == generator_ok, (k, d)
+
 
 class TestRunTrial:
     def test_noiseless_all_methods_recover(self):
@@ -329,6 +348,48 @@ class TestRunTrial:
         )
         errors, _ = harness.run_trial(spec, 0)
         assert set(errors) == {"cc", "sccc"}
+
+    @pytest.mark.parametrize(
+        "basis,generator", [("gaussian", "gen_gaussian_subspace"), ("pca", "gen_pca_subspace")]
+    )
+    def test_basis_generator_is_looked_up_at_call_time(self, monkeypatch, basis, generator):
+        # the benchmark's models.basis span rebinds these module attributes
+        real = getattr(harness, generator)
+        calls = []
+
+        def recorder(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(harness, generator, recorder)
+        harness.run_trial(small_spec(filter_len=16, subspace_dim=3, basis=basis), 0)
+        assert len(calls) == 1
+        K, D, M, rng = calls[0]
+        assert (K, D, M) == (16, 3, 3)
+        assert isinstance(rng, np.random.Generator)
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP item 1: sigma_for_snr assumes E||Phi u||^2 = K ||u||^2, but PCA "
+               "bases are orthonormal, so the realized SNR is 10 log10(K) dB lower",
+    )
+    def test_pca_realized_snr_matches_its_label(self, monkeypatch):
+        # the criterion-11 cell; add_noise sees each trial's clean outputs and noise level
+        spec = small_spec(
+            filter_len=32, n_channels=16, subspace_dim=6, l_over_k=20, snr_db=40.0,
+            methods=("sccc",), basis="pca", seed=1111,
+        )
+        real = harness.add_noise
+        snr_db = []
+
+        def recorder(clean, sigma_w, rng):
+            snr_db.append(10 * np.log10(np.sum(np.abs(clean) ** 2) / (16 * 640 * sigma_w**2)))
+            return real(clean, sigma_w, rng)
+
+        monkeypatch.setattr(harness, "add_noise", recorder)
+        for trial in range(20):
+            harness.run_trial(spec, trial)
+        assert abs(np.median(snr_db) - 40.0) <= 1.0
 
 
 class TestAggregatePercentile:

@@ -54,19 +54,14 @@ class TestGaussianSubspace:
             models.gen_gaussian_subspace(4, 5, 2, rng)
 
 
-def full_support_pulse(t, filter_len):
-    """Broadband family touching every sample, for full-basis tests."""
-    return np.exp(-np.abs(t) / filter_len) * np.exp(0.5j * t)
-
-
-def per_draw_pca_basis(pulse, filter_len, dim, n_train, rng, n_channels):
-    """gen_pca_subspace with its training filters drawn one rng.uniform pair at a time."""
+def per_draw_pca_basis(filter_len, dim, n_train, rng, n_channels):
+    """gen_pca_subspace from n_train training filters drawn one rng.uniform pair at a time."""
     half = filter_len / 4.0
     rows = []
     for _ in range(n_train):
         shift = rng.uniform(half, filter_len - half)
         amp = np.exp(rng.uniform(np.log(0.5), np.log(2.0)))
-        rows.append(amp * pulse(np.arange(filter_len) - shift, filter_len))
+        rows.append(amp * models.bandpass_pulse(np.arange(filter_len) - shift, filter_len))
     train = np.stack(rows)
     second_moment = train.conj().T @ train / n_train
     _, v = np.linalg.eigh((second_moment + second_moment.conj().T) / 2)
@@ -75,56 +70,54 @@ def per_draw_pca_basis(pulse, filter_len, dim, n_train, rng, n_channels):
 
 class TestPcaSubspace:
     @pytest.mark.parametrize(
-        "filter_len,dim,n_train,seed", [(32, 6, 300, 0), (33, 5, 250, 1), (7, 3, 150, 2), (64, 8, 41, 3)]
+        "filter_len,dim,n_train,seed", [(32, 6, 300, 0), (33, 5, 250, 1), (7, 3, 150, 2), (512, 4, 200, 3)]
     )
     def test_batched_draws_match_per_draw_loop(self, filter_len, dim, n_train, seed):
-        # one uniform call for all filters consumes the stream in the per-draw order
-        pulse = models.bandpass_pulse
+        # the generator draws n_train = 50 D filters, fewer than K at (512, 4), in one
+        # uniform call that consumes the stream in the per-draw order
         batched_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        bases = models.gen_pca_subspace(pulse, filter_len, dim, n_train, batched_rng, n_channels=2)
-        want = per_draw_pca_basis(pulse, filter_len, dim, n_train, loop_rng, 2)
+        bases = models.gen_pca_subspace(filter_len, dim, 2, batched_rng)
+        want = per_draw_pca_basis(filter_len, dim, n_train, loop_rng, 2)
         np.testing.assert_array_equal(bases, want)
         np.testing.assert_array_equal(batched_rng.random(4), loop_rng.random(4))
-
-    def test_full_basis_reproduces_training(self, rng):
-        K = 16
-        bases = models.gen_pca_subspace(full_support_pulse, K, K, 200, rng)
-        fresh = models.sample_parametric_filter(full_support_pulse, K, 1, rng)[0]
-        basis = bases[0]
-        residual = fresh - basis @ (basis.conj().T @ fresh)
-        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(fresh)
 
     def test_bandpass_family_rank_is_guarded(self, rng):
         # the compact window vanishes at its boundary, so the family spans
         # strictly fewer than K directions and a full basis is impossible
-        with pytest.raises(ConfigurationError):
-            models.gen_pca_subspace(models.bandpass_pulse, 16, 16, 200, rng)
+        with pytest.raises(ConfigurationError, match="needs d < k"):
+            models.gen_pca_subspace(16, 16, 1, rng)
 
     def test_orthonormal_columns(self, rng):
-        bases = models.gen_pca_subspace(models.bandpass_pulse, 24, 6, 300, rng)
+        bases = models.gen_pca_subspace(24, 6, 1, rng)
         gram = bases[0].conj().T @ bases[0]
         np.testing.assert_allclose(gram, np.eye(6), atol=1e-10)
 
     def test_projection_residual_non_increasing_in_dim(self, rng):
         K = 32
-        fresh = models.sample_parametric_filter(models.bandpass_pulse, K, 100, rng)
+        fresh = models.sample_parametric_filter(K, 100, rng)
         residuals = []
         for dim in (2, 4, 8, 16):
-            bases = models.gen_pca_subspace(
-                models.bandpass_pulse, K, dim, 800, np.random.default_rng(5)
-            )
-            basis = bases[0]
+            basis = models.gen_pca_subspace(K, dim, 1, np.random.default_rng(5))[0]
             proj = fresh @ basis.conj() @ basis.T
             residuals.append(np.linalg.norm(fresh - proj))
         assert all(a >= b - 1e-12 for a, b in zip(residuals, residuals[1:]))
 
-    def test_shared_across_channels(self, rng):
-        bases = models.gen_pca_subspace(models.bandpass_pulse, 16, 4, 200, rng, n_channels=3)
-        np.testing.assert_array_equal(bases[0], bases[2])
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP item 1: the basis is formed from conj(sum f f^H), so it spans "
+               "the family's mirror image",
+    )
+    def test_fresh_family_draws_lie_near_the_span(self):
+        rng = np.random.default_rng(1)
+        basis = models.gen_pca_subspace(32, 6, 1, rng)[0]
+        fresh = models.sample_parametric_filter(32, 100, rng)
+        residual = fresh - (fresh @ basis.conj()) @ basis.T
+        relative = np.linalg.norm(residual, axis=1) / np.linalg.norm(fresh, axis=1)
+        assert np.median(relative) <= 0.05
 
-    def test_insufficient_training(self, rng):
-        with pytest.raises(ConfigurationError):
-            models.gen_pca_subspace(models.bandpass_pulse, 16, 8, 4, rng)
+    def test_shared_across_channels(self, rng):
+        bases = models.gen_pca_subspace(16, 4, 3, rng)
+        np.testing.assert_array_equal(bases[0], bases[2])
 
 
 class TestChannelsInSubspace:

@@ -6,7 +6,6 @@ import pytest
 from blindchan.exceptions import ConfigurationError, DimensionError, InputError
 from blindchan.metrics import sin_angle
 from blindchan.models import (
-    bandpass_pulse,
     complex_gaussian,
     gen_channels_in_subspace,
     gen_gaussian_subspace,
@@ -27,8 +26,7 @@ def bandpass_instance(seed, filter_len=32, n_channels=8, dim=6, l_over_k=10, snr
     noise variance."""
     rng = np.random.default_rng(seed)
     L = l_over_k * filter_len
-    bases = gen_pca_subspace(bandpass_pulse, filter_len, dim, 50 * dim, rng,
-                             n_channels=n_channels)
+    bases = gen_pca_subspace(filter_len, dim, n_channels, rng)
     u, filters = gen_channels_in_subspace(bases, rng)
     x = complex_gaussian(rng, L)
     noise_var = sigma_for_snr(10 ** (snr_db / 10), filter_len, L, n_channels, x, u)

@@ -79,12 +79,12 @@ def pca_dense_matrices():
     """The cc, sccc and ls matrices of one noisy K=32, M=16, D=6, L=640, 20 dB instance."""
     from blindchan import solvers
     from blindchan.models import (
-        bandpass_pulse, gen_channels_in_subspace, gen_pca_subspace, sigma_for_snr,
+        gen_channels_in_subspace, gen_pca_subspace, sigma_for_snr,
     )
 
     K, M, D, L = 32, 16, 6, 640
     rng = np.random.default_rng(640)
-    bases = gen_pca_subspace(bandpass_pulse, K, D, 50 * D, rng, n_channels=M)
+    bases = gen_pca_subspace(K, D, M, rng)
     u, filters = gen_channels_in_subspace(bases, rng)
     x = complex_gaussian(rng, L)
     noise_var = sigma_for_snr(100.0, K, L, M, x, u)
