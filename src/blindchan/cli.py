@@ -3,8 +3,9 @@
 Subcommands: gap, trial, sweep, phase, check.  Configurations are JSON files
 (kebab-case keys, documented in the README); `--seed` overrides the config
 file's seed.  The Monte Carlo commands (trial, sweep, phase) also take
-`--format` and `--threads`, which sizes the pool of forked worker processes
-(0 = auto) without affecting results, and echo their resolved spec and the
+`--format` and `--threads N`, the number of processes that run the trials:
+the calling one plus N - 1 forked workers (0 = one per CPU).  It does not
+affect results.  These commands echo their resolved spec and the
 BLAS thread setting to a `.provenance.json` sidecar next to the output.
 Every command runs with OpenBLAS pinned to one thread, so its output does
 not depend on OPENBLAS_NUM_THREADS.
@@ -155,7 +156,10 @@ def build_parser():
     for name, (text, _) in _RUNS.items():
         p_run = add_common(sub.add_parser(name, help=text))
         p_run.add_argument("--format", choices=("csv", "json"), default="csv")
-        p_run.add_argument("--threads", type=int, default=0, help="worker processes (0 = auto)")
+        p_run.add_argument(
+            "--threads", type=int, default=0,
+            help="processes running trials: this one plus N - 1 forked workers (0 = one per CPU)",
+        )
         p_run.set_defaults(fn=cmd_run)
 
     p_check = sub.add_parser("check", help="run the named invariant suite")

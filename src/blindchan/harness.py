@@ -13,6 +13,7 @@ import hashlib
 import json
 import numbers
 import os
+import pickle
 import sys
 from dataclasses import dataclass, replace
 
@@ -478,50 +479,79 @@ def _run_trials(spec, indices):
     return [run_trial(spec, i) for i in indices]
 
 
-def _fork_context():
-    """The "fork" start method: a forked worker sees this module as the caller
-    left it (a rebound run_trial, the OpenBLAS pin), where a spawned one
-    would import it afresh.  The workers fork before the pool starts a thread."""
-    import multiprocessing  # here, not at the top, like ProcessPoolExecutor
-
+def _run_forked(spec, workers):
+    """Worker w runs trials w, w + workers, ...: worker 0 in this process, each
+    other one in a forked child that pipes back the pickled (ok, outcomes or
+    exception).  A child sees this module as the caller left it (a rebound
+    run_trial, the OpenBLAS pin) and leaves by os._exit, so it never flushes
+    the caller's buffered output.  Children left running on any exit, an
+    interrupt included, are killed and reaped."""
+    shares = [range(w, spec.trials, workers) for w in range(workers)]
+    children = []  # (worker, pid, pipe read end) of every child not yet reaped
     try:
-        return multiprocessing.get_context("fork")
-    except ValueError:
-        raise ConfigurationError(
-            "threads > 1 runs trials in forked worker processes, and this platform "
-            "has no 'fork' start method; run with threads=1"
-        ) from None
+        for w in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1  # kept if the report cannot be pickled
+                try:
+                    try:
+                        report = (True, _run_trials(spec, shares[w]))
+                    except BaseException as err:  # the parent re-raises it
+                        report = (False, err)
+                    with open(write_fd, "wb") as pipe:
+                        pipe.write(pickle.dumps(report))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children.append((w, pid, open(read_fd, "rb")))
+        outcomes = [None] * spec.trials
+        outcomes[0::workers] = _run_trials(spec, shares[0])
+        while children:
+            w, pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            _, wstatus = os.waitpid(pid, 0)
+            children.pop(0)
+            if not data:
+                raise RuntimeError(f"worker {w} exited without a result (wait status {wstatus})")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            outcomes[w::workers] = value
+        return outcomes
+    finally:
+        for _, pid, pipe in children:
+            pipe.close()
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
 
 
 def run_point(spec, threads=1):
     """Run all trials of a single parameter point (the unit of parallelism).
 
     Trials run with OpenBLAS pinned to one thread (blas.single_thread).
-    threads > 1 runs them in that many forked worker processes, worker w
-    taking trials w, w + threads, ...; threads < 1 means one worker per CPU
-    (os.cpu_count()).  No more workers than trials are started, so a
-    one-trial spec runs serially.  Results are the same at any thread count.
+    threads > 1 runs them in that many processes, the calling one plus
+    threads - 1 forked workers, worker w taking trials w, w + threads, ...;
+    threads < 1 means one process per CPU (os.cpu_count()).  No more
+    processes than trials run, so a one-trial spec forks nothing.  Results
+    are the same at any thread count.
     """
     spec = _point_spec(spec).validate()
     if threads < 1:
         threads = os.cpu_count() or 1
     threads = min(threads, spec.trials)
+    if threads > 1 and not hasattr(os, "fork"):
+        raise ConfigurationError(
+            "threads > 1 runs trials in forked worker processes, and this platform "
+            "has no os.fork; run with threads=1"
+        )
     with blas.single_thread():
         if threads == 1:
             outcomes = _run_trials(spec, range(spec.trials))
         else:
-            # imported here: multiprocessing adds about 20 ms to every start of
-            # the program, and only a pool needs it
-            from concurrent.futures import ProcessPoolExecutor
-
-            outcomes = [None] * spec.trials
-            with ProcessPoolExecutor(threads, mp_context=_fork_context()) as pool:
-                chunks = [
-                    pool.submit(_run_trials, spec, range(w, spec.trials, threads))
-                    for w in range(threads)
-                ]
-                for w, chunk in enumerate(chunks):
-                    outcomes[w::threads] = chunk.result()
+            outcomes = _run_forked(spec, threads)
     errors = {m: [out[0][m] for out in outcomes] for m in spec.methods}
     degenerate = {m: [out[1][m] for out in outcomes] for m in spec.methods}
     return PointResult(spec=spec, errors=errors, degenerate=degenerate)

@@ -1,9 +1,7 @@
-import concurrent.futures
 import json
 import os
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -309,19 +307,19 @@ class TestRunCommands:
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_nonpositive_threads_means_auto(self, tmp_path, monkeypatch, value):
-        sizes = []
+        forks = []
+        fork = os.fork
 
-        class Recording(ProcessPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers, **kwargs)
+        def recording():
+            forks.append(os.getpid())
+            return fork()
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(os, "fork", recording)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         cfg = write_config(tmp_path)
         assert main(["trial", "--config", str(cfg), "--out", str(tmp_path / "t.csv"),
                      "--threads", value]) == 0
-        assert sizes == [3]
+        assert len(forks) == 2  # three processes: this one and two forked workers
 
     def test_missing_config_exits_nonzero(self, tmp_path):
         out = tmp_path / "x.csv"

@@ -1,10 +1,10 @@
-import concurrent.futures
 import importlib.util
 import json
-import multiprocessing
 import os
+import subprocess
+import sys
+import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -432,38 +432,38 @@ class TestRunPoint:
             assert point.percentile(method) == harness.aggregate_percentile(errs, 95)
 
     @staticmethod
-    def record_pool_sizes(monkeypatch):
-        """The max_workers of every process pool run_point opens, in order."""
-        sizes = []
+    def record_forks(monkeypatch):
+        """One entry per worker process run_point forks, in order."""
+        forks = []
+        fork = os.fork
 
-        class Recording(ProcessPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers, **kwargs)
+        def recording():
+            forks.append(os.getpid())
+            return fork()
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-        return sizes
+        monkeypatch.setattr(os, "fork", recording)
+        return forks
 
     @pytest.mark.parametrize("threads", [0, -2])
     def test_auto_threads_mean_one_worker_per_cpu(self, monkeypatch, threads):
-        sizes = self.record_pool_sizes(monkeypatch)
+        forks = self.record_forks(monkeypatch)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         harness.run_point(small_spec(trials=4), threads=threads)
-        assert sizes == [3]
+        assert len(forks) == 2  # three processes: this one and two forked workers
         monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: run serially
         harness.run_point(small_spec(trials=4), threads=threads)
-        assert sizes == [3]
+        assert len(forks) == 2
 
     def test_no_more_workers_than_trials(self, monkeypatch):
-        sizes = self.record_pool_sizes(monkeypatch)
+        forks = self.record_forks(monkeypatch)
         spec = small_spec(trials=2)
         assert harness.run_point(spec, threads=4).errors == harness.run_point(spec).errors
-        assert sizes == [2]
+        assert len(forks) == 1
 
     def test_one_trial_opens_no_pool(self, monkeypatch):
-        sizes = self.record_pool_sizes(monkeypatch)
+        forks = self.record_forks(monkeypatch)
         harness.run_point(small_spec(trials=1), threads=4)
-        assert sizes == []
+        assert forks == []
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_trials_see_the_callers_warning_filters(self, monkeypatch, tmp_path, threads):
@@ -485,15 +485,12 @@ class TestRunPoint:
         assert warnings.filters == before
 
     def test_pool_without_fork_is_refused_before_any_trial(self, monkeypatch):
-        def no_fork(method=None):
-            raise ValueError(f"cannot find context for {method!r}")
-
         def no_trials(*args):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        monkeypatch.delattr(os, "fork")
         monkeypatch.setattr(harness, "run_trial", no_trials)
-        with pytest.raises(ConfigurationError, match="no 'fork' start method"):
+        with pytest.raises(ConfigurationError, match="has no os.fork"):
             harness.run_point(small_spec(trials=2), threads=2)
 
     def test_pooled_run_leaves_warning_filters_alone(self):
@@ -504,6 +501,85 @@ class TestRunPoint:
         for seed in range(3):
             harness.run_point(replace(spec, seed=seed), threads=2)
             assert warnings.filters == before
+
+
+def assert_no_child_left():
+    """No child of this process is running or waiting to be reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def run_isolated(script):
+    """Run a Python script in a fresh -I interpreter that imports blindchan from src/."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return subprocess.run(
+        [sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, {src!r})\n{script}"],
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+class TestForkedWorkers:
+    def test_exception_in_a_worker_is_raised_with_its_type_and_message(self, monkeypatch):
+        trial = harness.run_trial
+
+        def odd_raises(spec, i):  # at threads=2 the odd trials run in the forked worker
+            if i % 2:
+                raise InputError(f"trial {i} is odd")
+            return trial(spec, i)
+
+        monkeypatch.setattr(harness, "run_trial", odd_raises)
+        with pytest.raises(InputError, match="^trial 1 is odd$"):
+            harness.run_point(small_spec(trials=4), threads=2)
+        assert_no_child_left()
+
+    def test_worker_that_exits_without_a_result_is_named(self, monkeypatch):
+        trial = harness.run_trial
+        caller = os.getpid()
+
+        def exits_in_worker(spec, i):
+            if os.getpid() != caller:
+                os._exit(3)
+            return trial(spec, i)
+
+        monkeypatch.setattr(harness, "run_trial", exits_in_worker)
+        exited = rf"worker 1 exited without a result \(wait status {3 << 8}\)"  # exit status 3
+        with pytest.raises(RuntimeError, match=exited):
+            harness.run_point(small_spec(trials=4), threads=2)
+        assert_no_child_left()
+
+    def test_interrupt_in_the_caller_kills_and_reaps_the_workers(self, monkeypatch):
+        caller = os.getpid()
+
+        def interrupted(spec, i):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        monkeypatch.setattr(harness, "run_trial", interrupted)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            harness.run_point(small_spec(trials=6), threads=3)
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+
+    def test_worker_never_flushes_the_callers_buffered_stdout(self):
+        result = run_isolated(
+            "from blindchan import harness\n"
+            "print('before the trials')\n"
+            "spec = harness.ExperimentSpec(filter_len=8, n_channels=3, subspace_dim=2,\n"
+            "    l_over_k=5, snr_db=20.0, trials=4, methods=('cc',), seed=77)\n"
+            "harness.run_point(spec, threads=2)\n"
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["before the trials"]
+
+    def test_importing_harness_loads_no_process_pool(self):
+        result = run_isolated(
+            "import blindchan.harness\n"
+            "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])\n"
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
 
 class TestRunSweep:
