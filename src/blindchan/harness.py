@@ -491,7 +491,12 @@ def _run_forked(spec, workers):
     try:
         for w in range(1, workers):
             read_fd, write_fd = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:  # EAGAIN at the process limit, ENOMEM
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
             if pid == 0:
                 status = 1  # kept if the report cannot be pickled
                 try:

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -35,3 +39,12 @@ def noisy_outputs(x, filters, rng, noise_var):
     """The M x L outputs of the filter stack driven by x, plus CN(0, noise_var)
     noise drawn from rng one row at a time in a single add_noise call."""
     return add_noise(convolve_short(x, filters), np.sqrt(noise_var), rng)
+
+
+def run_isolated(script):
+    """Run a Python script in a fresh -I interpreter that imports blindchan from src/."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return subprocess.run(
+        [sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, {src!r})\n{script}"],
+        capture_output=True, text=True, timeout=120,
+    )

@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 from blindchan import blas, checks, cli, harness, xcorr
 from blindchan.cli import main
+from conftest import run_isolated
 
 REPRODUCE = Path(__file__).resolve().parent.parent / "reproduce"
 
@@ -397,6 +399,70 @@ class TestRunCommands:
         main(["trial", "--config", str(cfg), "--out", str(out1), "--threads", "1"])
         main(["trial", "--config", str(cfg), "--out", str(out2), "--threads", "4"])
         assert out1.read_bytes() == out2.read_bytes()
+
+
+#: The long_filter benchmark shape (K = 512, L = 8K, one sccc solve), 3 trials.
+LONG_FILTER = {
+    "k": 512, "m": 4, "d": 8, "l-over-k": 8, "snr-db": 20, "trials": 3,
+    "methods": ["sccc"], "seed": 18,
+}
+
+
+def assert_cli_matches_a_fresh_run(tmp_path, threads):
+    """`blindchan trial` on LONG_FILTER writes the CSV and sidecar that harness.run_experiment
+    writes in a fresh interpreter that never calls cli.main (so its allocator keeps glibc's
+    defaults)."""
+    cfg = write_config(tmp_path, **LONG_FILTER)
+    out, ref = tmp_path / "cli.csv", tmp_path / "ref.csv"
+    assert main(["trial", "--config", str(cfg), "--out", str(out), "--threads", str(threads)]) == 0
+    result = run_isolated(
+        "import json\n"
+        "from blindchan import cli, harness\n"
+        f"with open({str(cfg)!r}) as fh:\n"
+        "    spec = harness.spec_from_dict(json.load(fh))\n"
+        f"result = harness.run_experiment(spec, threads={threads})\n"
+        f"harness.write_csv(result, {str(ref)!r})\n"
+        f"cli._write_provenance({str(ref)!r}, result)\n"
+    )
+    assert result.returncode == 0, result.stderr
+    assert out.read_bytes() == ref.read_bytes()
+    assert (tmp_path / "cli.csv.provenance.json").read_bytes() == (
+        tmp_path / "ref.csv.provenance.json").read_bytes()
+
+
+class TestFreedMemoryKept:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the allocator setting is glibc's")
+    def test_trials_after_the_cli_fault_in_no_pages(self, tmp_path):
+        cfg = write_config(tmp_path, **LONG_FILTER)
+        result = run_isolated(
+            "import json, resource\n"
+            "from blindchan import cli, harness\n"
+            f"cli.main(['trial', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'trials.csv')!r},\n"
+            "          '--threads', '1'])\n"
+            f"with open({str(cfg)!r}) as fh:\n"
+            "    spec = harness.spec_from_dict({**json.load(fh), 'trials': 10})\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "harness.run_point(spec)\n"
+            "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / spec.trials)\n"
+        )
+        assert result.returncode == 0, result.stderr
+        faults_per_trial = float(result.stdout.splitlines()[-1])
+        assert faults_per_trial < 16  # about 700 when glibc trims the heap after each trial
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_output_bytes_match_a_process_that_never_ran_the_cli(self, tmp_path, threads):
+        assert_cli_matches_a_fresh_run(tmp_path, threads)
+
+    def test_runs_where_libc_has_no_mallopt(self, tmp_path, monkeypatch):
+        opened = []
+
+        def libc_without_mallopt(name):
+            opened.append(name)
+            return object()
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", libc_without_mallopt)
+        assert_cli_matches_a_fresh_run(tmp_path, 1)
+        assert opened == [None]
 
 
 @pytest.mark.parametrize("command", ["gap", "trial", "sweep", "phase"])

@@ -1,8 +1,7 @@
+import errno
 import importlib.util
 import json
 import os
-import subprocess
-import sys
 import time
 import warnings
 from dataclasses import replace
@@ -13,6 +12,7 @@ import pytest
 
 from blindchan.exceptions import ConfigurationError, InputError
 from blindchan import cli, harness
+from conftest import run_isolated
 
 
 def small_spec(**overrides):
@@ -509,15 +509,6 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def run_isolated(script):
-    """Run a Python script in a fresh -I interpreter that imports blindchan from src/."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    return subprocess.run(
-        [sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, {src!r})\n{script}"],
-        capture_output=True, text=True, timeout=120,
-    )
-
-
 class TestForkedWorkers:
     def test_exception_in_a_worker_is_raised_with_its_type_and_message(self, monkeypatch):
         trial = harness.run_trial
@@ -561,6 +552,27 @@ class TestForkedWorkers:
             harness.run_point(small_spec(trials=6), threads=3)
         assert time.monotonic() - start < 30
         assert_no_child_left()
+
+    def test_failed_fork_closes_its_pipe_and_reaps_the_started_worker(self, monkeypatch):
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("no /proc/self/fd to list open descriptors")
+        fork = os.fork
+        forks = []
+
+        def fails_second():  # the process limit is hit at the second worker
+            forks.append(None)
+            if len(forks) == 2:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fails_second)
+        open_before = set(os.listdir("/proc/self/fd"))
+        with pytest.raises(OSError) as excinfo:
+            harness.run_point(small_spec(trials=6), threads=3)
+        assert excinfo.value.errno == errno.EAGAIN
+        assert len(forks) == 2
+        assert_no_child_left()
+        assert set(os.listdir("/proc/self/fd")) == open_before
 
     def test_worker_never_flushes_the_callers_buffered_stdout(self):
         result = run_isolated(
