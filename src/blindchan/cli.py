@@ -67,9 +67,13 @@ def _load_config(path, seed):
 
 
 def _check_out(path):
-    """Raise ConfigurationError naming --out unless `path` names a file in an existing folder."""
-    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+    """Raise ConfigurationError naming --out unless `path` names a file in an existing folder
+    that this process may write (and, when the file exists, may overwrite)."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.path.isdir(folder):
         raise ConfigurationError(f"--out {path}: not a file name in an existing directory")
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        raise ConfigurationError(f"--out {path}: no write access")
 
 
 def _write_provenance(out_path, result):
@@ -83,17 +87,13 @@ def _write_provenance(out_path, result):
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _optional_int(value):
-    return None if value is None else harness.parse_int(value)
-
-
-#: gap config key -> (field, parser, default or REQUIRED), parsed like a spec.
+#: gap config key -> (field, kind, default or REQUIRED), read like a spec.
 _GAP_FIELDS = {
-    "k": ("filter_len", harness.parse_int, harness.REQUIRED),
-    "m": ("n_channels", harness.parse_int, harness.REQUIRED),
-    "d": ("dim", _optional_int, None),
-    "l-over-k": ("l_over_k", harness.parse_float, 4),
-    "seed": ("seed", harness.parse_seed, 0),
+    "k": ("filter_len", harness.INT, harness.REQUIRED),
+    "m": ("n_channels", harness.INT, harness.REQUIRED),
+    "d": ("dim", harness.optional(harness.INT), None),
+    "l-over-k": ("l_over_k", harness.NUMBER, 4),
+    "seed": ("seed", harness.SEED, 0),
 }
 
 
@@ -195,7 +195,7 @@ def main(argv=None):
     try:
         with blas.single_thread():
             return args.fn(args)
-    except (BlindchanError, FileNotFoundError) as err:
+    except (BlindchanError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -11,10 +11,12 @@ the BLAS thread count either.
 
 import hashlib
 import json
+import math
 import numbers
 import os
 import pickle
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,87 +65,7 @@ _BASES = {
 BASES = tuple(_BASES)
 
 
-def _is_real(value):
-    """True for a real number other than a boolean (so a JSON string is refused)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def parse_int(value):
-    """int(value) of a real number without a fractional part."""
-    if not _is_real(value) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"not an integer: {value!r}")
-    return int(value)
-
-
-def _is_finite(value):
-    """A real number other than a boolean, NaN or +-Infinity, within float range."""
-    return _is_real(value) and abs(value) <= sys.float_info.max
-
-
-def _is_integer(value):
-    """An integer other than a boolean (a float such as 8.0 is not one)."""
-    return _is_real(value) and isinstance(value, numbers.Integral)
-
-
-def parse_float(value):
-    """float(value) of a finite real number."""
-    if not _is_finite(value):
-        raise ValueError(f"not a finite number: {value!r}")
-    return float(value)
-
-
-def parse_seed(value):
-    """parse_int(value), refusing a negative seed."""
-    if parse_int(value) < 0:
-        raise ValueError(f"negative seed: {value!r}")
-    return int(value)
-
-
-def _parse_snr(value):
-    """None for noiseless, else a finite dB value with |snr-db| <= MAX_SNR_DB."""
-    db = None if value in (None, "noiseless") else parse_float(value)
-    if db is not None and abs(db) > MAX_SNR_DB:
-        raise ValueError(f"|snr-db| above {MAX_SNR_DB}: {value!r}")
-    return db
-
-
-def _parse_list(value):
-    """A JSON list as a tuple; a string or a scalar is refused, not split."""
-    if not isinstance(value, (list, tuple)):
-        raise TypeError(f"expected a list, got {type(value).__name__}")
-    return tuple(value)
-
-
-#: Default of a key-table entry whose key must be present.
-REQUIRED = object()
-
-#: JSON key -> (ExperimentSpec field, parser, default or REQUIRED).
-_SPEC_FIELDS = {
-    "k": ("filter_len", parse_int, REQUIRED),
-    "m": ("n_channels", parse_int, REQUIRED),
-    "d": ("subspace_dim", parse_int, REQUIRED),
-    "l-over-k": ("l_over_k", parse_float, 20),
-    "snr-db": ("snr_db", _parse_snr, "noiseless"),
-    "trials": ("trials", parse_int, 200),
-    "methods": ("methods", _parse_list, ("cc", "sccc")),
-    "basis": ("basis", str, "gaussian"),
-    "source": ("source", str, "gaussian"),
-    "norm-profile": ("norm_profile", str, "flat"),
-    "percentile": ("percentile", parse_float, 95),
-    "seed": ("seed", parse_seed, 0),
-}
-
-#: What each spec field must hold, by key: a spec built in Python skips the
-#: key tables, so validate holds its fields to their rules (the range of
-#: snr-db and the names of basis, source and norm-profile are checked later).
-_FIELD_KINDS = {
-    **dict.fromkeys(("k", "m", "d", "trials", "seed"), _is_integer),
-    **dict.fromkeys(("l-over-k", "percentile"), _is_finite),
-    "snr-db": lambda value: value is None or _is_real(value),
-    "methods": lambda value: isinstance(value, (list, tuple)),
-}
-
-#: Keys a 1-D sweep may vary; each value is parsed like the key's spec value.
+#: Keys a 1-D sweep may vary; each value is read by the key's kind.
 SWEEP_PARAMS = ("d", "m", "l-over-k", "snr-db")
 
 #: Floor applied before taking log10 of a percentile error in grid output.
@@ -158,6 +80,75 @@ MAX_SIGNAL_LEN = 2**24
 MAX_SNR_DB = 300
 
 
+def _is_real(value):
+    """True for a real number other than a boolean (so a JSON string is refused)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_finite(value):
+    """A real number other than a boolean, NaN or +-Infinity, within float range."""
+    return _is_real(value) and abs(value) <= sys.float_info.max
+
+
+def _is_integer(value):
+    """An integer other than a boolean, numpy's included (a float such as 8.0 is not one)."""
+    return _is_real(value) and isinstance(value, numbers.Integral)
+
+
+def _is_whole(value):
+    """An integer, or a finite number without a fractional part such as 8.0."""
+    return _is_integer(value) or (_is_finite(value) and float(value).is_integer())
+
+
+#: The one rule of a config key: read turns a JSON value into a field value
+#: (TypeError when the value breaks the rule), holds says whether a field value
+#: meets the rule, and write gives a field value's canonical JSON value.
+Kind = namedtuple("Kind", "read holds write")
+
+
+def _kind(accepts, convert, holds=None, write=None):
+    """A Kind reading a value `accepts` passes as convert(value); a field value
+    meets holds (default accepts) and is written by write (default read)."""
+
+    def read(value):
+        if not accepts(value):
+            raise TypeError(f"bad value {value!r}")
+        return convert(value)
+
+    return Kind(read, holds or accepts, write or read)
+
+
+def _integer(low=-math.inf):
+    """Kind of an integer >= low, which a JSON number such as 8.0 reads as."""
+    return _kind(lambda v: _is_whole(v) and v >= low, int, lambda v: _is_integer(v) and v >= low)
+
+
+def optional(kind, name=None):
+    """kind, or None, which JSON null or the string `name` reads as and which
+    is written as `name`."""
+    return Kind(
+        lambda value: None if value in (None, name) else kind.read(value),
+        lambda value: value is None or kind.holds(value),
+        lambda value: name if value in (None, name) else kind.write(value),
+    )
+
+
+def _is_list(value):
+    return isinstance(value, (list, tuple))
+
+
+#: The kinds of config value: an integer (a seed is one >= 0, a trial count
+#: one >= 1), a finite number, a percentile in (0, 100], an SNR in dB (a
+#: number with |snr-db| <= MAX_SNR_DB, or None for "noiseless"), a list (read
+#: as a tuple) and a string.
+INT, SEED, COUNT = _integer(), _integer(0), _integer(1)
+NUMBER = _kind(_is_finite, float)
+PERCENTILE = _kind(lambda v: _is_finite(v) and 0 < v <= 100, float)
+SNR = optional(_kind(lambda v: _is_finite(v) and abs(v) <= MAX_SNR_DB, float), "noiseless")
+LIST = _kind(_is_list, tuple, write=list)
+TEXT = _kind(lambda v: isinstance(v, str), str)
+
+
 @dataclass(frozen=True)
 class Sweep:
     param: str
@@ -168,6 +159,64 @@ class Sweep:
 class Grid:
     d_over_k: tuple
     l_over_k: tuple
+
+
+def _read_sweep(raw):
+    """The Sweep or Grid of a JSON sweep mapping."""
+    try:
+        if "param" in raw:
+            _reject_unknown(raw, ("param", "values"), "sweep")
+            return Sweep(param=str(raw["param"]), values=LIST.read(raw["values"]))
+        if "d-over-k" in raw and "l-over-k" in raw:
+            _reject_unknown(raw, ("d-over-k", "l-over-k"), "grid")
+            return Grid(d_over_k=LIST.read(raw["d-over-k"]), l_over_k=LIST.read(raw["l-over-k"]))
+    except KeyError as missing:
+        raise ConfigurationError(f"sweep is missing required key {missing}") from None
+    except TypeError:
+        raise ConfigurationError(f"malformed sweep {raw!r}") from None
+    raise ConfigurationError("sweep must hold either {param, values} or both {d-over-k, l-over-k}")
+
+
+def _holds_sweep(sweep):
+    """A Sweep or a Grid with its values in lists or tuples."""
+    if isinstance(sweep, Sweep):
+        return _is_list(sweep.values)
+    return isinstance(sweep, Grid) and _is_list(sweep.d_over_k) and _is_list(sweep.l_over_k)
+
+
+def _write_sweep(sweep):
+    """A sweep's values as its key's kind writes them, or a grid's as numbers."""
+    if isinstance(sweep, Sweep):
+        write = _SPEC_FIELDS[sweep.param][1].write
+        return {"param": sweep.param, "values": [write(v) for v in sweep.values]}
+    return {
+        "d-over-k": [NUMBER.write(v) for v in sweep.d_over_k],
+        "l-over-k": [NUMBER.write(v) for v in sweep.l_over_k],
+    }
+
+
+#: No sweep (None), a 1-D Sweep or a 2-D Grid.
+SWEEP = optional(Kind(_read_sweep, _holds_sweep, _write_sweep))
+
+#: Default of a key-table entry whose key must be present.
+REQUIRED = object()
+
+#: JSON key -> (ExperimentSpec field, kind, default or REQUIRED).
+_SPEC_FIELDS = {
+    "k": ("filter_len", INT, REQUIRED),
+    "m": ("n_channels", INT, REQUIRED),
+    "d": ("subspace_dim", INT, REQUIRED),
+    "l-over-k": ("l_over_k", NUMBER, 20),
+    "snr-db": ("snr_db", SNR, "noiseless"),
+    "trials": ("trials", COUNT, 200),
+    "methods": ("methods", LIST, ("cc", "sccc")),
+    "basis": ("basis", TEXT, "gaussian"),
+    "source": ("source", TEXT, "gaussian"),
+    "norm-profile": ("norm_profile", TEXT, "flat"),
+    "percentile": ("percentile", PERCENTILE, 95),
+    "seed": ("seed", SEED, 0),
+    "sweep": ("sweep", SWEEP, None),
+}
 
 
 @dataclass(frozen=True)
@@ -188,14 +237,10 @@ class ExperimentSpec:
 
     def validate(self):
         """Check the spec and every cell it expands to; raise ConfigurationError."""
-        for key, holds in _FIELD_KINDS.items():
-            value = getattr(self, _SPEC_FIELDS[key][0])
-            if not holds(value):
+        for key, (name, kind, _) in _SPEC_FIELDS.items():
+            value = getattr(self, name)
+            if not kind.holds(value):
                 raise ConfigurationError(f"spec key {key!r} has a bad value {value!r}")
-        if self.trials < 1:
-            raise ConfigurationError(f"need trials >= 1, got {self.trials}")
-        if self.seed < 0:
-            raise ConfigurationError(f"need seed >= 0, got seed={self.seed}")
         if not self.methods:
             raise ConfigurationError("at least one method must be requested")
         for name, value, known in (
@@ -209,8 +254,6 @@ class ExperimentSpec:
         repeated = [m for i, m in enumerate(self.methods) if m in self.methods[:i]]
         if repeated:
             raise ConfigurationError(f"key 'methods' lists {repeated[0]!r} more than once")
-        if not 0 < self.percentile <= 100:
-            raise ConfigurationError(f"percentile must be in (0, 100], got {self.percentile}")
         if isinstance(self.sweep, Sweep):
             if self.sweep.param not in SWEEP_PARAMS:
                 raise ConfigurationError(
@@ -219,15 +262,11 @@ class ExperimentSpec:
             if not self.sweep.values:
                 raise ConfigurationError("sweep needs a nonempty value list")
         if isinstance(self.sweep, Grid):
-            numeric = all(map(_is_finite, self.sweep.d_over_k + self.sweep.l_over_k))
+            numeric = all(map(NUMBER.holds, (*self.sweep.d_over_k, *self.sweep.l_over_k)))
             if not (self.sweep.d_over_k and self.sweep.l_over_k and numeric):
                 raise ConfigurationError("grid needs nonempty numeric d-over-k and l-over-k lists")
         for label, cell in _cells(self):
             where = "" if label is None else f"sweep cell {label}: "
-            if cell.snr_db is not None and not abs(cell.snr_db) <= MAX_SNR_DB:
-                raise ConfigurationError(
-                    f"{where}need |snr-db| <= {MAX_SNR_DB}, got snr-db={cell.snr_db!r}"
-                )
             K, D = cell.filter_len, cell.subspace_dim
             L = signal_len(cell.l_over_k, K, where)
             check_dimensions(K, cell.n_channels, D, L, where)
@@ -284,38 +323,21 @@ def _reject_unknown(data, known, where):
         )
 
 
-def _parse_sweep(raw):
-    try:
-        if "param" in raw:
-            _reject_unknown(raw, ("param", "values"), "sweep")
-            return Sweep(param=str(raw["param"]), values=_parse_list(raw["values"]))
-        if "d-over-k" in raw and "l-over-k" in raw:
-            _reject_unknown(raw, ("d-over-k", "l-over-k"), "grid")
-            return Grid(
-                d_over_k=_parse_list(raw["d-over-k"]), l_over_k=_parse_list(raw["l-over-k"])
-            )
-    except KeyError as missing:
-        raise ConfigurationError(f"sweep is missing required key {missing}") from None
-    except TypeError:
-        raise ConfigurationError(f"malformed sweep {raw!r}") from None
-    raise ConfigurationError("sweep must hold either {param, values} or both {d-over-k, l-over-k}")
+def parse_keys(data, table, where):
+    """{field: value read by its kind} of a JSON mapping, by a key table.
 
-
-def parse_keys(data, table, where, extra=()):
-    """{field: parsed value} of a JSON mapping, by a key table.
-
-    table maps each key to (field, parser, default or REQUIRED); keys in
-    extra are allowed but left to the caller.  Unknown or missing keys and
-    unparsable values raise ConfigurationError naming the key.
+    table maps each key to (field, kind, default or REQUIRED).  Unknown or
+    missing keys and values a kind refuses (TypeError) raise
+    ConfigurationError naming the key.
     """
-    _reject_unknown(data, [*table, *extra], where)
+    _reject_unknown(data, table, where)
     fields = {}
-    for key, (name, parse, default) in table.items():
+    for key, (name, kind, default) in table.items():
         if key not in data and default is REQUIRED:
             raise ConfigurationError(f"{where} is missing required key {key!r}")
         try:
-            fields[name] = parse(data.get(key, default))
-        except (TypeError, ValueError, OverflowError):
+            fields[name] = kind.read(data.get(key, default))
+        except TypeError:
             raise ConfigurationError(f"{where} key {key!r} has a bad value {data[key]!r}") from None
     return fields
 
@@ -327,36 +349,14 @@ def spec_from_dict(raw):
     run with unusable dimensions raise ConfigurationError here, before a
     trial runs.
     """
-    data = dict(raw)
-    fields = parse_keys(data, _SPEC_FIELDS, "spec", extra=("sweep",))
-    sweep = None if data.get("sweep") is None else _parse_sweep(data["sweep"])
-    return ExperimentSpec(**fields, sweep=sweep).validate()
-
-
-def _sweep_value(param, value):
-    """A sweep value as its key's parser reads it; "noiseless" is kept as is."""
-    parsed = _SPEC_FIELDS[param][1](value)
-    return value if parsed is None else parsed
+    return ExperimentSpec(**parse_keys(dict(raw), _SPEC_FIELDS, "spec")).validate()
 
 
 def spec_to_dict(spec):
-    """Inverse of spec_from_dict (canonical kebab-case keys); float keys, and
-    sweep and grid values, are written as spec_from_dict parses them, so
-    equal specs get one spec_hash."""
-    out = {key: getattr(spec, name) for key, (name, _, _) in _SPEC_FIELDS.items()}
-    out["l-over-k"] = float(spec.l_over_k)
-    out["percentile"] = float(spec.percentile)
-    out["snr-db"] = "noiseless" if spec.snr_db is None else float(spec.snr_db)
-    out["methods"] = list(spec.methods)
-    if isinstance(spec.sweep, Sweep):
-        values = [_sweep_value(spec.sweep.param, v) for v in spec.sweep.values]
-        out["sweep"] = {"param": spec.sweep.param, "values": values}
-    elif isinstance(spec.sweep, Grid):
-        out["sweep"] = {
-            "d-over-k": [parse_float(v) for v in spec.sweep.d_over_k],
-            "l-over-k": [parse_float(v) for v in spec.sweep.l_over_k],
-        }
-    return out
+    """Inverse of spec_from_dict: each key as its kind writes it, so equal specs
+    get one spec_hash; a point spec has no sweep key."""
+    out = {key: kind.write(getattr(spec, name)) for key, (name, kind, _) in _SPEC_FIELDS.items()}
+    return {key: value for key, value in out.items() if value is not None}
 
 
 def spec_hash(spec):
@@ -371,10 +371,10 @@ def _point_spec(spec):
 
 
 def _apply_sweep_value(spec, param, value):
-    name, parse, _ = _SPEC_FIELDS[param]
+    name, kind, _ = _SPEC_FIELDS[param]
     try:
-        return replace(spec, **{name: parse(value)})
-    except (TypeError, ValueError, OverflowError):
+        return replace(spec, **{name: kind.read(value)})
+    except (TypeError, ValueError):
         raise ConfigurationError(f"bad {param} sweep value {value!r}") from None
 
 
@@ -553,10 +553,7 @@ def run_point(spec, threads=1):
             "has no os.fork; run with threads=1"
         )
     with blas.single_thread():
-        if threads == 1:
-            outcomes = _run_trials(spec, range(spec.trials))
-        else:
-            outcomes = _run_forked(spec, threads)
+        outcomes = _run_forked(spec, threads)
     errors = {m: [out[0][m] for out in outcomes] for m in spec.methods}
     degenerate = {m: [out[1][m] for out in outcomes] for m in spec.methods}
     return PointResult(spec=spec, errors=errors, degenerate=degenerate)

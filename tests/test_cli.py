@@ -361,6 +361,42 @@ class TestRunCommands:
             assert f"--out {out}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg]
 
+    @pytest.mark.parametrize("command", ["gap", "trial"])
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_unwritable_out_exits_nonzero_before_running(
+            self, tmp_path, capsys, monkeypatch, command, existing):
+        # permission bits do not bind root, so write access is refused by hand:
+        # to an existing output file, or else to the folder that would hold it
+        monkeypatch.setattr(harness, "run_trial", no_work)
+        monkeypatch.setattr(cli, "eig_hermitian", no_work)
+        out = tmp_path / "out.csv"
+        if existing:
+            out.write_text("kept\n")
+        access = os.access
+        denied = {str(out) if existing else str(tmp_path)}
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: (
+            str(path) not in denied and access(path, mode)))
+        if command == "gap":
+            cfg = tmp_path / "gap.json"
+            cfg.write_text(json.dumps({"k": 8, "m": 3, "d": 2}))
+        else:
+            cfg = write_config(tmp_path)
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"--out {out}: no write access" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == sorted([cfg, out] if existing else [cfg])
+        assert not existing or out.read_text() == "kept\n"
+
+    def test_write_error_after_the_run_exits_nonzero_without_a_traceback(
+            self, tmp_path, capsys, monkeypatch):
+        def refused(result, path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(harness, "write_csv", refused)
+        cfg = write_config(tmp_path, trials=1)
+        out = tmp_path / "t.csv"
+        assert main(["trial", "--config", str(cfg), "--out", str(out), "--threads", "1"]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: '{out}'\n"
+
     def test_outputs_end_with_newline_and_use_dot_decimals(self, tmp_path):
         cfg = write_config(tmp_path, sweep={"param": "d", "values": [2]})
         out = tmp_path / "sweep.csv"
@@ -547,3 +583,24 @@ class TestShippedConfigs:
         )
         assert set(spec.methods) == {"cc", "sccc", "ls"}
         assert spec.basis == "pca"
+
+
+def readme_key_tables():
+    """The keys of each `| key | meaning | default |` table in the README, in order."""
+    tables, keys = [], None
+    for line in (REPRODUCE.parent / "README.md").read_text().splitlines():
+        if line.startswith("| key |"):
+            keys = []
+            tables.append(keys)
+        elif keys is not None and line.startswith("| `"):
+            keys.append(line.split("`")[1])
+        elif not line.startswith("|"):
+            keys = None
+    return tables
+
+
+def test_readme_schema_tables_list_exactly_the_key_tables():
+    # a key added to a table is documented, and a documented key exists
+    spec_keys, gap_keys = readme_key_tables()
+    assert spec_keys == list(harness._SPEC_FIELDS)
+    assert gap_keys == list(cli._GAP_FIELDS)

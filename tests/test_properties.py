@@ -5,7 +5,7 @@ the same examples and the suite stays deterministic and fast.
 """
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -75,6 +75,34 @@ def test_spec_round_trips_through_json(spec):
     spec = spec.validate()
     raw = json.loads(json.dumps(harness.spec_to_dict(spec)))
     assert harness.spec_from_dict(raw) == spec
+
+
+def numpy_scalar(value):
+    """An int as np.int64 and a float as np.float64; anything else as it is."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return np.int64(value)
+    return np.float64(value) if isinstance(value, float) else value
+
+
+@PROPERTY
+@given(point_specs() | sweep_specs() | grid_specs())
+def test_numpy_scalar_fields_validate_and_hash_like_python_ones(spec):
+    twin = replace(spec, **{f.name: numpy_scalar(getattr(spec, f.name)) for f in fields(spec)})
+    if isinstance(spec.sweep, harness.Sweep):
+        values = tuple(map(numpy_scalar, spec.sweep.values))
+        twin = replace(twin, sweep=harness.Sweep(spec.sweep.param, values))
+    elif isinstance(spec.sweep, harness.Grid):
+        lists = (tuple(map(numpy_scalar, v)) for v in (spec.sweep.d_over_k, spec.sweep.l_over_k))
+        twin = replace(twin, sweep=harness.Grid(*lists))
+    assert isinstance(twin.filter_len, np.int64) and isinstance(twin.l_over_k, np.float64)
+    try:
+        spec.validate()
+    except ConfigurationError:  # refused with Python scalars, so with numpy ones too
+        with pytest.raises(ConfigurationError):
+            twin.validate()
+        return
+    twin.validate()
+    assert harness.spec_hash(twin) == harness.spec_hash(spec)
 
 
 # ---------------------------------------------------------------------------
