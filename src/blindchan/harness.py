@@ -9,13 +9,16 @@ Trials run with OpenBLAS pinned to one thread, so results do not depend on
 the BLAS thread count either.
 """
 
+import atexit
 import hashlib
 import json
 import math
 import numbers
 import os
 import pickle
-import sys
+import signal
+import threading
+import warnings
 from collections import namedtuple
 from dataclasses import dataclass, replace
 
@@ -46,7 +49,8 @@ from .solvers import (
 
 #: Each method's estimator as a function of one instance (observations,
 #: source, (M, K, D) bases, noise variance).  The solvers are looked up at
-#: call time, so rebinding one of this module's attributes reaches every trial.
+#: call time, so rebinding one of this module's attributes reaches every trial
+#: in this process and in the workers forked after it (see run_point).
 _SOLVERS = {
     "cc": lambda ys, x, bases, noise_var: solve_cross_conv(ys, bases.shape[1]),
     "sccc": lambda ys, x, bases, noise_var: solve_subspace_cross_conv(ys, bases, noise_var),
@@ -86,8 +90,12 @@ def _is_real(value):
 
 
 def _is_finite(value):
-    """A real number other than a boolean, NaN or +-Infinity, within float range."""
-    return _is_real(value) and abs(value) <= sys.float_info.max
+    """A real number other than a boolean, NaN or +-Infinity, within float range
+    (compared as a float, so a narrow numpy float does not overflow a cast)."""
+    try:
+        return _is_real(value) and math.isfinite(value)
+    except OverflowError:  # an integer beyond float range
+        return False
 
 
 def _is_integer(value):
@@ -306,7 +314,7 @@ def signal_len(l_over_k, filter_len, where=""):
     k > MAX_SIGNAL_LEN (L >= k), else l-over-k when L overflows or exceeds it."""
     if filter_len > MAX_SIGNAL_LEN:
         raise ConfigurationError(f"{where}key 'k' is above {MAX_SIGNAL_LEN}, so L >= k is too long")
-    length = l_over_k * filter_len
+    length = float(l_over_k) * filter_len  # a float16 product would overflow in the comparison
     if length > MAX_SIGNAL_LEN:  # an overflow to inf included
         raise ConfigurationError(
             f"{where}key 'l-over-k' gives more than {MAX_SIGNAL_LEN} samples "
@@ -479,58 +487,153 @@ def _run_trials(spec, indices):
     return [run_trial(spec, i) for i in indices]
 
 
+#: This process's forked workers, worker w at index w - 1, each as
+#: (pid, job pipe write end, result pipe read end).
+_WORKERS = []
+
+
+def _send(fd, value):
+    """Write value to a pipe as its 8-byte pickle length, then the pickle."""
+    data = pickle.dumps(value)
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def _read(fd, size):
+    """size bytes from a pipe, or fewer when its writer closes it first."""
+    data = bytearray()
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            break
+        data += chunk
+    return data
+
+
+def _receive(fd):
+    """The value _send wrote to a pipe, or None when its writer closed it first."""
+    header = _read(fd, 8)
+    size = int.from_bytes(header, "little")
+    data = _read(fd, size)
+    return pickle.loads(data) if len(header) == 8 and len(data) == size else None
+
+
+def _serve(jobs, results):
+    """A worker's loop: run each job (spec, trial indices, the caller's
+    warnings.filters) read from the jobs pipe under those filters and write
+    back (ok, outcomes or exception), until the caller closes the pipe or dies."""
+    while (job := _receive(jobs)) is not None:
+        spec, indices, filters = job
+        try:
+            with warnings.catch_warnings():
+                warnings.filters[:] = filters
+                report = (True, _run_trials(spec, indices))
+        except BaseException as err:  # the caller re-raises it
+            report = (False, err)
+        _send(results, report)
+
+
+def _fork_worker():
+    """Fork one more worker onto _WORKERS.  It ignores SIGINT (a Ctrl-C reaches
+    the caller too, which kills its workers if they are busy and keeps them if
+    not), serves jobs, reaps any workers of its own and leaves by os._exit, so
+    it never flushes the caller's buffered output."""
+    job_read, job_write = os.pipe()
+    result_read, result_write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # EAGAIN at the process limit, ENOMEM
+        for fd in (job_read, job_write, result_read, result_write):
+            os.close(fd)
+        raise
+    if pid == 0:
+        status = 1  # kept if a report cannot be pickled or sent
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            os.close(job_write)
+            os.close(result_read)
+            _serve(job_read, result_write)
+            _close_workers()
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(job_read)
+    os.close(result_write)
+    _WORKERS.append((pid, job_write, result_read))
+
+
+def _close_workers(kill=False):
+    """Empty _WORKERS: close each worker's pipes, which ends its loop, or SIGKILL
+    it when kill is true; reap it.  Returns the wait statuses in worker order."""
+    workers = _WORKERS[:]
+    _WORKERS.clear()
+    for pid, jobs, results in workers:
+        os.close(jobs)
+        os.close(results)
+        if kill:
+            os.kill(pid, signal.SIGKILL)
+    return [os.waitpid(pid, 0)[1] for pid, _, _ in workers]
+
+
+#: Held while this process's workers run a point's jobs.
+_POOL = threading.Lock()
+
+
+def _forget_workers():
+    """In any forked child: close the inherited ends of this process's worker
+    pipes, so each worker still sees EOF when its caller dies, and start an
+    empty table with a free pool."""
+    global _POOL
+    for _, jobs, results in _WORKERS:
+        os.close(jobs)
+        os.close(results)
+    _WORKERS.clear()
+    _POOL = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
+atexit.register(_close_workers)
+
+
 def _run_forked(spec, workers):
     """Worker w runs trials w, w + workers, ...: worker 0 in this process, each
-    other one in a forked child that pipes back the pickled (ok, outcomes or
-    exception).  A child sees this module as the caller left it (a rebound
-    run_trial, the OpenBLAS pin) and leaves by os._exit, so it never flushes
-    the caller's buffered output.  Children left running on any exit, an
-    interrupt included, are killed and reaped."""
+    other one in a worker process that is forked on first use and serves every
+    later call of this process (a worker left over from a larger call idles).
+    A worker keeps this module as it was when forked (a rebound run_trial, the
+    OpenBLAS pin) and takes the caller's current warnings.filters with each
+    job.  On any failure or interrupt, every worker is killed and reaped and
+    the next call forks fresh ones; at interpreter exit they are closed and
+    reaped; a worker whose caller dies without that reads EOF and exits.  A
+    point asked for while the workers are busy with another (from a second
+    thread, or from a trial of this process's share) runs serially."""
+    if workers == 1 or not _POOL.acquire(blocking=False):
+        return _run_trials(spec, range(spec.trials))
     shares = [range(w, spec.trials, workers) for w in range(workers)]
-    children = []  # (worker, pid, pipe read end) of every child not yet reaped
     try:
-        for w in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # EAGAIN at the process limit, ENOMEM
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                status = 1  # kept if the report cannot be pickled
-                try:
-                    try:
-                        report = (True, _run_trials(spec, shares[w]))
-                    except BaseException as err:  # the parent re-raises it
-                        report = (False, err)
-                    with open(write_fd, "wb") as pipe:
-                        pipe.write(pickle.dumps(report))
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write_fd)
-            children.append((w, pid, open(read_fd, "rb")))
+        while len(_WORKERS) < workers - 1:
+            _fork_worker()
+        busy = _WORKERS[: workers - 1]
+        for (_, jobs, _), share in zip(busy, shares[1:]):
+            _send(jobs, (spec, share, warnings.filters))
         outcomes = [None] * spec.trials
         outcomes[0::workers] = _run_trials(spec, shares[0])
-        while children:
-            w, pid, pipe = children[0]
-            with pipe:
-                data = pipe.read()
-            _, wstatus = os.waitpid(pid, 0)
-            children.pop(0)
-            if not data:
+        for w, (_, _, results) in enumerate(busy, 1):
+            report = _receive(results)
+            if report is None:
+                wstatus = _close_workers(kill=True)[w - 1]
                 raise RuntimeError(f"worker {w} exited without a result (wait status {wstatus})")
-            ok, value = pickle.loads(data)
+            ok, value = report
             if not ok:
                 raise value
             outcomes[w::workers] = value
         return outcomes
+    except BaseException:
+        _close_workers(kill=True)
+        raise
     finally:
-        for _, pid, pipe in children:
-            pipe.close()
-            os.kill(pid, 9)  # SIGKILL
-            os.waitpid(pid, 0)
+        _POOL.release()
 
 
 def run_point(spec, threads=1):
@@ -542,6 +645,12 @@ def run_point(spec, threads=1):
     threads < 1 means one process per CPU (os.cpu_count()).  No more
     processes than trials run, so a one-trial spec forks nothing.  Results
     are the same at any thread count.
+
+    Workers are forked on first use and serve every later point of this
+    process, so a sweep or grid forks once.  They keep the code and the
+    OpenBLAS pin they were forked with (rebind run_trial or a solver before
+    the first pooled call, or call _close_workers() after it), take the
+    caller's warnings.filters with each point, and are reaped at exit.
     """
     spec = _point_spec(spec).validate()
     if threads < 1:
@@ -582,7 +691,8 @@ _TABLES = {
         ("sweep_param", "value", "method", "p95", "median", "mean", "trials", "degenerate"),
         lambda spec, value, point: [
             (
-                spec.sweep.param, value, method, point.percentile(method), point.median(method),
+                spec.sweep.param, value.item() if isinstance(value, np.generic) else value,
+                method, point.percentile(method), point.median(method),
                 point.mean(method), point.spec.trials, point.degenerate_count(method),
             )
             for method in point.spec.methods

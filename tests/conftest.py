@@ -5,8 +5,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from blindchan import harness
 from blindchan.models import add_noise, complex_gaussian
 from blindchan.sigops import convolve_short
+
+
+@pytest.fixture(autouse=True)
+def fresh_workers():
+    """Each test starts and ends without forked trial workers: workers live for
+    the life of the process and keep the code they were forked with, so this
+    way a monkeypatch made inside a test reaches the workers that test forks."""
+    harness._close_workers()
+    yield
+    harness._close_workers()
 
 
 @pytest.fixture

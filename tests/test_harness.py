@@ -2,8 +2,10 @@ import errno
 import importlib.util
 import json
 import os
+import sys
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -177,6 +179,24 @@ class TestStrictSpec:
     def test_bad_point_rejected(self, overrides, message):
         with pytest.raises(ConfigurationError, match=message):
             harness.spec_from_dict(point_config(**overrides))
+
+    @pytest.mark.parametrize("name", ["l_over_k", "percentile", "snr_db"])
+    @pytest.mark.parametrize("value", [np.float32(5), np.float16(5)])
+    def test_narrow_numpy_floats_pass_without_a_warning(self, name, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as under python -W error
+            spec = replace(small_spec(), **{name: value}).validate()
+        assert harness.spec_hash(spec) == harness.spec_hash(small_spec(**{name: 5.0}))
+
+    @pytest.mark.parametrize("value", [
+        10**400, -(10**400), float("nan"), float("inf"), -float("inf"), np.float32("nan"), np.float32("inf"),
+    ])
+    def test_numbers_beyond_float_range_refused_without_a_warning(self, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name, key in (("l_over_k", "l-over-k"), ("percentile", "percentile")):
+                with pytest.raises(ConfigurationError, match=f"spec key '{key}' has a bad value"):
+                    replace(small_spec(), **{name: value}).validate()
 
     @pytest.mark.parametrize("snr_db", [300, -300, 300.0])
     def test_snr_bound_accepted(self, snr_db):
@@ -512,6 +532,40 @@ class TestRunPoint:
         assert all(filters == repr(before) for filters in seen)
         assert warnings.filters == before
 
+    def test_workers_are_forked_once_and_reused(self, monkeypatch, tmp_path):
+        forks = self.record_forks(monkeypatch)
+        spec = small_spec(trials=4, sweep=harness.Sweep(param="l-over-k", values=(4, 5, 6)))
+        for threads in (1, 2):
+            harness.write_csv(harness.run_experiment(spec, threads=threads), tmp_path / f"t{threads}.csv")
+        assert len(forks) == 1  # one worker serves all three cells
+        assert (tmp_path / "t2.csv").read_bytes() == (tmp_path / "t1.csv").read_bytes()
+        point = small_spec(trials=5)
+        warm = [harness.run_point(point, threads=threads) for threads in (2, 3, 2)]
+        assert len(forks) == 2  # raising threads to 3 forks one more; lowering it forks none
+        serial = harness.run_point(point)
+        assert all((r.errors, r.degenerate) == (serial.errors, serial.degenerate) for r in warm)
+
+    def test_workers_take_the_callers_filters_with_each_call(self, monkeypatch, tmp_path):
+        record = tmp_path / "filters.txt"
+        solve = harness.solve_subspace_cross_conv
+
+        def recording(*args):
+            with open(record, "a") as fh:
+                fh.write(repr(warnings.filters) + "\n")
+            return solve(*args)
+
+        monkeypatch.setattr(harness, "solve_subspace_cross_conv", recording)
+        spec = small_spec(l_over_k=2, trials=2)
+        seen = []
+        with warnings.catch_warnings():
+            for category in (DeprecationWarning, UserWarning):
+                warnings.simplefilter("ignore", category)
+                harness.run_point(spec, threads=2)
+                seen.append(repr(warnings.filters))
+        # trial 0 runs in this process, trial 1 in the worker, at each call
+        assert record.read_text().splitlines() == [seen[0], seen[0], seen[1], seen[1]]
+        assert len(harness._WORKERS) == 1
+
     def test_pool_without_fork_is_refused_before_any_trial(self, monkeypatch):
         def no_trials(*args):
             raise AssertionError("a trial ran")
@@ -535,6 +589,26 @@ def assert_no_child_left():
     """No child of this process is running or waiting to be reaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def pooled_point_script(threads):
+    """A script that runs one pooled point and prints the pids of its workers."""
+    return (
+        "from blindchan import harness\n"
+        "spec = harness.ExperimentSpec(filter_len=8, n_channels=3, subspace_dim=2,\n"
+        "    l_over_k=5, snr_db=20.0, trials=4, methods=('cc',), seed=77)\n"
+        f"harness.run_point(spec, threads={threads})\n"
+        "print(*(pid for pid, _, _ in harness._WORKERS), flush=True)\n"
+    )
+
+
+def running(pid):
+    """Whether /proc lists the process as anything but a zombie (gone counts as not)."""
+    try:
+        with open(f"/proc/{pid}/status") as fh:
+            return "\nState:\tZ" not in fh.read()
+    except FileNotFoundError:
+        return False
 
 
 class TestForkedWorkers:
@@ -602,6 +676,96 @@ class TestForkedWorkers:
         assert_no_child_left()
         assert set(os.listdir("/proc/self/fd")) == open_before
 
+    def test_forked_child_forgets_the_workers_and_closes_their_pipes(self):
+        harness.run_point(small_spec(trials=3), threads=3)
+        ends = [fd for _, jobs, results in harness._WORKERS for fd in (jobs, results)]
+        assert len(ends) == 4
+        pid = os.fork()
+        if pid == 0:
+            closed = 0
+            for fd in ends:
+                try:
+                    os.fstat(fd)
+                except OSError:
+                    closed += 1
+            os._exit(0 if closed == len(ends) and not harness._WORKERS else 1)
+        assert os.waitpid(pid, 0)[1] == 0
+        assert [fd for _, jobs, results in harness._WORKERS for fd in (jobs, results)] == ends
+
+    def test_trial_in_a_worker_can_run_a_pooled_point(self, monkeypatch, tmp_path):
+        trial = harness.run_trial
+        caller = os.getpid()
+        inner = small_spec(trials=2, seed=5)
+        expected = harness.run_point(inner).errors
+        record = tmp_path / "nested.txt"
+
+        def nested(spec, i):
+            if spec.seed != inner.seed and os.getpid() != caller:
+                assert harness.run_point(inner, threads=2).errors == expected
+                record.write_text(" ".join(str(pid) for pid, _, _ in harness._WORKERS))
+            return trial(spec, i)
+
+        monkeypatch.setattr(harness, "run_trial", nested)
+        spec = small_spec(trials=4)
+        assert harness.run_point(spec, threads=2).errors == harness.run_point(spec).errors
+        (grandchild,) = record.read_text().split()
+        harness._close_workers()
+        assert_no_child_left()
+        if os.path.isdir("/proc/self"):  # the worker reaped its own worker before it exited
+            assert not os.path.exists(f"/proc/{grandchild}")
+
+    def test_pooled_call_from_the_callers_own_share_runs_serially(self, monkeypatch):
+        trial = harness.run_trial
+        caller = os.getpid()
+        inner = small_spec(trials=4, seed=5)
+        expected = harness.run_point(inner).errors
+
+        def nested(spec, i):
+            if spec.seed != inner.seed and os.getpid() == caller:
+                assert harness.run_point(inner, threads=2).errors == expected
+            return trial(spec, i)
+
+        monkeypatch.setattr(harness, "run_trial", nested)
+        spec = small_spec(trials=4)
+        assert harness.run_point(spec, threads=2).errors == harness.run_point(spec).errors
+        assert len(harness._WORKERS) == 1
+
+    def test_pooled_points_of_several_threads_keep_their_results(self):
+        # more threads than cores, switching often: two points sharing the
+        # workers at once would swap or lose a share's outcomes
+        specs = [small_spec(trials=4, seed=seed) for seed in range(12)]
+        serial = [harness.run_point(spec).errors for spec in specs]
+        harness.run_point(specs[0], threads=2)  # fork the worker before any thread starts
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(harness.run_point, spec, threads=2) for spec in specs]
+                pooled = [future.result(timeout=60).errors for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert pooled == serial
+
+    def test_workers_are_reaped_when_the_caller_exits(self):
+        if not os.path.isdir("/proc/self"):
+            pytest.skip("no /proc to look processes up")
+        result = run_isolated(pooled_point_script(threads=3))
+        assert result.returncode == 0, result.stderr
+        pids = result.stdout.split()
+        assert len(pids) == 2
+        assert not [pid for pid in pids if os.path.exists(f"/proc/{pid}")]
+
+    def test_worker_exits_when_its_caller_dies_without_cleaning_up(self):
+        if not os.path.isdir("/proc/self"):
+            pytest.skip("no /proc to look processes up")
+        result = run_isolated(pooled_point_script(threads=2) + "import os; os._exit(0)  # no atexit\n")
+        assert result.returncode == 0, result.stderr
+        (pid,) = result.stdout.split()
+        deadline = time.monotonic() + 10
+        while running(pid) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not running(pid)
+
     def test_worker_never_flushes_the_callers_buffered_stdout(self):
         result = run_isolated(
             "from blindchan import harness\n"
@@ -629,6 +793,17 @@ class TestRunSweep:
         assert len(result.rows) == 2 * 2
         assert {r["value"] for r in result.rows} == {4, 6}
         assert all(r["sweep_param"] == "l-over-k" for r in result.rows)
+
+    @pytest.mark.parametrize("param,values", [("d", (2, 3)), ("l-over-k", (5, 6)), ("snr-db", (20,))])
+    def test_numpy_sweep_values_write_like_plain_ones(self, tmp_path, param, values):
+        plain = small_spec(trials=2, sweep=harness.Sweep(param, values))
+        twin = replace(plain, sweep=harness.Sweep(param, tuple(map(np.int64, values))))
+        results = [harness.run_experiment(spec) for spec in (plain, twin)]
+        for name, result in zip(("plain.csv", "twin.csv"), results):
+            harness.write_csv(result, tmp_path / name)
+        assert (tmp_path / "twin.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+        assert harness.result_to_json(results[1]) == harness.result_to_json(results[0])
+        assert f"{param},{values[0]},cc," in (tmp_path / "twin.csv").read_text()
 
     def test_sweep_patches_parameter(self, monkeypatch):
         cells = []

@@ -27,17 +27,23 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 
 
 @st.composite
-def point_specs(draw):
-    K = draw(st.integers(1, 64))
+def point_specs(draw, valid=True):
+    """A spec that validate accepts by construction: a PCA basis needs
+    1 <= d < k and `ls` needs L >= 2 samples, so both draw k >= 2.  With
+    valid=False, also the PCA and `ls` specs that validate refuses."""
+    methods = tuple(draw(st.lists(st.sampled_from(harness.METHODS), min_size=1, unique=True)))
+    basis = draw(st.sampled_from(harness.BASES))
+    pca = valid and basis == "pca"
+    K = draw(st.integers(2 if pca or (valid and "ls" in methods) else 1, 64))
     return harness.ExperimentSpec(
         filter_len=K,
         n_channels=draw(st.integers(2, 16)),
-        subspace_dim=draw(st.integers(1, K)),
+        subspace_dim=draw(st.integers(1, K - pca)),
         l_over_k=draw(st.floats(1, 40)),
         snr_db=draw(st.none() | st.floats(-20, 80)),
         trials=draw(st.integers(1, 1000)),
-        methods=tuple(draw(st.lists(st.sampled_from(harness.METHODS), min_size=1, unique=True))),
-        basis=draw(st.sampled_from(harness.BASES)),
+        methods=methods,
+        basis=basis,
         source=draw(st.sampled_from(harness.SOURCES)),
         norm_profile=draw(st.sampled_from(harness.NORM_PROFILES)),
         percentile=draw(st.floats(0, 100, exclude_min=True)),
@@ -46,11 +52,11 @@ def point_specs(draw):
 
 
 @st.composite
-def sweep_specs(draw):
-    spec = draw(point_specs())
+def sweep_specs(draw, valid=True):
+    spec = draw(point_specs(valid))
     param = draw(st.sampled_from(harness.SWEEP_PARAMS))
     value = {
-        "d": st.integers(1, spec.filter_len),
+        "d": st.integers(1, spec.filter_len - (valid and spec.basis == "pca")),
         "m": st.integers(2, 16),
         "l-over-k": st.floats(1, 40),
         "snr-db": st.just("noiseless") | st.floats(-20, 80),
@@ -60,10 +66,12 @@ def sweep_specs(draw):
 
 
 @st.composite
-def grid_specs(draw):
-    spec = draw(point_specs())
+def grid_specs(draw, valid=True):
+    spec = draw(point_specs(valid))
+    K = spec.filter_len
+    top = (K - 1) / K if valid and spec.basis == "pca" else 1  # round(d-over-k * k) < k for PCA
     grid = harness.Grid(
-        d_over_k=tuple(draw(st.lists(st.floats(0, 1, exclude_min=True), min_size=1, max_size=4))),
+        d_over_k=tuple(draw(st.lists(st.floats(0, top, exclude_min=True), min_size=1, max_size=4))),
         l_over_k=tuple(draw(st.lists(st.floats(1, 40), min_size=1, max_size=4))),
     )
     return replace(spec, sweep=grid)
@@ -85,7 +93,7 @@ def numpy_scalar(value):
 
 
 @PROPERTY
-@given(point_specs() | sweep_specs() | grid_specs())
+@given(point_specs(False) | sweep_specs(False) | grid_specs(False))
 def test_numpy_scalar_fields_validate_and_hash_like_python_ones(spec):
     twin = replace(spec, **{f.name: numpy_scalar(getattr(spec, f.name)) for f in fields(spec)})
     if isinstance(spec.sweep, harness.Sweep):
