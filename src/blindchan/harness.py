@@ -491,9 +491,15 @@ def _run_trials(spec, indices):
 #: (pid, job pipe write end, result pipe read end).
 _WORKERS = []
 
+#: warnings.filters as they were when the workers in _WORKERS were forked.
+_WORKER_FILTERS = []
+
 
 def _send(fd, value):
-    """Write value to a pipe as its 8-byte pickle length, then the pickle."""
+    """Write value to a pipe as its 8-byte pickle length, then the pickle.
+    The pipes are raw descriptors, not file objects: os.read and os.write take
+    no lock, so a child forked while another thread waits on a pipe can still
+    close its copy (a buffered file's lock stays held there forever)."""
     data = pickle.dumps(value)
     view = memoryview(len(data).to_bytes(8, "little") + data)
     while view:
@@ -520,15 +526,15 @@ def _receive(fd):
 
 
 def _serve(jobs, results):
-    """A worker's loop: run each job (spec, trial indices, the caller's
-    warnings.filters) read from the jobs pipe under those filters and write
-    back (ok, outcomes or exception), until the caller closes the pipe or dies."""
-    while (job := _receive(jobs)) is not None:
-        spec, indices, filters = job
+    """A worker's loop: run each job (spec, trial indices) read from the jobs
+    pipe and write back (ok, outcomes or exception), until the caller closes
+    the pipe or dies.  A job that does not unpickle here is reported too."""
+    while True:
         try:
-            with warnings.catch_warnings():
-                warnings.filters[:] = filters
-                report = (True, _run_trials(spec, indices))
+            job = _receive(jobs)
+            if job is None:
+                return
+            report = (True, _run_trials(*job))
         except BaseException as err:  # the caller re-raises it
             report = (False, err)
         _send(results, report)
@@ -602,21 +608,25 @@ def _run_forked(spec, workers):
     other one in a worker process that is forked on first use and serves every
     later call of this process (a worker left over from a larger call idles).
     A worker keeps this module as it was when forked (a rebound run_trial, the
-    OpenBLAS pin) and takes the caller's current warnings.filters with each
-    job.  On any failure or interrupt, every worker is killed and reaped and
-    the next call forks fresh ones; at interpreter exit they are closed and
-    reaped; a worker whose caller dies without that reads EOF and exits.  A
-    point asked for while the workers are busy with another (from a second
-    thread, or from a trial of this process's share) runs serially."""
+    OpenBLAS pin) and the warnings.filters it was forked with; a call whose
+    filters differ from those closes the workers and forks fresh ones.  On any
+    failure or interrupt, every worker is killed and reaped and the next call
+    forks fresh ones; at interpreter exit they are closed and reaped; a worker
+    whose caller dies without that reads EOF and exits.  A point asked for
+    while the workers are busy with another (from a second thread, or from a
+    trial of this process's share) runs serially."""
     if workers == 1 or not _POOL.acquire(blocking=False):
         return _run_trials(spec, range(spec.trials))
     shares = [range(w, spec.trials, workers) for w in range(workers)]
     try:
+        if warnings.filters != _WORKER_FILTERS:
+            _close_workers()
+            _WORKER_FILTERS[:] = warnings.filters
         while len(_WORKERS) < workers - 1:
             _fork_worker()
         busy = _WORKERS[: workers - 1]
         for (_, jobs, _), share in zip(busy, shares[1:]):
-            _send(jobs, (spec, share, warnings.filters))
+            _send(jobs, (spec, share))
         outcomes = [None] * spec.trials
         outcomes[0::workers] = _run_trials(spec, shares[0])
         for w, (_, _, results) in enumerate(busy, 1):
@@ -648,9 +658,10 @@ def run_point(spec, threads=1):
 
     Workers are forked on first use and serve every later point of this
     process, so a sweep or grid forks once.  They keep the code and the
-    OpenBLAS pin they were forked with (rebind run_trial or a solver before
-    the first pooled call, or call _close_workers() after it), take the
-    caller's warnings.filters with each point, and are reaped at exit.
+    OpenBLAS pin they were forked with, so run_trial or a solver rebound
+    after the first pooled call does not reach them.  They run under the
+    warnings.filters they were forked with; a call made under other filters
+    forks fresh workers.  They are reaped at exit.
     """
     spec = _point_spec(spec).validate()
     if threads < 1:

@@ -546,6 +546,10 @@ class TestRunPoint:
         assert all((r.errors, r.degenerate) == (serial.errors, serial.degenerate) for r in warm)
 
     def test_workers_take_the_callers_filters_with_each_call(self, monkeypatch, tmp_path):
+        class LocalWarning(UserWarning):  # a category pickle cannot name
+            pass
+
+        forks = self.record_forks(monkeypatch)
         record = tmp_path / "filters.txt"
         solve = harness.solve_subspace_cross_conv
 
@@ -558,12 +562,13 @@ class TestRunPoint:
         spec = small_spec(l_over_k=2, trials=2)
         seen = []
         with warnings.catch_warnings():
-            for category in (DeprecationWarning, UserWarning):
+            for category in (DeprecationWarning, DeprecationWarning, UserWarning, LocalWarning):
                 warnings.simplefilter("ignore", category)
                 harness.run_point(spec, threads=2)
                 seen.append(repr(warnings.filters))
         # trial 0 runs in this process, trial 1 in the worker, at each call
-        assert record.read_text().splitlines() == [seen[0], seen[0], seen[1], seen[1]]
+        assert record.read_text().splitlines() == [filters for filters in seen for _ in range(2)]
+        assert len(forks) == 3  # a call under unchanged filters forks none
         assert len(harness._WORKERS) == 1
 
     def test_pool_without_fork_is_refused_before_any_trial(self, monkeypatch):
@@ -611,7 +616,26 @@ def running(pid):
         return False
 
 
+class CallerOnly(float):
+    """A float whose pickle loads only in the process that made it."""
+
+    def __reduce__(self):
+        return (caller_only, (float(self), os.getpid()))
+
+
+def caller_only(value, pid):
+    if os.getpid() != pid:
+        raise LookupError("this value loads only in its own process")
+    return value
+
+
 class TestForkedWorkers:
+    def test_job_that_does_not_load_in_the_worker_raises_its_error(self):
+        spec = replace(small_spec(trials=2), l_over_k=CallerOnly(5))
+        with pytest.raises(LookupError, match="^this value loads only in its own process$"):
+            harness.run_point(spec, threads=2)
+        assert_no_child_left()
+
     def test_exception_in_a_worker_is_raised_with_its_type_and_message(self, monkeypatch):
         trial = harness.run_trial
 
