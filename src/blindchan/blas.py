@@ -4,9 +4,11 @@ LAPACK kernels of one Hermitian eigensolve.
 Dense kernels give different roundoff on different OpenBLAS thread counts,
 so trials run with OpenBLAS pinned to one thread (`single_thread`); that
 also keeps worker processes from oversubscribing the cores.  The same
-library gives `spectrum_and_min_vector` LAPACK's zhetrd, dsterf, zstein and
-zunmtr: one Householder reduction yields both the spectrum (the kernels
-numpy.linalg.eigvalsh runs) and the eigenvector of its smallest value.
+library gives `spectrum_and_min_vector` LAPACK's zlanhe, zhetrd, dsterf,
+zstein and zunmtr: one Householder reduction yields both the spectrum (the
+kernels numpy.linalg.eigvalsh runs) and the eigenvector of its smallest
+value, after the matrix is scaled by the zlanhe norm that eigvalsh's zheevd
+scales by.
 
 `LIB` is None when numpy does not bundle scipy-openblas (another BLAS, or
 another platform's file layout).  The pin then does nothing, runs record
@@ -21,6 +23,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from .exceptions import InputError
+
 _COL_MAJOR = 102  # LAPACK_COL_MAJOR
 _INT = ctypes.c_int64  # lapack_int of the ILP64 ("64_") build
 
@@ -33,6 +37,10 @@ _RMAX = 1 / _RMIN
 _SIGNATURES = {
     "scipy_openblas_get_num_threads64_": (ctypes.c_int, []),
     "scipy_openblas_set_num_threads64_": (None, [ctypes.c_int]),
+    # (layout, norm, uplo, n, a, lda)
+    "scipy_LAPACKE_zlanhe64_": (
+        ctypes.c_double, [ctypes.c_int, ctypes.c_char, ctypes.c_char, _INT, ctypes.c_void_p, _INT],
+    ),
     # (layout, uplo, n, a, lda, d, e, tau)
     "scipy_LAPACKE_zhetrd64_": (
         _INT, [ctypes.c_int, ctypes.c_char, _INT, ctypes.c_void_p, _INT, ctypes.c_void_p,
@@ -102,30 +110,35 @@ def _check_info(routine, info):
 def spectrum_and_min_vector(a):
     """(w, v): the ascending eigenvalues of a Hermitian matrix and a unit
     eigenvector of w[0].  `a` must be a square, Fortran-ordered complex128
-    array holding the matrix in its lower triangle; it is overwritten.
+    array holding the matrix in its lower triangle; only that triangle is
+    read, and `a` is overwritten.  A non-finite entry there raises InputError.
 
-    With the library: zhetrd('L') reduces `a` to a real tridiagonal T once.
-    dsterf on copies of T gives the spectrum, the kernels eigvalsh runs, so
-    under `single_thread` w has the bits of np.linalg.eigvalsh.  zstein
-    takes T's eigenvector at w[0] by inverse iteration on T, and zunmtr maps
-    it back through the Householder reflectors.  Without the library: one
-    np.linalg.eigh.  A nonzero LAPACK info raises np.linalg.LinAlgError.
+    With the library: zlanhe('M', 'L') gives max |a_ij|, and `a` is scaled
+    by it as zheevd scales.  zhetrd('L') reduces `a` to a real tridiagonal T
+    once.  dsterf on copies of T gives the spectrum, the kernels eigvalsh
+    runs, so under `single_thread` w has the bits of np.linalg.eigvalsh.
+    zstein takes T's eigenvector at w[0] by inverse iteration on T, and
+    zunmtr maps it back through the Householder reflectors.  Without the
+    library: one np.linalg.eigh.  A nonzero LAPACK info raises
+    np.linalg.LinAlgError.
     """
     n = a.shape[0]
     if a.shape != (n, n) or a.dtype != np.complex128 or not a.flags.f_contiguous:
         raise ValueError(f"expected a square Fortran-ordered complex128 array, got {a.shape}")
     if LIB is None:
+        if not np.all(np.isfinite(a)):
+            raise InputError("matrix contains non-finite entries")
         w, vecs = np.linalg.eigh(a)
         return w, vecs[:, 0]
-    anrm = np.abs(a).max()
+    # the norm zheevd scales by, read from the lower triangle with no n^2
+    # temporary; LAPACKE returns -5 when its NaN check trips, inf for an inf
+    anrm = LIB.scipy_LAPACKE_zlanhe64_(_COL_MAJOR, b"M", b"L", n, a.ctypes.data, n)
+    if not 0 <= anrm < np.inf:
+        raise InputError("matrix contains non-finite entries")
     if anrm == 0:  # zstein would divide by ||T|| = 0; every vector is an eigenvector
         return np.zeros(n), np.eye(n, 1, dtype=np.complex128)[:, 0]
     # zheevd's scaling of max |a_ij| into [_RMIN, _RMAX], so that w keeps
-    # eigvalsh's bits at any scale and zstein cannot overflow.  Near those
-    # bounds |a_ij| is taken with libm's hypot, as zheevd's zlanhe takes it
-    # (numpy's vectorized complex abs can differ in the last bit).
-    if not 2 * _RMIN < anrm < _RMAX / 2:
-        anrm = np.hypot(a.real, a.imag).max()
+    # eigvalsh's bits at any scale and zstein cannot overflow
     sigma = min(max(anrm, _RMIN), _RMAX) / anrm  # exactly 1 inside the bounds
     if sigma != 1:
         a *= sigma

@@ -221,7 +221,9 @@ def check_compress_vs_explicit(rng):
 
 
 def check_xcorr_hermitian_psd(rng):
-    worst_herm = 0.0
+    """The Gram is exactly Hermitian (eig_hermitian reads only its lower
+    triangle when cc hands it over) and positive semidefinite."""
+    asymmetric = 0
     worst_neg = 0.0
     for _ in range(50):
         M = int(rng.integers(2, 5))
@@ -229,13 +231,11 @@ def check_xcorr_hermitian_psd(rng):
         L = int(rng.integers(3 * K, 6 * K))
         ys = [complex_gaussian(rng, L) for _ in range(M)]
         a = xcorr.cross_corr_matrix(ys, K)
-        worst_herm = max(
-            worst_herm, np.linalg.norm(a - a.conj().T) / max(np.linalg.norm(a), 1e-30)
-        )
-        w = np.linalg.eigvalsh((a + a.conj().T) / 2)
+        asymmetric += int(np.count_nonzero(a != a.conj().T))
+        w = np.linalg.eigvalsh(a)
         worst_neg = max(worst_neg, -w[0] / w[-1])
-    ok = worst_herm <= 1e-10 and worst_neg <= 1e-10
-    return ok, f"hermitian dev {worst_herm:.2e}, min eig ratio {-worst_neg:.2e}"
+    ok = asymmetric == 0 and worst_neg <= 1e-10
+    return ok, f"entries off Hermitian {asymmetric}, min eig ratio {-worst_neg:.2e}"
 
 
 def check_noiseless_null_vector(rng):

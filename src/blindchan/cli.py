@@ -110,7 +110,7 @@ def cmd_gap(args):
 
     x = gen_source("gaussian", L, streams.stream("source"))
     h = complex_gaussian(streams.stream("channels"), M, K)
-    eig = eig_hermitian(cross_corr_matrix(convolve_short(x, h), K))
+    eig = eig_hermitian(cross_corr_matrix(convolve_short(x, h), K), overwrite_a=True)
     print(f"unconstrained gap_ratio: {eig.gap_ratio:.6e}")
 
     if D is not None:

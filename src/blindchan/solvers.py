@@ -57,7 +57,7 @@ def _normalize(h):
 
 def solve_cross_conv(ys, filter_len):
     """Classical estimator: smallest eigenvector of the cross-correlation Gram."""
-    eig = eig_hermitian(cross_corr_matrix(ys, filter_len))
+    eig = eig_hermitian(cross_corr_matrix(ys, filter_len), overwrite_a=True)
     return Estimate(
         h_hat=_normalize(eig.vector), u_hat=None, lambda_min=eig.lambda_min,
         gap_ratio=eig.gap_ratio, degenerate=eig.degenerate,

@@ -93,19 +93,25 @@ def _check_matrix(A):
     return sym
 
 
-def eig_hermitian(A):
+def eig_hermitian(A, overwrite_a=False):
     """Full spectrum and smallest eigenpair of a Hermitian matrix (dimension >= 2).
 
-    The input is symmetrized first.  Eigenvalues are eigvalsh's, sorted
-    descending.  The eigenvector of lambda_min is found by inverse iteration
-    on the tridiagonal matrix that the spectrum's own Householder reduction
-    produced, so the O(n^3) work is done once; its residual is at roundoff
-    relative to |lambda|_max, and its error is that residual over the gap.
+    The input is copied and symmetrized first.  With overwrite_a=True a
+    caller that owns an exactly Hermitian, Fortran-ordered complex128 array
+    (xcorr.cross_corr_matrix's Gram) hands that buffer over instead: no copy
+    and no symmetrize pass, only its lower triangle is read, and it is
+    destroyed.  Any other buffer raises ValueError there.  Eigenvalues are
+    eigvalsh's, sorted descending.  The eigenvector of lambda_min is found by
+    inverse iteration on the tridiagonal matrix that the spectrum's own
+    Householder reduction produced, so the O(n^3) work is done once; its
+    residual is at roundoff relative to |lambda|_max, and its error is that
+    residual over the gap.
     """
-    A = _check_matrix(A)
+    if not overwrite_a:
+        A = _check_matrix(A)
     if A.shape[0] < 2:
         raise InputError("need dimension >= 2 for the smallest eigenpair and its gap")
-    w, v = blas.spectrum_and_min_vector(A)  # overwrites our copy A
+    w, v = blas.spectrum_and_min_vector(A)  # overwrites A
     return EigenResult(eigenvalues=w[::-1], vector=canonical_phase(v))
 
 

@@ -85,8 +85,12 @@ def cross_corr_matrix(ys, filter_len):
 
     Block (n, n) is the sum of the self-correlation blocks of all other
     channels; block (n, m) for n != m is minus the (m, n) cross-correlation
-    block.  Returns the Hermitian MK x MK matrix, equal to
-    cross_relation_matrix(ys, K)^H @ cross_relation_matrix(ys, K).
+    block.  Returns the MK x MK matrix cross_relation_matrix(ys, K)^H @
+    cross_relation_matrix(ys, K) as a Fortran-ordered complex128 array that
+    is exactly Hermitian, so that spectral.eig_hermitian can take it with
+    overwrite_a=True: the off-diagonal blocks are placed as the conjugate
+    pairs they are, and each diagonal block D is stored as (D^H + D) / 2,
+    the bits spectral's symmetrization gives it.
     """
     ys = _check_channels(ys, filter_len)
     M, L = ys.shape
@@ -94,17 +98,37 @@ def cross_corr_matrix(ys, filter_len):
     # Correlation block (a, b) = T_{y_a}^H T_{y_b} is the top-left K x K corner
     # of the circulant C_a^H C_b, whose (i, j) entry is r[(i-j) mod L] with
     # r = ifft(conj(fft(a)) * fft(b)); block (b, a) is its conjugate transpose.
+    # The M(M-1)/2 blocks with a < b are allocated before the spectra and
+    # correlations, so that these, once freed, leave one free run at the heap
+    # top, where the Gram is then allocated.
+    blocks = np.empty((M * (M - 1) // 2, K, K), dtype=np.complex128)
     a, b, spectra = _pair_spectra(ys)
+    corr = np.fft.ifft(spectra, axis=1)
+    del spectra
     idx = (np.arange(K)[:, None] - np.arange(K)[None, :]) % L
-    blocks = np.fft.ifft(spectra, axis=1)[:, idx]
-    del spectra  # free before the Gram is assembled
-    out = np.empty((M, K, M, K), dtype=np.complex128)
-    out[a, :, b] = -blocks.conj().transpose(0, 2, 1)
-    out[b, :, a] = -blocks
-    self_blocks = blocks[a == b]
+    pair = np.flatnonzero(a != b)
+    diag = corr[np.flatnonzero(a == b)[:, None, None], idx]
+    diag = diag.sum(axis=0) - diag
+    # block (n, n) transposed, (D^H + D)^T / 2, which is how g stores it
+    herm = np.conjugate(diag)
+    herm += diag.transpose(0, 2, 1)
+    herm /= 2
+    del diag
+    # blocks[i] = corr[pair[i]][idx]; mode="clip" writes straight into blocks
+    np.take(corr, pair[:, None, None] * L + idx, out=blocks, mode="clip")
+    del corr  # free before the Gram is allocated
+    np.negative(blocks, out=blocks)
+    a, b = a[pair], b[pair]
+    # the Gram is built transposed in g, a C-ordered view of the Fortran-ordered
+    # result: g[m, q, n, p] is entry (n K + p, m K + q), so g[m, :, n] holds
+    # block (n, m) transposed
+    out = np.empty((M * K, M * K), dtype=np.complex128, order="F")
+    g = out.T.reshape(M, K, M, K)
+    g[a, :, b] = blocks.transpose(0, 2, 1)  # block (b, a) = -B_ab
+    g[b, :, a] = np.conjugate(blocks, out=blocks)  # block (a, b) = -B_ab^H
     n = np.arange(M)
-    out[n, :, n] = self_blocks.sum(axis=0) - self_blocks
-    return out.reshape(M * K, M * K)
+    g[n, :, n] = herm
+    return out
 
 
 def compressed_cross_corr(ys, bases):

@@ -59,6 +59,10 @@ def test_extreme_scales_keep_eigvalsh_bits_and_the_vector(scale):
 def test_a_lapack_failure_names_the_routine(monkeypatch):
     class Failing:
         @staticmethod
+        def scipy_LAPACKE_zlanhe64_(*args):
+            return 1.0  # max |a_ij| of the identity
+
+        @staticmethod
         def scipy_LAPACKE_zhetrd64_(*args):
             return -4  # LAPACK's "argument 4 is illegal"
 

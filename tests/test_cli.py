@@ -15,7 +15,7 @@ from conftest import run_isolated
 REPRODUCE = Path(__file__).resolve().parent.parent / "reproduce"
 
 
-def no_work(*args):
+def no_work(*args, **kwargs):
     raise AssertionError("a trial or eigensolve ran")
 
 

@@ -91,9 +91,9 @@ def pca_dense_matrices():
     ys = noisy_outputs(x, filters, rng, noise_var)
     captured = []
 
-    def capture(a):
+    def capture(a, overwrite_a=False):
         captured.append(np.array(a))
-        return spectral.eig_hermitian(a)
+        return spectral.eig_hermitian(a, overwrite_a=overwrite_a)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solvers, "eig_hermitian", capture)
@@ -155,6 +155,72 @@ class TestFallbackOracle(TestSmallestPairOracle):
     @pytest.fixture(autouse=True)
     def no_library(self, monkeypatch):
         monkeypatch.setattr(blas, "LIB", None)
+
+
+def hermitian(rng, n, scale=1.0):
+    """An exactly Hermitian n x n matrix with entries of size `scale`."""
+    a = complex_gaussian(rng, n, n)
+    return (a + a.conj().T) / 2 * scale
+
+
+class TestOverwrite:
+    """overwrite_a=True: the caller's exactly Hermitian Fortran-ordered buffer
+    goes to the reduction with no copy and gives the copying path's bits."""
+
+    @pytest.fixture(params=["zhetrd", "fallback"])
+    def path(self, request, monkeypatch):
+        if request.param == "fallback":
+            monkeypatch.setattr(blas, "LIB", None)
+        elif blas.LIB is None:
+            pytest.skip("numpy bundles no scipy-openblas here")
+        return request.param
+
+    def assert_same_bits(self, a):
+        buffer = np.asfortranarray(a)
+        with blas.single_thread():
+            want = spectral.eig_hermitian(a)
+            got = spectral.eig_hermitian(buffer, overwrite_a=True)
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert got.vector.tobytes() == want.vector.tobytes()
+        return buffer
+
+    @pytest.mark.parametrize("n", [2, 7, 32, 96, 512])
+    def test_same_bits_as_the_copying_path(self, path, n):
+        self.assert_same_bits(hermitian(np.random.default_rng(n), n))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e200, 1e300])
+    def test_same_bits_at_extreme_scales(self, path, scale):
+        # the scales of test_blas's eigvalsh pin, where the zlanhe norm scales a
+        self.assert_same_bits(hermitian(np.random.default_rng(9), 9, scale))
+
+    def test_the_gram_of_cc_is_taken_as_it_is_built(self, rng):
+        from blindchan.xcorr import cross_corr_matrix
+
+        gram = cross_corr_matrix(complex_gaussian(rng, 4, 40), 8)
+        assert self.assert_same_bits(gram) is gram  # Fortran-ordered: handed over as built
+        if blas.LIB is not None:
+            assert not np.array_equal(gram, gram.conj().T)  # the reduction wrote into it
+
+    @pytest.mark.parametrize("buffer", [
+        lambda a: np.ascontiguousarray(a),
+        lambda a: np.asfortranarray(a.astype(np.complex64)),
+        lambda a: np.asfortranarray(a.real),
+    ], ids=["c_ordered", "complex64", "float64"])
+    def test_refuses_a_buffer_it_cannot_take(self, path, buffer):
+        a = buffer(hermitian(np.random.default_rng(3), 5))
+        with pytest.raises(ValueError, match="Fortran-ordered complex128"):
+            spectral.eig_hermitian(a, overwrite_a=True)
+
+    @pytest.mark.parametrize("entry, value", [
+        ((0, 0), np.nan), ((0, 0), np.inf), ((2, 2), complex(1, np.nan)), ((3, 1), np.nan),
+        ((3, 1), -np.inf), ((4, 2), complex(1, np.nan)), ((4, 2), complex(0, np.inf)),
+    ])
+    def test_refuses_a_non_finite_lower_triangle(self, path, entry, value):
+        # with its NaN check on, LAPACKE's zlanhe returns -5, not NaN
+        a = np.asfortranarray(hermitian(np.random.default_rng(4), 5))
+        a[entry] = value
+        with pytest.raises(InputError, match="non-finite"):
+            spectral.eig_hermitian(a, overwrite_a=True)
 
 
 class TestSplitAndRepeatedMinimum:

@@ -65,7 +65,10 @@ class TestCrossCorrMatrix:
     @pytest.mark.parametrize("M,K,L", [(2, 1, 1), (3, 7, 29), (4, 32, 64), (16, 32, 640)])
     def test_equals_per_pair_block_assembly(self, rng, M, K, L):
         # reference: one FFT correlation per channel pair, the pairs below the
-        # diagonal mirrored, each Gram block written on its own
+        # diagonal mirrored, each Gram block written on its own, then
+        # symmetrized as spectral's copying path does: the off-diagonal blocks
+        # are conjugate pairs already, and each diagonal block D becomes
+        # (D + D^H) / 2
         ys = complex_gaussian(rng, M, L)
         fhat = [np.fft.fft(y) for y in ys]
         idx = (np.arange(K)[:, None] - np.arange(K)[None, :]) % L
@@ -80,7 +83,7 @@ class TestCrossCorrMatrix:
             for m in range(M):
                 block = diag_sum - blocks[m, m] if n == m else -blocks[m, n]
                 want[n * K : (n + 1) * K, m * K : (m + 1) * K] = block
-        np.testing.assert_array_equal(xcorr.cross_corr_matrix(ys, K), want)
+        np.testing.assert_array_equal(xcorr.cross_corr_matrix(ys, K), (want + want.conj().T) / 2)
 
     def test_noiseless_smallest_eigenvalue(self, rng):
         _, _, _, _, ys = make_instance(rng, 4, 6, 24)
@@ -103,7 +106,8 @@ class TestCrossCorrMatrix:
             L = int(rng.integers(3 * K, 6 * K))
             ys = [complex_gaussian(rng, L) for _ in range(M)]
             a = xcorr.cross_corr_matrix(ys, K)
-            assert np.linalg.norm(a - a.conj().T) <= 1e-10 * np.linalg.norm(a)
+            assert a.flags.f_contiguous and a.dtype == np.complex128
+            np.testing.assert_array_equal(a, a.conj().T)
             w = np.linalg.eigvalsh((a + a.conj().T) / 2)
             assert w[0] >= -1e-10 * w[-1]
 
@@ -155,9 +159,9 @@ class TestCompressedCrossCorr:
         bases, _, _, _, ys = make_instance(rng, M, K, L, dim=D, noise_var=noise_var)
         seen = []
 
-        def recording(matrix):
+        def recording(matrix, overwrite_a=False):
             seen.append(matrix)
-            return eig_hermitian(matrix)
+            return eig_hermitian(matrix, overwrite_a=overwrite_a)
 
         monkeypatch.setattr(solvers, "eig_hermitian", recording)
         solvers.solve_subspace_cross_conv(ys, bases, noise_var)
