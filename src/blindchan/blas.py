@@ -117,8 +117,10 @@ def spectrum_and_min_vector(a):
     by it as zheevd scales.  zhetrd('L') reduces `a` to a real tridiagonal T
     once.  dsterf on copies of T gives the spectrum, the kernels eigvalsh
     runs, so under `single_thread` w has the bits of np.linalg.eigvalsh.
-    zstein takes T's eigenvector at w[0] by inverse iteration on T, and
-    zunmtr maps it back through the Householder reflectors.  Without the
+    zstein takes T's eigenvector at w[0] by inverse iteration on T (both
+    scaled back to about unit norm by a power of 2 when `a` was scaled, or
+    the iteration overflows), and zunmtr maps it back through the
+    Householder reflectors.  Without the
     library: one np.linalg.eigh.  A nonzero LAPACK info raises
     np.linalg.LinAlgError.
     """
@@ -132,33 +134,46 @@ def spectrum_and_min_vector(a):
         return w, vecs[:, 0]
     # the norm zheevd scales by, read from the lower triangle with no n^2
     # temporary; LAPACKE returns -5 when its NaN check trips, inf for an inf
-    anrm = LIB.scipy_LAPACKE_zlanhe64_(_COL_MAJOR, b"M", b"L", n, a.ctypes.data, n)
+    a_ptr = a.ctypes.data
+    anrm = LIB.scipy_LAPACKE_zlanhe64_(_COL_MAJOR, b"M", b"L", n, a_ptr, n)
     if not 0 <= anrm < np.inf:
         raise InputError("matrix contains non-finite entries")
     if anrm == 0:  # zstein would divide by ||T|| = 0; every vector is an eigenvector
         return np.zeros(n), np.eye(n, 1, dtype=np.complex128)[:, 0]
     # zheevd's scaling of max |a_ij| into [_RMIN, _RMAX], so that w keeps
-    # eigvalsh's bits at any scale and zstein cannot overflow
+    # eigvalsh's bits at any scale
     sigma = min(max(anrm, _RMIN), _RMAX) / anrm  # exactly 1 inside the bounds
     if sigma != 1:
         a *= sigma
-    d = np.empty(n)
-    e = np.zeros(n)  # zhetrd sets n - 1 entries; zstein's NaN check reads n
-    tau = np.empty(max(n - 1, 1), dtype=np.complex128)
+    # one buffer per dtype, each pointer read once.  real holds n entries
+    # each of T's diagonal d and off-diagonal e (zhetrd sets n - 1; zstein's
+    # NaN check reads n), the spectrum w, dsterf's copy of e, and zstein's
+    # eigenvalue followed by zeros (LAPACKE's NaN check reads n); cplx holds
+    # tau and the vector v; ints zstein's iblock, isplit and ifail, with T
+    # declared as one block
+    real = np.zeros(5 * n)
+    cplx = np.empty(2 * n, dtype=np.complex128)  # tau needs max(n - 1, 1) <= n
+    ints = np.array([1, n, 0], dtype=np.int64)
+    r_ptr, c_ptr, i_ptr = real.ctypes.data, cplx.ctypes.data, ints.ctypes.data
+    d_ptr, e_ptr, w_ptr, s_ptr, w0_ptr = (r_ptr + 8 * n * k for k in range(5))
+    tau_ptr, v_ptr = c_ptr, c_ptr + 16 * n
     _check_info("zhetrd", LIB.scipy_LAPACKE_zhetrd64_(
-        _COL_MAJOR, b"L", n, a.ctypes.data, n, d.ctypes.data, e.ctypes.data, tau.ctypes.data))
-    w, scratch = d.copy(), e.copy()
-    _check_info("dsterf", LIB.scipy_LAPACKE_dsterf64_(n, w.ctypes.data, scratch.ctypes.data))
-    # one vector, of the eigenvalue w[0], with T declared as one block
-    iblock = np.ones(1, dtype=np.int64)
-    isplit = np.full(1, n, dtype=np.int64)
-    ifail = np.zeros(1, dtype=np.int64)
-    v = np.empty(n, dtype=np.complex128)
+        _COL_MAJOR, b"L", n, a_ptr, n, d_ptr, e_ptr, tau_ptr))
+    real[2 * n : 4 * n] = real[: 2 * n]  # w = d, scratch = e
+    _check_info("dsterf", LIB.scipy_LAPACKE_dsterf64_(n, w_ptr, s_ptr))
+    # zstein's inverse iteration overflows near 2**485 (n >= 64), so it
+    # takes T and w[0] scaled back to about unit norm by a power of 2, which
+    # is exact: inside the bounds its input is unchanged
+    unit = 1.0
+    if sigma != 1:
+        unit = _RMIN if sigma < 1 else _RMAX
+        real[: 2 * n] *= unit
+    real[4 * n] = real[2 * n] * unit
     _check_info("zstein", LIB.scipy_LAPACKE_zstein64_(
-        _COL_MAJOR, n, d.ctypes.data, e.ctypes.data, 1, w.ctypes.data, iblock.ctypes.data,
-        isplit.ctypes.data, v.ctypes.data, n, ifail.ctypes.data))
+        _COL_MAJOR, n, d_ptr, e_ptr, 1, w0_ptr, i_ptr, i_ptr + 8, v_ptr, n, i_ptr + 16))
     _check_info("zunmtr", LIB.scipy_LAPACKE_zunmtr64_(
-        _COL_MAJOR, b"L", b"L", b"N", n, 1, a.ctypes.data, n, tau.ctypes.data, v.ctypes.data, n))
+        _COL_MAJOR, b"L", b"L", b"N", n, 1, a_ptr, n, tau_ptr, v_ptr, n))
+    w = real[2 * n : 3 * n]
     if sigma != 1:
         w *= 1 / sigma
-    return w, v
+    return w, cplx[n:]

@@ -11,7 +11,7 @@ import hashlib
 
 import numpy as np
 
-from . import harness, metrics, sigops, spectral, xcorr
+from . import harness, metrics, sigops, solvers, spectral, xcorr
 from .models import complex_gaussian, sigma_for_snr
 
 #: Master seed of every check's random stream.
@@ -238,6 +238,26 @@ def check_xcorr_hermitian_psd(rng):
     return ok, f"entries off Hermitian {asymmetric}, min eig ratio {-worst_neg:.2e}"
 
 
+def check_debiased_gram_hermitian(rng):
+    """The matrix sccc eigendecomposes is exactly Hermitian and Fortran-ordered
+    complex128, noiseless and debiased alike (eig_hermitian reads only its
+    lower triangle when sccc hands it over)."""
+    asymmetric = 0
+    not_fortran = 0
+    for i in range(50):
+        M = int(rng.integers(2, 5))
+        K = int(rng.integers(2, 9))
+        D = int(rng.integers(1, K + 1))
+        L = int(rng.integers(K, 6 * K))
+        ys = complex_gaussian(rng, M, L)
+        bases = complex_gaussian(rng, M, K, D)
+        a = solvers.debiased_compressed_gram(ys, bases, 0.0 if i % 2 else float(rng.random()))
+        asymmetric += int(np.count_nonzero(a != a.conj().T))
+        not_fortran += not (a.flags.f_contiguous and a.dtype == np.complex128)
+    ok = asymmetric == 0 and not_fortran == 0
+    return ok, f"entries off Hermitian {asymmetric}, not Fortran-ordered complex128 {not_fortran}"
+
+
 def check_noiseless_null_vector(rng):
     """Noiseless Gram annihilates the true channels and has a 1-D null space."""
     worst_null = 0.0
@@ -396,6 +416,7 @@ FAST_CHECKS = (
     ("xcorr_fast_vs_explicit", check_xcorr_fast_vs_explicit),
     ("compress_vs_explicit", check_compress_vs_explicit),
     ("xcorr_hermitian_psd", check_xcorr_hermitian_psd),
+    ("debiased_gram_hermitian", check_debiased_gram_hermitian),
     ("noiseless_null_vector", check_noiseless_null_vector),
     ("eig_reconstruction", check_eig_reconstruction),
     ("shift_invariance", check_shift_invariance),

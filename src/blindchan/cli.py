@@ -36,8 +36,9 @@ from .models import (
     gen_source,
 )
 from .sigops import convolve_short
+from .solvers import debiased_compressed_gram
 from .spectral import eig_hermitian
-from .xcorr import compressed_cross_corr, cross_corr_matrix
+from .xcorr import cross_corr_matrix
 
 def _keep_freed_memory():
     """Have glibc's malloc serve blocks up to 32 MiB (the 64-bit ceiling of its mmap
@@ -116,7 +117,8 @@ def cmd_gap(args):
     if D is not None:
         bases = gen_gaussian_subspace(K, D, M, streams.stream("basis"))
         _, filters = gen_channels_in_subspace(bases, streams.stream("subspace-channels"))
-        eig = eig_hermitian(compressed_cross_corr(convolve_short(x, filters), bases))
+        ys = convolve_short(x, filters)
+        eig = eig_hermitian(debiased_compressed_gram(ys, bases, 0.0), overwrite_a=True)
         print(f"subspace-constrained gap_ratio (d={D}): {eig.gap_ratio:.6e}")
 
     spectrum = eig.eigenvalues / eig.lambda_max

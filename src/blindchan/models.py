@@ -35,9 +35,15 @@ class RngStreams:
 
 
 def complex_gaussian(rng, *shape, var=1.0):
-    """iid CN(0, var) array of the given shape."""
+    """iid CN(0, var) array of the given shape: one draw of all real parts, then
+    all imaginary parts, each scaled by sqrt(var / 2) straight into the result's
+    parts (the bits of scale * (re + 1j * im), without its temporaries)."""
     scale = np.sqrt(var / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    z = rng.standard_normal((2, *shape))
+    out = np.empty(shape, dtype=np.complex128)
+    np.multiply(z[0], scale, out=out.real)
+    np.multiply(z[1], scale, out=out.imag)
+    return out
 
 
 def apply_bases(bases, u):
@@ -149,7 +155,9 @@ def gen_source(kind, signal_len, rng):
 
 def add_noise(s, sigma_w, rng):
     """Add iid CN(0, sigma_w^2) noise to a signal or an M x L array in one draw, real then
-    imaginary parts row by row as M one-row calls would; sigma_w = 0 adds none."""
+    imaginary parts row by row as M one-row calls would; sigma_w = 0 adds none.  The scaled
+    draws are added to a copy's real and imaginary parts in place, the bits of
+    s + scale * (re + 1j * im) without its temporaries."""
     s = np.asarray(s, dtype=np.complex128)
     if s.ndim not in (1, 2):
         raise InputError(f"signal must be a vector or an M x L array, got shape {s.shape}")
@@ -159,7 +167,11 @@ def add_noise(s, sigma_w, rng):
     if sigma_w == 0:
         return s.copy()
     z = rng.standard_normal((*s.shape[:-1], 2, s.shape[-1]))
-    return s + np.sqrt(sigma_w**2 / 2.0) * (z[..., 0, :] + 1j * z[..., 1, :])
+    z *= np.sqrt(sigma_w**2 / 2.0)
+    out = s.copy()
+    out.real += z[..., 0, :]
+    out.imag += z[..., 1, :]
+    return out
 
 
 def sigma_for_snr(eta_target, filter_len, signal_len, n_channels, x, u):

@@ -74,14 +74,29 @@ def debiased_compressed_gram(ys, bases, noise_var):
     noise_var*(M-1)*L*I: each diagonal block shifted by its basis Gram.  At
     noise_var = 0 it is the compressed Gram of clean outputs, the unperturbed
     side of spectral.davis_kahan_check.
+
+    Returned as a Fortran-ordered complex128 array that is exactly
+    Hermitian, so that spectral.eig_hermitian can take it with
+    overwrite_a=True: the off-diagonal blocks come as conjugate pairs, and
+    each shifted diagonal block B is stored as (B^H + B) / 2, the bits
+    spectral's symmetrization gives it.
     """
     compressed = compressed_cross_corr(ys, bases)  # checks ys against the bases
     M, _, D = bases.shape
+    # a C-ordered view of the Fortran-ordered matrix: g[m, q, n, p] is entry
+    # (n D + p, m D + q), so g[n, :, n] holds diagonal block n transposed
+    g = compressed.T.reshape(M, D, M, D)
+    n = np.arange(M)
+    diag = g[n, :, n]
     shift = noise_gram_mean(M, len(ys[0]), noise_var)
     if shift != 0:
-        block = np.arange(M * D).reshape(M, D)
         grams = bases.conj().swapaxes(1, 2) @ bases
-        compressed[block[:, :, None], block[:, None, :]] -= shift * grams
+        diag -= (shift * grams).swapaxes(1, 2)
+    # (B^H + B)^T / 2 = (conj(B) + B^T) / 2, added in spectral's order
+    herm = np.conjugate(diag.swapaxes(1, 2))
+    herm += diag
+    herm /= 2
+    g[n, :, n] = herm
     return compressed
 
 
@@ -89,10 +104,11 @@ def solve_subspace_cross_conv(ys, bases, noise_var):
     """Subspace-constrained estimator with noise debias.
 
     The smallest eigenvector of debiased_compressed_gram, mapped back
-    through the bases.  noise_var is an explicit input: it must be known or
-    estimated deliberately, never guessed silently.
+    through the bases; the matrix is handed to the eigensolve without a
+    copy.  noise_var is an explicit input: it must be known or estimated
+    deliberately, never guessed silently.
     """
-    eig = eig_hermitian(debiased_compressed_gram(ys, bases, noise_var))
+    eig = eig_hermitian(debiased_compressed_gram(ys, bases, noise_var), overwrite_a=True)
     return Estimate(
         h_hat=_normalize(apply_bases(bases, eig.vector).reshape(-1)), u_hat=eig.vector,
         lambda_min=eig.lambda_min, gap_ratio=eig.gap_ratio, degenerate=eig.degenerate,
@@ -100,7 +116,16 @@ def solve_subspace_cross_conv(ys, bases, noise_var):
 
 
 def solve_oracle_ls(ys, x, bases):
-    """Non-blind baseline: per-channel least squares with the source known exactly."""
+    """Non-blind baseline: per-channel least squares with the source known exactly.
+
+    Channel m's L x D design A_m holds the source convolved with each basis
+    column of channel m.  One stacked QR factors every [A_m | y_m] at once:
+    its triangular factor holds R_m of A_m = Q_m R_m and, in its last column,
+    Q_m^H y_m, so u_m solves R_m u_m = Q_m^H y_m and Q_m is never formed.
+    The singular values of R_m are those of A_m: a design whose smallest is
+    at most 1e-12 times its largest is refused as rank deficient, naming the
+    first such channel.
+    """
     M, K, D = bases.shape
     ys = _check_channels(ys, K, M)
     x = as_signal(x)
@@ -109,15 +134,18 @@ def solve_oracle_ls(ys, x, bases):
         raise DimensionError(f"source length {len(x)} differs from signal length {L}")
     # row m * D + d is the source convolved with basis column d of channel m
     designs = convolve_short(x, bases.transpose(0, 2, 1).reshape(M * D, K)).reshape(M, D, L)
-    u_hat = np.zeros((M, D), dtype=np.complex128)
-    for m, design in enumerate(designs):
-        u_hat[m], _, _, svals = np.linalg.lstsq(design.T, ys[m], rcond=None)
-        if svals[-1] <= svals[0] * 1e-12:
-            raise ConfigurationError(
-                f"channel {m}: source/basis design matrix is rank deficient "
-                f"(smallest singular value {svals[-1]:.3e})"
-            )
-    u_flat = u_hat.reshape(-1)
+    augmented = np.concatenate([designs, ys[:, None]], axis=1).swapaxes(1, 2)  # M x L x (D + 1)
+    r = np.linalg.qr(augmented, mode="r")
+    r, qhy = r[:, :D, :D], r[:, :D, D:]
+    svals = np.linalg.svd(r, compute_uv=False)
+    deficient = np.flatnonzero(svals[:, -1] <= svals[:, 0] * 1e-12)
+    if len(deficient):
+        m = deficient[0]
+        raise ConfigurationError(
+            f"channel {m}: source/basis design matrix is rank deficient "
+            f"(smallest singular value {svals[m, -1]:.3e})"
+        )
+    u_flat = np.linalg.solve(r, qhy).reshape(-1)
     return Estimate(
         h_hat=_normalize(apply_bases(bases, u_flat).reshape(-1)), u_hat=u_flat, lambda_min=0.0,
         gap_ratio=np.nan, degenerate=False,

@@ -98,7 +98,8 @@ def eig_hermitian(A, overwrite_a=False):
 
     The input is copied and symmetrized first.  With overwrite_a=True a
     caller that owns an exactly Hermitian, Fortran-ordered complex128 array
-    (xcorr.cross_corr_matrix's Gram) hands that buffer over instead: no copy
+    (xcorr.cross_corr_matrix's Gram, solvers.debiased_compressed_gram's
+    matrix) hands that buffer over instead: no copy
     and no symmetrize pass, only its lower triangle is read, and it is
     destroyed.  Any other buffer raises ValueError there.  Eigenvalues are
     eigvalsh's, sorted descending.  The eigenvector of lambda_min is found by

@@ -148,7 +148,9 @@ def compressed_cross_corr(ys, bases):
     DFTs (none when L <= 2K) and one D x N by N x (M-n)D product per channel
     n, about M^2 D^2 N multiply-adds at M*N*D memory, with the lower blocks
     mirrored; the MK x MK Gram is never formed.  Equals
-    block_diag(bases)^H cross_corr_matrix(ys, K) block_diag(bases).
+    block_diag(bases)^H cross_corr_matrix(ys, K) block_diag(bases), returned
+    Fortran-ordered as LAPACK reads it; the off-diagonal blocks are exact
+    conjugate pairs, the diagonal blocks Hermitian only to roundoff.
     """
     bases = np.asarray(bases, dtype=np.complex128)
     if bases.ndim != 3:
@@ -175,7 +177,7 @@ def compressed_cross_corr(ys, bases):
     weights[starts] = (self_spectra.sum(axis=0) - self_spectra) / N
     phat = np.fft.fft(np.ascontiguousarray(bases.transpose(0, 2, 1)), n=N, axis=2)  # M x D x N
     rest = np.empty_like(phat)
-    out = np.empty((M * D, M * D), dtype=np.complex128)
+    out = np.empty((M * D, M * D), dtype=np.complex128, order="F")
     for n, start in enumerate(starts):
         row = slice(n * D, (n + 1) * D)
         np.multiply(weights[start : start + M - n, None, :], phat[n:], out=rest[n:])

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blindchan import blas, harness, spectral
+from blindchan import blas, harness, solvers, spectral
 from blindchan.metrics import sin_angle
 from blindchan.models import complex_gaussian
 
@@ -44,16 +44,33 @@ def test_one_reduction_matches_lapack_bit_for_bit(monkeypatch, n, path):
 
 
 @needs_openblas
-@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e200, 1e300])
-def test_extreme_scales_keep_eigvalsh_bits_and_the_vector(scale):
+@pytest.mark.parametrize("scale, n", [
+    pytest.param(scale, n, id=f"{scale:g}" if n == 9 else f"{scale:g}-n{n}")
+    for n in (9, 64, 512) for scale in (1e-300, 1e-160, 1e150, 1e200, 1e300)
+])
+def test_extreme_scales_keep_eigvalsh_bits_and_the_vector(scale, n):
     # eigvalsh's zheevd first scales max |a_ij| into [2**-485, 2**485]; the
-    # reduction does the same, or zstein overflows at 1e200
-    a = complex_gaussian(np.random.default_rng(9), 9, 9)
+    # reduction does the same, or zstein overflows at 1e200.  At n >= 64 zstein
+    # also overflows at 2**485 itself unless it is handed T scaled back to
+    # about unit norm
+    a = complex_gaussian(np.random.default_rng(9), n, n)
     a = (a + a.conj().T) / 2
     with blas.single_thread():
         res = spectral.eig_hermitian(a * scale)
         np.testing.assert_array_equal(res.eigenvalues[::-1], np.linalg.eigvalsh(a * scale))
+    assert np.all(np.isfinite(res.vector))
     assert sin_angle(res.vector, spectral.eig_hermitian(a).vector) <= 1e-12
+
+
+@needs_openblas
+def test_cc_recovers_outputs_of_extreme_scale():
+    # outputs at 1e75 give a Gram near 1e150 * L, where the eigensolve scales
+    ys = complex_gaussian(np.random.default_rng(4), 4, 64)
+    with blas.single_thread():
+        want = solvers.solve_cross_conv(ys, 32)
+        got = solvers.solve_cross_conv(ys * 1e75, 32)
+    assert np.all(np.isfinite(got.h_hat))
+    assert sin_angle(got.h_hat, want.h_hat) <= 1e-9
 
 
 def test_a_lapack_failure_names_the_routine(monkeypatch):

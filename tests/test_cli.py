@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blindchan import blas, checks, cli, harness, xcorr
+from blindchan import blas, checks, cli, harness, solvers, xcorr
 from blindchan.cli import main
 from conftest import run_isolated
 
@@ -84,6 +84,20 @@ class TestGapCommand:
         phi = checks.block_diag(bases)
         congruence = phi.conj().T @ xcorr.cross_corr_matrix(ys, K) @ phi
         np.testing.assert_allclose(w, normalized_spectrum(congruence), rtol=0, atol=1e-12)
+
+    def test_hand_over_keeps_the_copying_paths_dump(self, tmp_path, monkeypatch):
+        # both Grams go to LAPACK without a copy; the dump is byte for byte the
+        # one of the unsymmetrized compressed Gram through the copying path
+        cfg = tmp_path / "gap.json"
+        cfg.write_text(json.dumps({"k": 16, "m": 4, "d": 5, "l-over-k": 3, "seed": 11}))
+        fast, slow = tmp_path / "fast.txt", tmp_path / "slow.txt"
+        assert main(["gap", "--config", str(cfg), "--out", str(fast)]) == 0
+        eig_hermitian = cli.eig_hermitian
+        monkeypatch.setattr(cli, "eig_hermitian", lambda a, overwrite_a=False: eig_hermitian(a))
+        monkeypatch.setattr(cli, "debiased_compressed_gram",
+                            lambda ys, bases, noise_var: xcorr.compressed_cross_corr(ys, bases))
+        assert main(["gap", "--config", str(cfg), "--out", str(slow)]) == 0
+        assert fast.read_bytes() == slow.read_bytes()
 
     @pytest.mark.parametrize("config,key", [
         ({"k": 8, "m": 3, "dd": 2, "seed": 1}, "'dd'"),
@@ -559,6 +573,18 @@ class TestCheckCommand:
 
         monkeypatch.setattr(xcorr, "compressed_cross_corr", flipped)
         ok, _ = checks.check_compress_vs_explicit(rng)
+        assert not ok
+
+    @pytest.mark.parametrize("corrupt", [
+        np.ascontiguousarray,
+        lambda a: a + np.eye(len(a), k=-1) * 1e-12,
+    ], ids=["c_ordered", "asymmetric"])
+    def test_injected_unfit_debiased_gram_is_caught(self, monkeypatch, rng, corrupt):
+        # mutation test: a debiased Gram sccc could not hand over fails the check
+        original = solvers.debiased_compressed_gram
+        monkeypatch.setattr(solvers, "debiased_compressed_gram",
+                            lambda ys, bases, noise_var: corrupt(original(ys, bases, noise_var)))
+        ok, _ = checks.check_debiased_gram_hermitian(rng)
         assert not ok
 
 

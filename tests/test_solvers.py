@@ -16,7 +16,7 @@ from blindchan.models import (
 )
 from blindchan.sigops import convolve_short
 from blindchan.spectral import EigenResult, canonical_phase
-from blindchan.xcorr import cross_corr_matrix
+from blindchan.xcorr import compressed_cross_corr, cross_corr_matrix, noise_gram_mean
 from blindchan import solvers
 
 from conftest import make_instance, noisy_outputs
@@ -160,7 +160,8 @@ class TestOracleLs:
 
     @pytest.mark.parametrize("M,K,D,L", [(3, 7, 3, 29), (4, 32, 8, 64)])
     def test_equals_per_channel_padded_reference(self, M, K, D, L):
-        # reference: each basis block zero-padded and transformed on its own
+        # reference: each basis block zero-padded and transformed on its own,
+        # solved by lstsq; the stacked QR solve agrees to roundoff
         rng = np.random.default_rng(M * L)
         bases = gen_gaussian_subspace(K, D, M, rng)
         x = complex_gaussian(rng, L)
@@ -171,13 +172,13 @@ class TestOracleLs:
             design = np.fft.ifft(np.fft.fft(x)[:, None] * np.fft.fft(padded, axis=0), axis=0)
             u.append(np.linalg.lstsq(design, ys[m], rcond=None)[0])
         est = solvers.solve_oracle_ls(ys, x, bases)
-        np.testing.assert_array_equal(est.u_hat, np.concatenate(u))
+        np.testing.assert_allclose(est.u_hat, np.concatenate(u), rtol=1e-12)
 
     def test_rank_deficient_design_rejected(self, rng):
         bases, _, _, x, ys = make_instance(rng, 3, 8, 40, dim=3)
         broken = bases.copy()
         broken[1][:, 2] = 0.0  # kill one basis column
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="channel 1"):
             solvers.solve_oracle_ls(ys, x, broken)
 
 
@@ -340,16 +341,55 @@ def test_estimator_matches_full_eigh_reference(monkeypatch, method):
 
 
 def time_domain_compression(ys, bases):
-    """Block congruence of the materialized MK x MK Gram with the model bases."""
+    """Block congruence of the materialized MK x MK Gram with the model bases,
+    Fortran-ordered as compressed_cross_corr returns it."""
     M, K, D = bases.shape
     gram = cross_corr_matrix(ys, K)
-    out = np.zeros((M * D, M * D), dtype=np.complex128)
+    out = np.zeros((M * D, M * D), dtype=np.complex128, order="F")
     for n in range(M):
         for m in range(M):
             out[n * D : (n + 1) * D, m * D : (m + 1) * D] = (
                 bases[n].conj().T @ gram[n * K : (n + 1) * K, m * K : (m + 1) * K] @ bases[m]
             )
     return out
+
+
+def copying_debiased_gram(ys, bases, noise_var):
+    """The debiased compressed Gram as it was before the hand-over: each diagonal
+    block shifted in place and none symmetrized, for the copying eigensolve."""
+    out = compressed_cross_corr(ys, bases)
+    M, _, D = bases.shape
+    grams = bases.conj().swapaxes(1, 2) @ bases
+    shift = noise_gram_mean(M, len(ys[0]), noise_var)
+    for n in range(M):
+        block = slice(n * D, (n + 1) * D)
+        out[block, block] -= shift * grams[n]
+    return out
+
+
+#: (bases, observations, noise variance) of sccc instances: a PCA basis, and
+#: Gaussian bases at L = 2K (no lag window) and L = 8K (wrapped lag window)
+SCCC_INSTANCES = {
+    "pca": lambda: (lambda b, _h, _x, ys, nv: (b, ys, nv))(*bandpass_instance(81, snr_db=20.0)),
+    "gaussian_short": lambda: gaussian_instance(82, 32, 4, 8, 2, 20.0),
+    "gaussian_long": lambda: gaussian_instance(83, 16, 3, 4, 8, 20.0),
+}
+
+
+@pytest.mark.parametrize("debiased", [False, True], ids=["noise_var_0", "noise_var_positive"])
+@pytest.mark.parametrize("kind", sorted(SCCC_INSTANCES))
+def test_sccc_hand_over_keeps_the_copying_paths_bytes(monkeypatch, kind, debiased):
+    # the Gram built exactly Hermitian and handed to LAPACK without a copy gives
+    # every output byte of the unsymmetrized Gram through the copying path
+    bases, ys, noise_var = SCCC_INSTANCES[kind]()
+    noise_var = noise_var if debiased else 0.0
+    fast = solvers.solve_subspace_cross_conv(ys, bases, noise_var)
+    eig_hermitian = solvers.eig_hermitian
+    monkeypatch.setattr(solvers, "debiased_compressed_gram", copying_debiased_gram)
+    monkeypatch.setattr(solvers, "eig_hermitian", lambda a, overwrite_a=False: eig_hermitian(a))
+    slow = solvers.solve_subspace_cross_conv(ys, bases, noise_var)
+    for field in ("h_hat", "u_hat", "lambda_min", "gap_ratio", "degenerate"):
+        assert np.asarray(getattr(fast, field)).tobytes() == np.asarray(getattr(slow, field)).tobytes()
 
 
 def gaussian_instance(seed, filter_len, n_channels, dim, l_over_k, snr_db):

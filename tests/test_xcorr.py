@@ -160,7 +160,7 @@ class TestCompressedCrossCorr:
         seen = []
 
         def recording(matrix, overwrite_a=False):
-            seen.append(matrix)
+            seen.append(matrix.copy())  # the eigensolve destroys a buffer handed over
             return eig_hermitian(matrix, overwrite_a=overwrite_a)
 
         monkeypatch.setattr(solvers, "eig_hermitian", recording)
