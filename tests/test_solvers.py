@@ -355,8 +355,8 @@ def time_domain_compression(ys, bases):
 
 
 def copying_debiased_gram(ys, bases, noise_var):
-    """The debiased compressed Gram as it was before the hand-over: each diagonal
-    block shifted in place and none symmetrized, for the copying eigensolve."""
+    """The debiased compressed Gram with each diagonal block shifted in place and
+    none symmetrized, which the copying eigensolve symmetrizes itself."""
     out = compressed_cross_corr(ys, bases)
     M, _, D = bases.shape
     grams = bases.conj().swapaxes(1, 2) @ bases
@@ -367,10 +367,16 @@ def copying_debiased_gram(ys, bases, noise_var):
     return out
 
 
+def pca_instance(seed):
+    """(bases, observations, noise variance) of one band-pass PCA instance at 20 dB."""
+    bases, _, _, ys, noise_var = bandpass_instance(seed, snr_db=20.0)
+    return bases, ys, noise_var
+
+
 #: (bases, observations, noise variance) of sccc instances: a PCA basis, and
 #: Gaussian bases at L = 2K (no lag window) and L = 8K (wrapped lag window)
 SCCC_INSTANCES = {
-    "pca": lambda: (lambda b, _h, _x, ys, nv: (b, ys, nv))(*bandpass_instance(81, snr_db=20.0)),
+    "pca": lambda: pca_instance(81),
     "gaussian_short": lambda: gaussian_instance(82, 32, 4, 8, 2, 20.0),
     "gaussian_long": lambda: gaussian_instance(83, 16, 3, 4, 8, 20.0),
 }
