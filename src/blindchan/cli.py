@@ -8,7 +8,7 @@ the calling one plus N - 1 forked workers (0 = one per CPU).  It does not
 affect results.  The workers are forked at the first point and serve every
 later cell of a sweep or grid (and every later `main` call of a program that
 calls it in-process) until the process exits, when they are reaped; a lone
-`trial` run forks once, as before.  These commands echo their resolved spec
+`trial` run forks once.  These commands echo their resolved spec
 and the BLAS thread setting to a `.provenance.json` sidecar next to the output.
 Every command runs with OpenBLAS pinned to one thread, so its output does
 not depend on OPENBLAS_NUM_THREADS.

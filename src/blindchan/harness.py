@@ -15,7 +15,6 @@ import json
 import math
 import numbers
 import os
-import pickle
 import signal
 import threading
 import warnings
@@ -487,99 +486,88 @@ def _run_trials(spec, indices):
     return [run_trial(spec, i) for i in indices]
 
 
-#: This process's forked workers, worker w at index w - 1, each as
-#: (pid, job pipe write end, result pipe read end).
+#: This process's forked workers, worker w at index w - 1, each as (pid, this
+#: process's end of the worker's socket pair).
 _WORKERS = []
 
 #: warnings.filters as they were when the workers in _WORKERS were forked.
 _WORKER_FILTERS = []
 
 
-def _send(fd, value):
-    """Write value to a pipe as its 8-byte pickle length, then the pickle.
-    The pipes are raw descriptors, not file objects: os.read and os.write take
-    no lock, so a child forked while another thread waits on a pipe can still
-    close its copy (a buffered file's lock stays held there forever)."""
-    data = pickle.dumps(value)
-    view = memoryview(len(data).to_bytes(8, "little") + data)
-    while view:
-        view = view[os.write(fd, view) :]
-
-
-def _read(fd, size):
-    """size bytes from a pipe, or fewer when its writer closes it first."""
-    data = bytearray()
-    while len(data) < size:
-        chunk = os.read(fd, size - len(data))
-        if not chunk:
-            break
-        data += chunk
-    return data
-
-
-def _receive(fd):
-    """The value _send wrote to a pipe, or None when its writer closed it first."""
-    header = _read(fd, 8)
-    size = int.from_bytes(header, "little")
-    data = _read(fd, size)
-    return pickle.loads(data) if len(header) == 8 and len(data) == size else None
-
-
-def _serve(jobs, results):
-    """A worker's loop: run each job (spec, trial indices) read from the jobs
-    pipe and write back (ok, outcomes or exception), until the caller closes
-    the pipe or dies.  A job that does not unpickle here is reported too."""
+def _serve(conn):
+    """A worker's loop: run each job (spec, trial indices) received on conn and
+    send back (ok, outcomes or exception), until the caller closes its end or
+    dies (EOFError).  A job that does not unpickle here is reported too."""
     while True:
         try:
-            job = _receive(jobs)
-            if job is None:
-                return
-            report = (True, _run_trials(*job))
-        except BaseException as err:  # the caller re-raises it
+            job = conn.recv()
+        except EOFError:
+            return
+        except BaseException as err:  # a job that does not load here
             report = (False, err)
-        _send(results, report)
+        else:
+            try:
+                report = (True, _run_trials(*job))
+            except BaseException as err:  # the caller re-raises it
+                report = (False, err)
+        conn.send(report)
 
 
 def _fork_worker():
-    """Fork one more worker onto _WORKERS.  It ignores SIGINT (a Ctrl-C reaches
-    the caller too, which kills its workers if they are busy and keeps them if
+    """Fork one more worker onto _WORKERS, joined to this process by one
+    multiprocessing.connection.Pipe (a socket pair; imported here, so importing
+    this module loads no multiprocessing).  A Connection reads and writes with
+    os.read and os.write and takes no lock, so a child forked while another
+    thread waits on one can still close its copy (a buffered file's lock stays
+    held there forever).  The worker ignores SIGINT (a Ctrl-C reaches the
+    caller too, which kills its workers if they are busy and keeps them if
     not), serves jobs, reaps any workers of its own and leaves by os._exit, so
     it never flushes the caller's buffered output."""
-    job_read, job_write = os.pipe()
-    result_read, result_write = os.pipe()
+    from multiprocessing.connection import Pipe
+
+    conn, worker_conn = Pipe()
     try:
         pid = os.fork()
     except OSError:  # EAGAIN at the process limit, ENOMEM
-        for fd in (job_read, job_write, result_read, result_write):
-            os.close(fd)
+        conn.close()
+        worker_conn.close()
         raise
     if pid == 0:
         status = 1  # kept if a report cannot be pickled or sent
         try:
             signal.signal(signal.SIGINT, signal.SIG_IGN)
-            os.close(job_write)
-            os.close(result_read)
-            _serve(job_read, result_write)
+            conn.close()
+            _serve(worker_conn)
             _close_workers()
             status = 0
         finally:
             os._exit(status)
-    os.close(job_read)
-    os.close(result_write)
-    _WORKERS.append((pid, job_write, result_read))
+    worker_conn.close()
+    _WORKERS.append((pid, conn))
 
 
 def _close_workers(kill=False):
-    """Empty _WORKERS: close each worker's pipes, which ends its loop, or SIGKILL
-    it when kill is true; reap it.  Returns the wait statuses in worker order."""
+    """Empty _WORKERS: close each worker's connection, which ends its loop, or
+    SIGKILL it when kill is true; reap it.  Returns the wait statuses in worker
+    order."""
     workers = _WORKERS[:]
     _WORKERS.clear()
-    for pid, jobs, results in workers:
-        os.close(jobs)
-        os.close(results)
+    for pid, conn in workers:
+        conn.close()
         if kill:
             os.kill(pid, signal.SIGKILL)
-    return [os.waitpid(pid, 0)[1] for pid, _, _ in workers]
+    return [os.waitpid(pid, 0)[1] for pid, _ in workers]
+
+
+def _talk(w, call, *args):
+    """call(*args), a send or recv on worker w's connection.  When the worker
+    is gone (EOFError, or an OSError such as EPIPE or ECONNRESET), every
+    worker is killed and reaped and a RuntimeError names worker w."""
+    try:
+        return call(*args)
+    except (EOFError, OSError):
+        wstatus = _close_workers(kill=True)[w - 1]
+        raise RuntimeError(f"worker {w} exited without a result (wait status {wstatus})") from None
 
 
 #: Held while this process's workers run a point's jobs.
@@ -588,12 +576,11 @@ _POOL = threading.Lock()
 
 def _forget_workers():
     """In any forked child: close the inherited ends of this process's worker
-    pipes, so each worker still sees EOF when its caller dies, and start an
-    empty table with a free pool."""
+    connections, so each worker still sees EOF when its caller dies, and start
+    an empty table with a free pool."""
     global _POOL
-    for _, jobs, results in _WORKERS:
-        os.close(jobs)
-        os.close(results)
+    for _, conn in _WORKERS:
+        conn.close()
     _WORKERS.clear()
     _POOL = threading.Lock()
 
@@ -625,16 +612,12 @@ def _run_forked(spec, workers):
         while len(_WORKERS) < workers - 1:
             _fork_worker()
         busy = _WORKERS[: workers - 1]
-        for (_, jobs, _), share in zip(busy, shares[1:]):
-            _send(jobs, (spec, share))
+        for w, ((_, conn), share) in enumerate(zip(busy, shares[1:]), 1):
+            _talk(w, conn.send, (spec, share))
         outcomes = [None] * spec.trials
         outcomes[0::workers] = _run_trials(spec, shares[0])
-        for w, (_, _, results) in enumerate(busy, 1):
-            report = _receive(results)
-            if report is None:
-                wstatus = _close_workers(kill=True)[w - 1]
-                raise RuntimeError(f"worker {w} exited without a result (wait status {wstatus})")
-            ok, value = report
+        for w, (_, conn) in enumerate(busy, 1):
+            ok, value = _talk(w, conn.recv)
             if not ok:
                 raise value
             outcomes[w::workers] = value
@@ -661,7 +644,9 @@ def run_point(spec, threads=1):
     OpenBLAS pin they were forked with, so run_trial or a solver rebound
     after the first pooled call does not reach them.  They run under the
     warnings.filters they were forked with; a call made under other filters
-    forks fresh workers.  They are reaped at exit.
+    forks fresh workers.  A worker found gone, while idle or while running
+    its share, raises RuntimeError naming it, and the next call forks fresh
+    workers.  They are reaped at exit.
     """
     spec = _point_spec(spec).validate()
     if threads < 1:

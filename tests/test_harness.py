@@ -2,7 +2,9 @@ import errno
 import importlib.util
 import json
 import os
+import signal
 import sys
+import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -603,7 +605,7 @@ def pooled_point_script(threads):
         "spec = harness.ExperimentSpec(filter_len=8, n_channels=3, subspace_dim=2,\n"
         "    l_over_k=5, snr_db=20.0, trials=4, methods=('cc',), seed=77)\n"
         f"harness.run_point(spec, threads={threads})\n"
-        "print(*(pid for pid, _, _ in harness._WORKERS), flush=True)\n"
+        "print(*(pid for pid, _ in harness._WORKERS), flush=True)\n"
     )
 
 
@@ -664,6 +666,90 @@ class TestForkedWorkers:
             harness.run_point(small_spec(trials=4), threads=2)
         assert_no_child_left()
 
+    def test_worker_that_died_while_idle_is_named_at_the_next_point(self):
+        spec = small_spec(trials=4)
+        harness.run_point(spec, threads=2)
+        ((pid, _),) = harness._WORKERS
+        os.kill(pid, signal.SIGKILL)
+        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, its socket closed, not reaped
+        with pytest.raises(RuntimeError, match=r"worker 1 exited without a result \(wait status 9\)"):
+            harness.run_point(spec, threads=2)
+        assert_no_child_left()
+        serial = harness.run_point(spec)
+        pooled = harness.run_point(spec, threads=2)
+        assert (pooled.errors, pooled.degenerate) == (serial.errors, serial.degenerate)
+
+    def test_worker_killed_holding_an_unread_job_is_named(self, monkeypatch):
+        # the job waits unread in the socket pair, so the caller's recv gets
+        # ECONNRESET rather than end-of-file
+        spec = small_spec(trials=4)
+        harness.run_point(spec, threads=2)
+        ((pid, _),) = harness._WORKERS
+        os.kill(pid, signal.SIGSTOP)
+        os.waitid(os.P_PID, pid, os.WSTOPPED | os.WNOWAIT)
+        trial = harness.run_trial
+
+        def kills_the_worker(spec, i):
+            if i == 0:
+                os.kill(pid, signal.SIGKILL)
+                os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+            return trial(spec, i)
+
+        monkeypatch.setattr(harness, "run_trial", kills_the_worker)
+        with pytest.raises(RuntimeError, match=r"worker 1 exited without a result \(wait status 9\)"):
+            harness.run_point(spec, threads=2)
+        assert_no_child_left()
+
+    def test_idle_worker_ignores_sigint(self):
+        spec = small_spec(trials=4)
+        harness.run_point(spec, threads=2)
+        pids = [pid for pid, _ in harness._WORKERS]
+        os.kill(pids[0], signal.SIGINT)
+        time.sleep(0.1)  # let a worker that does not ignore it act on it
+        try:
+            pooled = harness.run_point(spec, threads=2)
+        except KeyboardInterrupt:  # a worker's report of its own interrupt
+            pytest.fail("the idle worker took the SIGINT")
+        assert [pid for pid, _ in harness._WORKERS] == pids  # nothing forked
+        serial = harness.run_point(spec)
+        assert (pooled.errors, pooled.degenerate) == (serial.errors, serial.degenerate)
+
+    def test_fork_while_a_thread_waits_on_a_worker_exits_at_once(self, monkeypatch):
+        # the forked child closes its copies of the worker connections while
+        # the other thread still waits in recv on one; a lock that thread
+        # holds would block the child for good
+        trial = harness.run_trial
+        caller = os.getpid()
+        waiting = threading.Event()
+
+        def slow_in_worker(spec, i):
+            if os.getpid() != caller:
+                time.sleep(2)
+            elif i == spec.trials - 2:  # the caller's last trial at threads=2
+                waiting.set()
+            return trial(spec, i)
+
+        spec = small_spec(trials=4)
+        serial = harness.run_point(spec)
+        monkeypatch.setattr(harness, "run_trial", slow_in_worker)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            future = pool.submit(harness.run_point, spec, threads=2)
+            assert waiting.wait(timeout=60)
+            time.sleep(0.2)  # the thread is now in recv
+            pid = os.fork()
+            if pid == 0:
+                os._exit(0 if not harness._WORKERS else 1)
+            deadline = time.monotonic() + 10
+            while not (exited := os.waitpid(pid, os.WNOHANG))[0]:
+                if time.monotonic() > deadline:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                    pytest.fail("the forked child hung")
+                time.sleep(0.01)
+            assert exited[1] == 0  # the child started with no workers
+            pooled = future.result(timeout=60)
+        assert (pooled.errors, pooled.degenerate) == (serial.errors, serial.degenerate)
+
     def test_interrupt_in_the_caller_kills_and_reaps_the_workers(self, monkeypatch):
         caller = os.getpid()
 
@@ -702,8 +788,8 @@ class TestForkedWorkers:
 
     def test_forked_child_forgets_the_workers_and_closes_their_pipes(self):
         harness.run_point(small_spec(trials=3), threads=3)
-        ends = [fd for _, jobs, results in harness._WORKERS for fd in (jobs, results)]
-        assert len(ends) == 4
+        ends = [conn.fileno() for _, conn in harness._WORKERS]
+        assert len(ends) == 2
         pid = os.fork()
         if pid == 0:
             closed = 0
@@ -714,7 +800,7 @@ class TestForkedWorkers:
                     closed += 1
             os._exit(0 if closed == len(ends) and not harness._WORKERS else 1)
         assert os.waitpid(pid, 0)[1] == 0
-        assert [fd for _, jobs, results in harness._WORKERS for fd in (jobs, results)] == ends
+        assert [conn.fileno() for _, conn in harness._WORKERS] == ends
 
     def test_trial_in_a_worker_can_run_a_pooled_point(self, monkeypatch, tmp_path):
         trial = harness.run_trial
@@ -726,7 +812,7 @@ class TestForkedWorkers:
         def nested(spec, i):
             if spec.seed != inner.seed and os.getpid() != caller:
                 assert harness.run_point(inner, threads=2).errors == expected
-                record.write_text(" ".join(str(pid) for pid, _, _ in harness._WORKERS))
+                record.write_text(" ".join(str(pid) for pid, _ in harness._WORKERS))
             return trial(spec, i)
 
         monkeypatch.setattr(harness, "run_trial", nested)
