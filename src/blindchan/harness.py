@@ -27,7 +27,6 @@ from . import blas
 from .exceptions import ConfigurationError, InputError
 from .metrics import db_to_linear, sin_angle
 from .models import (
-    NORM_PROFILES,
     SOURCES,
     RngStreams,
     add_noise,
@@ -219,7 +218,6 @@ _SPEC_FIELDS = {
     "methods": ("methods", LIST, ("cc", "sccc")),
     "basis": ("basis", TEXT, "gaussian"),
     "source": ("source", TEXT, "gaussian"),
-    "norm-profile": ("norm_profile", TEXT, "flat"),
     "percentile": ("percentile", PERCENTILE, 95),
     "seed": ("seed", SEED, 0),
     "sweep": ("sweep", SWEEP, None),
@@ -231,13 +229,12 @@ class ExperimentSpec:
     filter_len: int
     n_channels: int
     subspace_dim: int
-    l_over_k: float
-    snr_db: float | None  # None means noiseless
-    trials: int
+    l_over_k: float = 20.0
+    snr_db: float | None = None  # None means noiseless
+    trials: int = 200
     methods: tuple = ("cc", "sccc")
     basis: str = "gaussian"
     source: str = "gaussian"
-    norm_profile: str = "flat"
     percentile: float = 95.0
     seed: int = 0
     sweep: Sweep | Grid | None = None
@@ -254,7 +251,6 @@ class ExperimentSpec:
             *(("method", m, METHODS) for m in self.methods),
             ("basis", self.basis, BASES),
             ("source", self.source, SOURCES),
-            ("norm-profile", self.norm_profile, NORM_PROFILES),
         ):
             if value not in known:
                 raise ConfigurationError(f"unknown {name} {value!r}; expected one of {known}")
@@ -428,9 +424,7 @@ def run_trial(spec, trial_index):
 
     bases = _BASES[spec.basis](K, D, M, streams.stream("basis", trial_index))
 
-    u, filters = gen_channels_in_subspace(
-        bases, streams.stream("channels", trial_index), spec.norm_profile
-    )
+    u, filters = gen_channels_in_subspace(bases, streams.stream("channels", trial_index))
     x = gen_source(spec.source, L, streams.stream("source", trial_index))
     if spec.snr_db is None:
         noise_var = 0.0

@@ -16,6 +16,7 @@ import numpy as np
 
 from .exceptions import ConfigurationError, DimensionError, InputError
 from .sigops import as_signal
+from .spectral import hermitian_part_t
 
 
 class RngStreams:
@@ -102,34 +103,24 @@ def gen_pca_subspace(filter_len, dim, n_channels, rng):
     check_pca_dim(filter_len, dim)
     train = sample_parametric_filter(filter_len, 50 * dim, rng)
     second_moment = train.conj().T @ train / len(train)
-    _, v = np.linalg.eigh((second_moment + second_moment.conj().T) / 2)
+    _, v = np.linalg.eigh(hermitian_part_t(second_moment.T).T)
     return np.repeat(v[None, :, ::-1][:, :, :dim], n_channels, axis=0)
 
 
-#: The names gen_channels_in_subspace and gen_source dispatch on; a spec's
-#: norm-profile and source must be one of them.
-NORM_PROFILES = ("flat", "spiky")
+#: The names gen_source dispatches on; a spec's source must be one of them.
 SOURCES = ("gaussian", "flat_spectrum")
 
 
-def gen_channels_in_subspace(bases, rng, norm_profile="flat"):
+def gen_channels_in_subspace(bases, rng):
     """Draw coefficients u and the channels h = Phi u they induce.
 
-    Returns (u, filters): u stacked in C^{MD}, filters the M x K array whose
-    row m is channel m's impulse response.
-
-    norm_profile "flat" rescales every block u_m to unit norm; "spiky"
-    puts all energy on the first block, a unit u_1 and zero elsewhere.
+    Returns (u, filters): u stacked in C^{MD}, each block u_m drawn CN(0, I)
+    and rescaled to unit norm, and filters the M x K array whose row m is
+    channel m's impulse response.
     """
     M, _, D = bases.shape
     u = complex_gaussian(rng, M, D)
-    if norm_profile == "flat":
-        u = u / np.linalg.norm(u, axis=1, keepdims=True)
-    elif norm_profile == "spiky":
-        u[1:] = 0.0
-        u[0] = u[0] / np.linalg.norm(u[0])
-    else:
-        raise InputError(f"unknown norm profile {norm_profile!r}")
+    u = u / np.linalg.norm(u, axis=1, keepdims=True)
     u_flat = u.reshape(-1)
     return u_flat, apply_bases(bases, u_flat)
 

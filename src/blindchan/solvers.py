@@ -23,7 +23,7 @@ import numpy as np
 from .exceptions import ConfigurationError, DimensionError
 from .models import apply_bases
 from .sigops import as_signal, convolve_short
-from .spectral import DEGENERACY_RTOL, canonical_phase, eig_hermitian
+from .spectral import DEGENERACY_RTOL, canonical_phase, eig_hermitian, hermitian_part_t
 from .xcorr import _check_channels, compressed_cross_corr, cross_corr_matrix, noise_gram_mean
 
 @dataclass(frozen=True)
@@ -78,8 +78,8 @@ def debiased_compressed_gram(ys, bases, noise_var):
     Returned as a Fortran-ordered complex128 array that is exactly
     Hermitian, so that spectral.eig_hermitian can take it with
     overwrite_a=True: the off-diagonal blocks come as conjugate pairs, and
-    each shifted diagonal block B is stored as (B^H + B) / 2, the bits
-    spectral's symmetrization gives it.
+    each shifted diagonal block is stored as its Hermitian part by
+    spectral.hermitian_part_t, the bits eig_hermitian's copy would hold.
     """
     compressed = compressed_cross_corr(ys, bases)  # checks ys against the bases
     M, _, D = bases.shape
@@ -92,11 +92,7 @@ def debiased_compressed_gram(ys, bases, noise_var):
     if shift != 0:
         grams = bases.conj().swapaxes(1, 2) @ bases
         diag -= (shift * grams).swapaxes(1, 2)
-    # (B^H + B)^T / 2 = (conj(B) + B^T) / 2, added in spectral's order
-    herm = np.conjugate(diag.swapaxes(1, 2))
-    herm += diag
-    herm /= 2
-    g[n, :, n] = herm
+    g[n, :, n] = hermitian_part_t(diag)
     return compressed
 
 

@@ -78,19 +78,24 @@ class DavisKahanReport:
     perturbation_norm: float
 
 
+def hermitian_part_t(blocks_t):
+    """(B^H + B)^T / 2 of each block B of a stack whose last two axes hold B^T, as
+    one new C-ordered array, so hermitian_part_t(A.T).T is A's Hermitian part in
+    Fortran order.  B^H is added first; addition commutes exactly, so the bits
+    are those of (B + B^H) / 2 too."""
+    herm = np.conjugate(np.swapaxes(blocks_t, -1, -2), order="C")
+    herm += blocks_t
+    herm /= 2
+    return herm
+
+
 def _check_matrix(A):
     A = np.asarray(A, dtype=np.complex128)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InputError(f"expected a square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise InputError("matrix contains non-finite entries")
-    # (A^H + A) / 2 in one new array, Fortran-ordered as LAPACK reads it;
-    # addition commutes exactly, so the bits are those of (A + A^H) / 2
-    sym = np.empty(A.shape, dtype=np.complex128, order="F")
-    np.conjugate(A.T, out=sym)
-    sym += A
-    sym /= 2
-    return sym
+    return hermitian_part_t(A.T).T  # Fortran-ordered, as LAPACK reads it
 
 
 def eig_hermitian(A, overwrite_a=False):

@@ -17,6 +17,7 @@ import numpy as np
 
 from .exceptions import ConfigurationError, DimensionError, InputError
 from .sigops import conv_matrix
+from .spectral import hermitian_part_t
 
 # Cap on M*K*L for the dense explicit construction.
 EXPLICIT_SIZE_CAP = 2**22
@@ -89,8 +90,8 @@ def cross_corr_matrix(ys, filter_len):
     cross_relation_matrix(ys, K) as a Fortran-ordered complex128 array that
     is exactly Hermitian, so that spectral.eig_hermitian can take it with
     overwrite_a=True: the off-diagonal blocks are placed as the conjugate
-    pairs they are, and each diagonal block D is stored as (D^H + D) / 2,
-    the bits spectral's symmetrization gives it.
+    pairs they are, and each diagonal block is stored as its Hermitian part
+    by spectral.hermitian_part_t, the bits eig_hermitian's copy would hold.
     """
     ys = _check_channels(ys, filter_len)
     M, L = ys.shape
@@ -109,10 +110,7 @@ def cross_corr_matrix(ys, filter_len):
     pair = np.flatnonzero(a != b)
     diag = corr[np.flatnonzero(a == b)[:, None, None], idx]
     diag = diag.sum(axis=0) - diag
-    # block (n, n) transposed, (D^H + D)^T / 2, which is how g stores it
-    herm = np.conjugate(diag)
-    herm += diag.transpose(0, 2, 1)
-    herm /= 2
+    herm = hermitian_part_t(diag.transpose(0, 2, 1))  # block (n, n) as g stores it
     del diag
     # blocks[i] = corr[pair[i]][idx]; mode="clip" writes straight into blocks
     np.take(corr, pair[:, None, None] * L + idx, out=blocks, mode="clip")

@@ -8,7 +8,7 @@ import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +79,14 @@ class TestSpecRoundtrip:
         assert again == spec
         assert harness.spec_hash(again) == harness.spec_hash(spec)
 
+    def test_keys_with_a_default_read_to_the_dataclass_default(self):
+        # a config and a Python-built spec that leave a key out get one value
+        defaults = {f.name: f.default for f in fields(harness.ExperimentSpec)}
+        for key, (name, kind, default) in harness._SPEC_FIELDS.items():
+            if default is not harness.REQUIRED:
+                assert kind.read(default) == defaults[name], key
+        assert harness.ExperimentSpec(8, 3, 2) == harness.spec_from_dict({"k": 8, "m": 3, "d": 2})
+
     def test_equal_sweeps_hash_equal(self):
         ints = small_spec(sweep=harness.Sweep("l-over-k", (5, 10)))
         floats = small_spec(sweep=harness.Sweep("l-over-k", (5.0, 10.0)))
@@ -123,8 +131,8 @@ class TestStrictSpec:
         assert calls == [], "a trial ran before the spec was rejected"
 
     def test_unknown_keys_named(self):
-        raw = {"k": 8, "m": 3, "d": 2, "snr_db": 10, "trails": 5}
-        with pytest.raises(ConfigurationError, match="'snr_db', 'trails'"):
+        raw = {"k": 8, "m": 3, "d": 2, "norm-profile": "flat", "snr_db": 10, "trails": 5}
+        with pytest.raises(ConfigurationError, match="'norm-profile', 'snr_db', 'trails'"):
             harness.spec_from_dict(raw)
 
     def test_unknown_sweep_and_grid_keys_named(self):
@@ -144,7 +152,7 @@ class TestStrictSpec:
             ({"l-over-k": 0.5}, ">= k"),
             ({"basis": "nope"}, "unknown basis 'nope'"),
             ({"source": "nope"}, "unknown source 'nope'"),
-            ({"norm-profile": "nope"}, "unknown norm-profile 'nope'"),
+            ({"basis": 5}, "spec key .basis. has a bad value 5"),
             ({"k": "eight"}, "spec key .k. has a bad value .eight."),
             ({"k": 8.7}, "spec key .k. has a bad value 8.7"),
             ({"d": 1.5}, "spec key .d. has a bad value 1.5"),
@@ -175,7 +183,6 @@ class TestStrictSpec:
             ({"trials": 0}, "spec key .trials. has a bad value 0"),
             ({"percentile": 0}, "spec key .percentile. has a bad value 0"),
             ({"percentile": 100.5}, "spec key .percentile. has a bad value 100.5"),
-            ({"basis": 5}, "spec key .basis. has a bad value 5"),
         ],
     )
     def test_bad_point_rejected(self, overrides, message):

@@ -124,16 +124,8 @@ class TestChannelsInSubspace:
     def test_flat_profile_flatness_one(self, rng):
         # flatness sqrt(M) max_m ||u_m|| / ||u|| is 1 exactly when the blocks share a norm
         bases = models.gen_gaussian_subspace(8, 3, 4, rng)
-        u, _ = models.gen_channels_in_subspace(bases, rng, "flat")
+        u, _ = models.gen_channels_in_subspace(bases, rng)
         np.testing.assert_allclose(np.linalg.norm(u.reshape(4, 3), axis=1), 1.0, rtol=0, atol=1e-12)
-
-    def test_spiky_profile_flatness_sqrt_m(self, rng):
-        # ... and sqrt(M) when one block carries all of it
-        bases = models.gen_gaussian_subspace(8, 3, 4, rng)
-        u, _ = models.gen_channels_in_subspace(bases, rng, "spiky")
-        norms = np.linalg.norm(u.reshape(4, 3), axis=1)
-        assert norms[0] == pytest.approx(1.0, abs=1e-12)
-        assert np.all(norms[1:] == 0)
 
     def test_channels_lie_in_model_range(self, rng):
         bases = models.gen_gaussian_subspace(8, 3, 4, rng)
@@ -142,11 +134,6 @@ class TestChannelsInSubspace:
         h = filters.reshape(-1)
         proj = phi @ np.linalg.lstsq(phi, h, rcond=None)[0]
         assert np.linalg.norm(h - proj) <= 1e-10 * np.linalg.norm(h)
-
-    def test_unknown_profile(self, rng):
-        bases = models.gen_gaussian_subspace(8, 3, 4, rng)
-        with pytest.raises(InputError):
-            models.gen_channels_in_subspace(bases, rng, "lumpy")
 
 
 class TestGenSource:

@@ -45,7 +45,6 @@ def point_specs(draw, valid=True):
         methods=methods,
         basis=basis,
         source=draw(st.sampled_from(harness.SOURCES)),
-        norm_profile=draw(st.sampled_from(harness.NORM_PROFILES)),
         percentile=draw(st.floats(0, 100, exclude_min=True)),
         seed=draw(st.integers(0, 2**32)),
     )
