@@ -356,6 +356,7 @@ def check_percentile_nearest_rank(rng):
     cases = [
         ([0.1], 95, 0.1),
         ([i / 100 for i in range(1, 101)], 95, 0.95),
+        ([i / 100 for i in range(1, 101)], 7, 0.07),  # 0.07 * 100 rounds above 7
         ([0.2, 0.4, 0.6, 0.8], 50, 0.4),
     ]
     ok = all(harness.aggregate_percentile(vals, p) == expect for vals, p, expect in cases)

@@ -1,15 +1,19 @@
 """Command-line surface: spectrum dumps, Monte Carlo runs, invariant checks.
 
-Subcommands: gap, trial, sweep, phase, check.  Configurations are JSON files
-(kebab-case keys, documented in the README); `--seed` overrides the config
-file's seed.  The Monte Carlo commands (trial, sweep, phase) also take
-`--format` and `--threads N`, the number of processes that run the trials:
-the calling one plus N - 1 forked workers (0 = one per CPU).  It does not
-affect results.  The workers are forked at the first point and serve every
-later cell of a sweep or grid (and every later `main` call of a program that
-calls it in-process) until the process exits, when they are reaped; a lone
-`trial` run forks once.  These commands echo their resolved spec
-and the BLAS thread setting to a `.provenance.json` sidecar next to the output.
+Subcommands: gap, trial, sweep, phase, check.  Configurations are JSON spec
+files (kebab-case keys, documented in the README); `--seed` overrides the
+config file's seed.  `gap` reads a point spec, draws its trial 0 as a trial
+would (harness.draw_instance) and writes, for each method in `methods`
+(`cc` or `sccc`), the normalized eigenvalue spectrum of the Gram that
+method's estimator eigendecomposes.  The Monte Carlo commands (trial, sweep,
+phase) also take `--format` and `--threads N`, the number of processes that
+run the trials: the calling one plus N - 1 forked workers (0 = one per CPU).
+It does not affect results.  The workers are forked at the first point and
+serve every later cell of a sweep or grid (and every later `main` call of a
+program that calls it in-process) until the process exits, when they are
+reaped; a lone `trial` run forks once.  These commands echo their resolved
+spec and the BLAS thread setting to a `.provenance.json` sidecar next to the
+output.
 Every command runs with OpenBLAS pinned to one thread, so its output does
 not depend on OPENBLAS_NUM_THREADS.
 
@@ -28,17 +32,10 @@ import sys
 
 from . import blas, checks, harness
 from .exceptions import BlindchanError, ConfigurationError
-from .models import (
-    RngStreams,
-    complex_gaussian,
-    gen_channels_in_subspace,
-    gen_gaussian_subspace,
-    gen_source,
-)
-from .sigops import convolve_short
 from .solvers import debiased_compressed_gram
 from .spectral import eig_hermitian
 from .xcorr import cross_corr_matrix
+
 
 def _keep_freed_memory():
     """Have glibc's malloc serve blocks up to 32 MiB (the 64-bit ceiling of its mmap
@@ -91,41 +88,40 @@ def _write_provenance(out_path, result):
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-#: gap config key -> (field, kind, default or REQUIRED), read like a spec.
-_GAP_FIELDS = {
-    "k": ("filter_len", harness.INT, harness.REQUIRED),
-    "m": ("n_channels", harness.INT, harness.REQUIRED),
-    "d": ("dim", harness.optional(harness.INT), None),
-    "l-over-k": ("l_over_k", harness.NUMBER, 4),
-    "seed": ("seed", harness.SEED, 0),
+def _read_spec(args, shape):
+    """The spec in args.config (its seed overridden by --seed), which must have `shape`."""
+    spec = harness.spec_from_dict(_load_config(args.config, args.seed))
+    if spec.shape != shape:
+        raise ConfigurationError(f"expected a {shape} spec, got shape {spec.shape!r}")
+    return spec
+
+
+#: Each eigen method's Gram as a function of one harness.Instance: the matrix
+#: its estimator eigendecomposes, looked up at call time.
+_GRAMS = {
+    "cc": lambda inst: cross_corr_matrix(inst.ys, inst.bases.shape[1]),
+    "sccc": lambda inst: debiased_compressed_gram(inst.ys, inst.bases, inst.noise_var),
 }
 
 
 def cmd_gap(args):
-    config = harness.parse_keys(_load_config(args.config, args.seed), _GAP_FIELDS, "gap config")
-    K, M, D = config["filter_len"], config["n_channels"], config["dim"]
-    L = harness.signal_len(config["l_over_k"], K)
-    harness.check_dimensions(K, M, D, L)
+    spec = _read_spec(args, "point")
+    for method in spec.methods:
+        if method not in _GRAMS:
+            raise ConfigurationError(
+                f"gap has no Gram for {method!r} in key 'methods'; "
+                f"expected a subset of {tuple(_GRAMS)}"
+            )
     _check_out(args.out)
-    streams = RngStreams(config["seed"])
-
-    x = gen_source("gaussian", L, streams.stream("source"))
-    h = complex_gaussian(streams.stream("channels"), M, K)
-    eig = eig_hermitian(cross_corr_matrix(convolve_short(x, h), K), overwrite_a=True)
-    print(f"unconstrained gap_ratio: {eig.gap_ratio:.6e}")
-
-    if D is not None:
-        bases = gen_gaussian_subspace(K, D, M, streams.stream("basis"))
-        _, filters = gen_channels_in_subspace(bases, streams.stream("subspace-channels"))
-        ys = convolve_short(x, filters)
-        eig = eig_hermitian(debiased_compressed_gram(ys, bases, 0.0), overwrite_a=True)
-        print(f"subspace-constrained gap_ratio (d={D}): {eig.gap_ratio:.6e}")
-
-    spectrum = eig.eigenvalues / eig.lambda_max
+    instance = harness.draw_instance(spec, 0)
+    rows = ["method,eigenvalue"]
+    for method in spec.methods:
+        eig = eig_hermitian(_GRAMS[method](instance), overwrite_a=True)
+        print(f"{method} gap_ratio: {eig.gap_ratio:.6e}")
+        rows += [f"{method},{float(v):.12g}" for v in eig.eigenvalues / eig.lambda_max]
     with open(args.out, "w", newline="") as fh:
-        for value in spectrum:
-            fh.write(format(float(value), ".12g") + "\n")
-    print(f"wrote {len(spectrum)} normalized eigenvalues to {args.out}")
+        fh.write("\n".join(rows) + "\n")
+    print(f"wrote {len(rows) - 1} normalized eigenvalues to {args.out}")
     return 0
 
 
@@ -138,10 +134,7 @@ _RUNS = {
 
 
 def cmd_run(args):
-    _, shape = _RUNS[args.command]
-    spec = harness.spec_from_dict(_load_config(args.config, args.seed))
-    if spec.shape != shape:
-        raise ConfigurationError(f"expected a {shape} spec, got shape {spec.shape!r}")
+    spec = _read_spec(args, _RUNS[args.command][1])
     _check_out(args.out)
     result = harness.run_experiment(spec, threads=args.threads)
     if args.format == "json":
@@ -176,7 +169,7 @@ def build_parser():
         p.add_argument("--out", required=True, help="output file path")
         return p
 
-    p_gap = add_common(sub.add_parser("gap", help="eigenvalue spectrum of a noiseless instance"))
+    p_gap = add_common(sub.add_parser("gap", help="eigenvalue spectra of trial 0 of a point spec"))
     p_gap.set_defaults(fn=cmd_gap)
     for name, (text, _) in _RUNS.items():
         p_run = add_common(sub.add_parser(name, help=text))

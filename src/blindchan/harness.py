@@ -20,6 +20,7 @@ import threading
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -45,15 +46,14 @@ from .solvers import (
     solve_subspace_cross_conv,
 )
 
-#: Each method's estimator as a function of one instance (observations,
-#: source, (M, K, D) bases, noise variance).  The solvers are looked up at
-#: call time, so rebinding one of this module's attributes reaches every trial
-#: in this process and in the workers forked after it (see run_point).
+#: Each method's estimator as a function of one Instance.  The solvers are
+#: looked up at call time, so rebinding one of this module's attributes reaches
+#: every trial in this process and in the workers forked after it (see run_point).
 _SOLVERS = {
-    "cc": lambda ys, x, bases, noise_var: solve_cross_conv(ys, bases.shape[1]),
-    "sccc": lambda ys, x, bases, noise_var: solve_subspace_cross_conv(ys, bases, noise_var),
-    "oracle": lambda ys, x, bases, noise_var: solve_oracle_ls(ys, x, bases),
-    "ls": lambda ys, x, bases, noise_var: solve_linearized_ls(ys, bases),
+    "cc": lambda inst: solve_cross_conv(inst.ys, inst.bases.shape[1]),
+    "sccc": lambda inst: solve_subspace_cross_conv(inst.ys, inst.bases, inst.noise_var),
+    "oracle": lambda inst: solve_oracle_ls(inst.ys, inst.x, inst.bases),
+    "ls": lambda inst: solve_linearized_ls(inst.ys, inst.bases),
 }
 
 METHODS = tuple(_SOLVERS)
@@ -291,12 +291,12 @@ class ExperimentSpec:
 
 
 def check_dimensions(filter_len, n_channels, subspace_dim, signal_len, where=""):
-    """Raise ConfigurationError naming the key unless m >= 2, 1 <= d <= k
-    (skipped when d is None), k >= 1 and L = round(l-over-k * k) >= k."""
+    """Raise ConfigurationError naming the key unless m >= 2, 1 <= d <= k,
+    k >= 1 and L = round(l-over-k * k) >= k."""
     K, M, D, L = filter_len, n_channels, subspace_dim, signal_len
     if M < 2:
         raise ConfigurationError(f"{where}need m >= 2 channels, got m={M}")
-    if D is not None and not 1 <= D <= K:
+    if not 1 <= D <= K:
         raise ConfigurationError(f"{where}need 1 <= d <= k, got d={D}, k={K}")
     if K < 1:
         raise ConfigurationError(f"{where}need k >= 1, got k={K}")
@@ -326,33 +326,24 @@ def _reject_unknown(data, known, where):
         )
 
 
-def parse_keys(data, table, where):
-    """{field: value read by its kind} of a JSON mapping, by a key table.
-
-    table maps each key to (field, kind, default or REQUIRED).  Unknown or
-    missing keys and values a kind refuses (TypeError) raise
-    ConfigurationError naming the key.
-    """
-    _reject_unknown(data, table, where)
-    fields = {}
-    for key, (name, kind, default) in table.items():
-        if key not in data and default is REQUIRED:
-            raise ConfigurationError(f"{where} is missing required key {key!r}")
-        try:
-            fields[name] = kind.read(data.get(key, default))
-        except TypeError:
-            raise ConfigurationError(f"{where} key {key!r} has a bad value {data[key]!r}") from None
-    return fields
-
-
 def spec_from_dict(raw):
     """Build a spec from the documented kebab-case JSON mapping.
 
-    Unknown or missing keys, unparsable values and any cell the spec would
-    run with unusable dimensions raise ConfigurationError here, before a
-    trial runs.
+    Unknown or missing keys, values a key's kind refuses and any cell the
+    spec would run with unusable dimensions raise ConfigurationError naming
+    the key, before a trial runs.
     """
-    return ExperimentSpec(**parse_keys(dict(raw), _SPEC_FIELDS, "spec")).validate()
+    data = dict(raw)
+    _reject_unknown(data, _SPEC_FIELDS, "spec")
+    fields = {}
+    for key, (name, kind, default) in _SPEC_FIELDS.items():
+        if key not in data and default is REQUIRED:
+            raise ConfigurationError(f"spec is missing required key {key!r}")
+        try:
+            fields[name] = kind.read(data.get(key, default))
+        except TypeError:
+            raise ConfigurationError(f"spec key {key!r} has a bad value {data[key]!r}") from None
+    return ExperimentSpec(**fields).validate()
 
 
 def spec_to_dict(spec):
@@ -411,17 +402,17 @@ def _grid_dim(d_over_k, filter_len, label):
     return max(1, int(round(dim)))
 
 
-def run_trial(spec, trial_index):
-    """Generate one instance and run every requested method on the same data.
+#: One trial's data: the (M, K, D) bases, the M x K channel filters, the
+#: source x, the M x L noisy outputs ys and the noise variance.
+Instance = namedtuple("Instance", "bases filters x ys noise_var")
 
-    Returns ({method: sin-angle error}, {method: degenerate flag}).
-    """
-    K = spec.filter_len
-    M = spec.n_channels
-    D = spec.subspace_dim
+
+def draw_instance(spec, trial_index):
+    """Trial trial_index's Instance of a point spec, from its (basis,
+    channels, source, noise) substreams."""
+    K, M, D = spec.filter_len, spec.n_channels, spec.subspace_dim
     L = signal_len(spec.l_over_k, K)
     streams = RngStreams(spec.seed)
-
     bases = _BASES[spec.basis](K, D, M, streams.stream("basis", trial_index))
 
     u, filters = gen_channels_in_subspace(bases, streams.stream("channels", trial_index))
@@ -432,24 +423,33 @@ def run_trial(spec, trial_index):
         noise_var = sigma_for_snr(db_to_linear(spec.snr_db), K, L, M, x, u)
     noise_stream = streams.stream("noise", trial_index)
     ys = add_noise(convolve_short(x, filters), np.sqrt(noise_var), noise_stream)
+    return Instance(bases, filters, x, ys, noise_var)
 
+
+def run_trial(spec, trial_index):
+    """Draw one instance and run every requested method on it.
+
+    Returns ({method: sin-angle error}, {method: degenerate flag}).
+    """
+    instance = draw_instance(spec, trial_index)
     errors = {}
     degenerate = {}
     for method in spec.methods:
-        est = _SOLVERS[method](ys, x, bases, noise_var)
-        errors[method] = sin_angle(est.h_hat, filters)
+        est = _SOLVERS[method](instance)
+        errors[method] = sin_angle(est.h_hat, instance.filters)
         degenerate[method] = bool(est.degenerate)
     return errors, degenerate
 
 
 def aggregate_percentile(errors, p):
-    """Nearest-rank percentile: sorted ascending, value at index ceil(p/100 * n)."""
+    """Nearest-rank percentile: sorted ascending, the value of rank ceil(p/100 * n),
+    computed exactly on p's decimal value (a float 0.07 * 100 is above 7)."""
     values = sorted(errors)
     if not values:
         raise InputError("cannot take a percentile of an empty list")
     if not 0 < p <= 100:
         raise InputError(f"percentile must be in (0, 100], got {p}")
-    rank = int(np.ceil(p / 100.0 * len(values)))
+    rank = math.ceil(Fraction(str(float(p))) * len(values) / 100)
     return float(values[max(rank, 1) - 1])
 
 

@@ -30,60 +30,93 @@ def write_config(tmp_path, name="config.json", **overrides):
     return path
 
 
+def read_spectra(path):
+    """{method: [normalized eigenvalue, ...]} of a `gap` CSV, in file order."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == "method,eigenvalue"
+    spectra = {}
+    for line in lines[1:]:
+        method, value = line.split(",")
+        spectra.setdefault(method, []).append(float(value))
+    return spectra
+
+
+def normalized_spectrum(a):
+    """eigvalsh's spectrum of a Hermitian matrix on one BLAS thread, as the CLI
+    runs it, descending, over its largest value."""
+    with blas.single_thread():
+        w = np.linalg.eigvalsh(a)[::-1]
+    return w / w[0]
+
+
+def spectrum_rows(method, w):
+    return "".join(f"{method},{float(v):.12g}\n" for v in w)
+
+
 class TestGapCommand:
     def test_spectrum_file_unconstrained(self, tmp_path, capsys):
-        cfg = tmp_path / "gap.json"
-        cfg.write_text(json.dumps({"k": 16, "m": 3, "l-over-k": 4, "seed": 3}))
-        out = tmp_path / "spectrum.txt"
+        cfg = write_config(tmp_path, k=16, d=4, seed=3, methods=["cc"],
+                           **{"l-over-k": 4, "snr-db": "noiseless"})
+        out = tmp_path / "spectrum.csv"
         assert main(["gap", "--config", str(cfg), "--out", str(out)]) == 0
-        values = [float(v) for v in out.read_text().splitlines()]
+        spectra = read_spectra(out)
+        assert list(spectra) == ["cc"]
+        values = spectra["cc"]
         assert len(values) == 16 * 3
         assert values[0] == pytest.approx(1.0)
         assert values[-1] <= 1e-10
-        assert "unconstrained gap_ratio" in capsys.readouterr().out
+        assert "cc gap_ratio" in capsys.readouterr().out
 
     def test_spectrum_file_with_subspace(self, tmp_path, capsys):
-        cfg = tmp_path / "gap.json"
-        cfg.write_text(json.dumps({"k": 64, "m": 4, "d": 8, "l-over-k": 4, "seed": 3}))
-        out = tmp_path / "spectrum.txt"
+        cfg = write_config(tmp_path, k=64, m=4, d=8, seed=3, methods=["sccc"],
+                           **{"l-over-k": 4, "snr-db": "noiseless"})
+        out = tmp_path / "spectrum.csv"
         assert main(["gap", "--config", str(cfg), "--out", str(out)]) == 0
-        values = [float(v) for v in out.read_text().splitlines()]
+        values = read_spectra(out)["sccc"]
         assert len(values) == 4 * 8
         assert values[-2] >= 0.05  # second-smallest normalized eigenvalue
-        printed = capsys.readouterr().out
-        assert "subspace-constrained gap_ratio" in printed
+        assert capsys.readouterr().out.startswith("sccc gap_ratio")
 
-    def test_shipped_gap_config_parses(self, tmp_path):
-        # rebuild the shipped instance: the dump is LAPACK's eigvalsh spectrum
-        # of the shared compressed Gram, formatted byte for byte, and it stays
-        # pinned to the time-domain block congruence of the full Gram
-        from blindchan.models import (
-            RngStreams, gen_channels_in_subspace, gen_gaussian_subspace, gen_source,
-        )
-        from blindchan.sigops import convolve_short
-
-        out = tmp_path / "spectrum.txt"
+    def test_shipped_gap_config_parses(self, tmp_path, capsys):
+        # the dump is trial 0's instance as trials draw it: each method's rows
+        # are LAPACK's eigvalsh spectrum of that method's Gram, formatted byte
+        # for byte, and sccc's stays pinned to the time-domain block
+        # congruence of the full Gram
+        out = tmp_path / "spectrum.csv"
         code = main(["gap", "--config", str(REPRODUCE / "spectral_gap.json"),
                      "--out", str(out)])
         assert code == 0
-        cfg = json.loads((REPRODUCE / "spectral_gap.json").read_text())
-        K, M, D = cfg["k"], cfg["m"], cfg["d"]
-        streams = RngStreams(cfg["seed"])
-        x = gen_source("gaussian", cfg["l-over-k"] * K, streams.stream("source"))
-        bases = gen_gaussian_subspace(K, D, M, streams.stream("basis"))
-        _, filters = gen_channels_in_subspace(bases, streams.stream("subspace-channels"))
-        ys = convolve_short(x, filters)
-
-        def normalized_spectrum(a):
-            w = np.linalg.eigvalsh((a + a.conj().T) / 2)[::-1]
-            return w / w[0]
-
-        w = normalized_spectrum(xcorr.compressed_cross_corr(ys, bases))
-        expected = "".join(format(float(v), ".12g") + "\n" for v in w)
+        spec = harness.spec_from_dict(json.loads((REPRODUCE / "spectral_gap.json").read_text()))
+        assert spec.methods == ("cc", "sccc")
+        inst = harness.draw_instance(spec, 0)
+        w_cc = normalized_spectrum(xcorr.cross_corr_matrix(inst.ys, spec.filter_len))
+        w = normalized_spectrum(solvers.debiased_compressed_gram(inst.ys, inst.bases, inst.noise_var))
+        expected = "method,eigenvalue\n" + spectrum_rows("cc", w_cc) + spectrum_rows("sccc", w)
         assert out.read_bytes() == expected.encode()
-        phi = checks.block_diag(bases)
-        congruence = phi.conj().T @ xcorr.cross_corr_matrix(ys, K) @ phi
+        phi = checks.block_diag(inst.bases)
+        congruence = phi.conj().T @ xcorr.cross_corr_matrix(inst.ys, spec.filter_len) @ phi
         np.testing.assert_allclose(w, normalized_spectrum(congruence), rtol=0, atol=1e-12)
+        # the paper's picture: a tiny gap for cc, an open one for sccc
+        spectra = read_spectra(out)
+        assert (len(spectra["cc"]), len(spectra["sccc"])) == (256, 32)
+        assert spectra["cc"][-2] <= 1e-3 and spectra["sccc"][-2] >= 0.05
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in printed[:2]] == ["cc gap_ratio", "sccc gap_ratio"]
+
+    def test_noisy_pca_point(self, tmp_path):
+        # gap draws PCA bases and noise as trials do; sccc's rows are the
+        # spectrum of the Gram debiased by the trial's noise variance
+        cfg = write_config(tmp_path, k=16, m=4, d=4, basis="pca", seed=5,
+                           **{"l-over-k": 10, "snr-db": 20})
+        out = tmp_path / "spectrum.csv"
+        assert main(["gap", "--config", str(cfg), "--out", str(out)]) == 0
+        spec = harness.spec_from_dict(json.loads(cfg.read_text()))
+        inst = harness.draw_instance(spec, 0)
+        assert inst.noise_var > 0
+        gram = solvers.debiased_compressed_gram(inst.ys, inst.bases, inst.noise_var)
+        spectra = read_spectra(out)
+        assert (len(spectra["cc"]), len(spectra["sccc"])) == (64, 16)
+        assert out.read_text().endswith(spectrum_rows("sccc", normalized_spectrum(gram)))
 
     def test_hand_over_keeps_the_copying_paths_dump(self, tmp_path, monkeypatch):
         # both Grams go to LAPACK without a copy; the dump is byte for byte the
@@ -105,23 +138,27 @@ class TestGapCommand:
         ({"k": 8, "m": 3, "d": "two"}, "'d'"),
         ({"m": 3, "d": 2}, "'k'"),
         ({"k": 8, "m": 3, "d": 20}, "d=20"),
-        ({"k": 8, "m": 1}, "m=1"),
-        ({"k": 8, "m": 3, "l-over-k": 0.5}, "l-over-k"),
-        ({"k": 0, "m": 3}, "k=0"),
+        ({"k": 8, "m": 1, "d": 2}, "m=1"),
+        ({"k": 8, "m": 3, "d": 2, "l-over-k": 0.5}, "l-over-k"),
+        ({"k": 0, "m": 3, "d": 2}, "k=0"),
         ({"k": 8.5, "m": 3}, "'k'"),
         ({"k": 8, "m": True}, "'m'"),
-        ({"k": 8, "m": 3, "l-over-k": float("nan")}, "'l-over-k'"),
-        ({"k": 8, "m": 3, "l-over-k": float("inf")}, "'l-over-k'"),
-        ({"k": 8, "m": 3, "l-over-k": True}, "'l-over-k'"),
-        ({"k": 8, "m": 3, "l-over-k": 1e308}, "'l-over-k'"),
-        ({"k": 8, "m": 3, "l-over-k": 1e9}, "'l-over-k'"),
+        ({"k": 8, "m": 3, "d": 2, "l-over-k": float("nan")}, "'l-over-k'"),
+        ({"k": 8, "m": 3, "d": 2, "l-over-k": float("inf")}, "'l-over-k'"),
+        ({"k": 8, "m": 3, "d": 2, "l-over-k": True}, "'l-over-k'"),
+        ({"k": 8, "m": 3, "d": 2, "l-over-k": 1e308}, "'l-over-k'"),
+        ({"k": 8, "m": 3, "d": 2, "l-over-k": 1e9}, "'l-over-k'"),
         ({"k": 8, "m": "3"}, "'m'"),
         ({"k": 8, "m": 3, "d": "2"}, "'d'"),
-        ({"k": 8, "m": 3, "l-over-k": "4"}, "'l-over-k'"),
-        ({"k": 8, "m": 3, "seed": "1"}, "'seed'"),
-        ({"k": 8, "m": 3, "seed": -2}, "'seed'"),
-        ({"k": 2**25, "m": 3, "l-over-k": 1}, "'k'"),
-        ({"k": 1e308, "m": 3}, "'k'"),
+        ({"k": 8, "m": 3, "d": 2, "l-over-k": "4"}, "'l-over-k'"),
+        ({"k": 8, "m": 3, "d": 2, "seed": "1"}, "'seed'"),
+        ({"k": 8, "m": 3, "d": 2, "seed": -2}, "'seed'"),
+        ({"k": 2**25, "m": 3, "d": 2, "l-over-k": 1}, "'k'"),
+        ({"k": 1e308, "m": 3, "d": 2}, "'k'"),
+        # gap's own refusals: trial 0 of a point, and a Gram for each method
+        ({"k": 8, "m": 3, "d": 2, "sweep": {"param": "d", "values": [2]}}, "point spec"),
+        ({"k": 8, "m": 3, "d": 2, "methods": ["cc", "ls"]}, "'methods'"),
+        ({"k": 8, "m": 3, "d": 2, "methods": ["oracle"]}, "'methods'"),
     ])
     def test_bad_gap_config_exits_nonzero_before_writing(self, tmp_path, capsys,
                                                           config, key):
@@ -133,6 +170,13 @@ class TestGapCommand:
         assert key in captured.err
         assert "gap_ratio" not in captured.out
         assert not out.exists()
+
+    def test_methods_without_a_gram_are_refused_before_out_is_checked(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, methods=["sccc", "ls"])
+        out = tmp_path / "missing" / "spectrum.csv"
+        assert main(["gap", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'ls' in key 'methods'" in err and "--out" not in err
 
     @pytest.mark.parametrize("flag", [["--format", "json"], ["--threads", "2"]])
     def test_gap_rejects_run_only_flags(self, tmp_path, capsys, flag):
@@ -627,6 +671,4 @@ def readme_key_tables():
 
 def test_readme_schema_tables_list_exactly_the_key_tables():
     # a key added to a table is documented, and a documented key exists
-    spec_keys, gap_keys = readme_key_tables()
-    assert spec_keys == list(harness._SPEC_FIELDS)
-    assert gap_keys == list(cli._GAP_FIELDS)
+    assert readme_key_tables() == [list(harness._SPEC_FIELDS)]

@@ -1,6 +1,7 @@
 import errno
 import importlib.util
 import json
+import math
 import os
 import signal
 import sys
@@ -9,6 +10,7 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -339,7 +341,6 @@ class TestStrictSpec:
         configs = [
             json.loads(path.read_text())
             for path in sorted((root / "reproduce").glob("*.json"))
-            if path.name != "spectral_gap.json"  # a `gap` config, not a run spec
         ]
         loader = importlib.util.spec_from_file_location(
             "bench_workloads", root / "benchmarks" / "workloads.py"
@@ -349,7 +350,7 @@ class TestStrictSpec:
         configs += [
             workloads.spec_config(w, 0, 0, w.batch_trials) for w in workloads.WORKLOADS.values()
         ]
-        assert len(configs) >= 8  # 5 run configs in reproduce/ and 3 workloads
+        assert len(configs) >= 9  # 6 configs in reproduce/ and 3 workloads
         for raw in configs:
             harness.spec_from_dict(raw)
 
@@ -387,6 +388,16 @@ class TestRunTrial:
     def test_determinism(self):
         spec = small_spec()
         assert harness.run_trial(spec, 2) == harness.run_trial(spec, 2)
+
+    @pytest.mark.parametrize("basis", harness.BASES)
+    def test_errors_are_each_solver_on_the_drawn_instance(self, basis):
+        spec = small_spec(filter_len=16, subspace_dim=3, basis=basis, methods=harness.METHODS)
+        for trial in range(2):
+            errors, _ = harness.run_trial(spec, trial)
+            for method in harness.METHODS:
+                inst = harness.draw_instance(spec, trial)
+                est = harness._SOLVERS[method](inst)
+                assert errors[method] == harness.sin_angle(est.h_hat, inst.filters), method
 
     def test_per_method_isolation(self):
         both = harness.run_trial(small_spec(methods=("cc", "sccc")), 1)[0]
@@ -466,6 +477,15 @@ class TestAggregatePercentile:
     def test_empty_rejected(self):
         with pytest.raises(InputError):
             harness.aggregate_percentile([], 95)
+
+    def test_rank_is_exact_on_the_decimal_percentile(self):
+        # float p / 100 * n lands above an integer rank for 141 such (p, n),
+        # 0.07 * 100 among them, and would pick the next value up
+        for n in range(1, 1001):
+            values = range(1, n + 1)
+            for p in range(1, 101):
+                rank = max(math.ceil(Fraction(p * n, 100)), 1)
+                assert harness.aggregate_percentile(values, p) == rank, (p, n)
 
     def test_bad_percentile_rejected(self):
         with pytest.raises(InputError):
