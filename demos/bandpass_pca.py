@@ -8,35 +8,33 @@ cycles/sample instead of +0.125), so the channels are band-pass at the
 mirrored frequency.  They leave most of the spectrum unexcited: the
 linearized least-squares system becomes severely ill-conditioned and the
 classical method's spectral gap collapses, while the subspace-constrained
-estimator keeps working.  The printed SNR is nominal: the orthonormal PCA
-basis carries 1/K of the energy the SNR formula assumes, so the realized
-SNR is 10 log10(K) = 15 dB lower.
+estimator keeps working.  The instance is trial 0 of the 40 dB cell of
+reproduce/pca_snr_sweep.json, drawn as every Monte Carlo trial draws it.
+The printed SNR is nominal: the orthonormal PCA basis carries 1/K of the
+energy the SNR formula assumes, so the realized SNR is 10 log10(K) = 15 dB
+lower.
 """
 
 import numpy as np
 
 import blindchan as bc
-from blindchan import blas
+from blindchan import blas, harness
 
-K, M, D = 32, 16, 6
-L = 20 * K
-snr_db = 40.0
-streams = bc.RngStreams(21)
+spec = bc.ExperimentSpec(
+    32, 16, 6, snr_db=40.0, basis="pca", methods=("cc", "sccc", "ls"), seed=2024,
+)
+K, M, D, snr_db = spec.filter_len, spec.n_channels, spec.subspace_dim, spec.snr_db
 
 # one BLAS thread, so every printed digit is the same at any OPENBLAS_NUM_THREADS
 with blas.single_thread():
-    bases = bc.gen_pca_subspace(K, D, M, streams.stream("basis"))
-    u, filters = bc.gen_channels_in_subspace(bases, streams.stream("coef"))
+    bases, filters, _, ys, noise_var = harness.draw_instance(spec, 0)
+    L = ys.shape[1]
 
     spectra = np.abs(np.fft.fft(filters, n=L, axis=1)) ** 2
     per_bin = spectra.sum(axis=0)
     span = per_bin.max() / per_bin.min()  # the dead bins hold roundoff: print it against a floor
     print(f"channel ensemble spectrum dynamic range: {'> 1e12' if span > 1e12 else f'{span:.1e}'}")
     print("  -> most DFT bins carry essentially no channel energy\n")
-
-    x = bc.gen_source("gaussian", L, streams.stream("source"))
-    noise_var = bc.sigma_for_snr(bc.db_to_linear(snr_db), K, L, M, x, u)
-    ys = bc.add_noise(bc.convolve_short(x, filters), np.sqrt(noise_var), streams.stream("noise"))
 
     cc = bc.solve_cross_conv(ys, K)
     sccc = bc.solve_subspace_cross_conv(ys, bases, noise_var)

@@ -2,18 +2,18 @@
 
 Subcommands: gap, trial, sweep, phase, check.  Configurations are JSON spec
 files (kebab-case keys, documented in the README); `--seed` overrides the
-config file's seed.  `gap` reads a point spec, draws its trial 0 as a trial
-would (harness.draw_instance) and writes, for each method in `methods`
-(`cc` or `sccc`), the normalized eigenvalue spectrum of the Gram that
-method's estimator eigendecomposes.  The Monte Carlo commands (trial, sweep,
-phase) also take `--format` and `--threads N`, the number of processes that
-run the trials: the calling one plus N - 1 forked workers (0 = one per CPU).
-It does not affect results.  The workers are forked at the first point and
-serve every later cell of a sweep or grid (and every later `main` call of a
-program that calls it in-process) until the process exits, when they are
-reaped; a lone `trial` run forks once.  These commands echo their resolved
-spec and the BLAS thread setting to a `.provenance.json` sidecar next to the
-output.
+config file's seed.  `gap` reads a point spec, runs each method in `methods`
+(`cc` or `sccc`) on its trial 0 as a trial would (harness.draw_instance,
+harness._SOLVERS) and writes the normalized spectrum of the matrix that
+method's estimator solved (Estimate.spectrum).  The Monte Carlo commands
+(trial, sweep, phase) also take `--format` and `--threads N`, the number of
+processes that run the trials: the calling one plus N - 1 forked workers
+(0 = one per CPU).  It does not affect results.  The workers are forked at
+the first point and serve every later cell of a sweep or grid (and every
+later `main` call of a program that calls it in-process) until the process
+exits, when they are reaped; a lone `trial` run forks once.  Every command
+that writes an output echoes its resolved spec and the BLAS thread setting
+to a `.provenance.json` sidecar next to it.
 Every command runs with OpenBLAS pinned to one thread, so its output does
 not depend on OPENBLAS_NUM_THREADS.
 
@@ -32,9 +32,6 @@ import sys
 
 from . import blas, checks, harness
 from .exceptions import BlindchanError, ConfigurationError
-from .solvers import debiased_compressed_gram
-from .spectral import eig_hermitian
-from .xcorr import cross_corr_matrix
 
 
 def _keep_freed_memory():
@@ -88,6 +85,16 @@ def _write_provenance(out_path, result):
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _write(out_path, result, fmt):
+    """The result as `fmt` ("csv" or "json") in out_path, and its provenance sidecar."""
+    if fmt == "json":
+        with open(out_path, "w", newline="") as fh:
+            fh.write(harness.result_to_json(result))
+    else:
+        harness.write_csv(result, out_path)
+    _write_provenance(out_path, result)
+
+
 def _read_spec(args, shape):
     """The spec in args.config (its seed overridden by --seed), which must have `shape`."""
     spec = harness.spec_from_dict(_load_config(args.config, args.seed))
@@ -96,32 +103,27 @@ def _read_spec(args, shape):
     return spec
 
 
-#: Each eigen method's Gram as a function of one harness.Instance: the matrix
-#: its estimator eigendecomposes, looked up at call time.
-_GRAMS = {
-    "cc": lambda inst: cross_corr_matrix(inst.ys, inst.bases.shape[1]),
-    "sccc": lambda inst: debiased_compressed_gram(inst.ys, inst.bases, inst.noise_var),
-}
+#: The methods whose estimator eigendecomposes one matrix in full.
+_GAP_METHODS = ("cc", "sccc")
 
 
 def cmd_gap(args):
     spec = _read_spec(args, "point")
     for method in spec.methods:
-        if method not in _GRAMS:
+        if method not in _GAP_METHODS:
             raise ConfigurationError(
                 f"gap has no Gram for {method!r} in key 'methods'; "
-                f"expected a subset of {tuple(_GRAMS)}"
+                f"expected a subset of {_GAP_METHODS}"
             )
     _check_out(args.out)
     instance = harness.draw_instance(spec, 0)
-    rows = ["method,eigenvalue"]
+    rows = []
     for method in spec.methods:
-        eig = eig_hermitian(_GRAMS[method](instance), overwrite_a=True)
-        print(f"{method} gap_ratio: {eig.gap_ratio:.6e}")
-        rows += [f"{method},{float(v):.12g}" for v in eig.eigenvalues / eig.lambda_max]
-    with open(args.out, "w", newline="") as fh:
-        fh.write("\n".join(rows) + "\n")
-    print(f"wrote {len(rows) - 1} normalized eigenvalues to {args.out}")
+        est = harness._SOLVERS[method](instance)
+        print(f"{method} gap_ratio: {est.gap_ratio:.6e}")
+        rows += [{"method": method, "eigenvalue": float(v)} for v in est.spectrum / est.spectrum[0]]
+    _write(args.out, harness.ExperimentResult(spec, harness.spec_hash(spec), tuple(rows)), "csv")
+    print(f"wrote {len(rows)} normalized eigenvalues to {args.out}")
     return 0
 
 
@@ -137,12 +139,7 @@ def cmd_run(args):
     spec = _read_spec(args, _RUNS[args.command][1])
     _check_out(args.out)
     result = harness.run_experiment(spec, threads=args.threads)
-    if args.format == "json":
-        with open(args.out, "w", newline="") as fh:
-            fh.write(harness.result_to_json(result))
-    else:
-        harness.write_csv(result, args.out)
-    _write_provenance(args.out, result)
+    _write(args.out, result, args.format)
     print(f"wrote {args.out} (provenance {result.provenance})")
     return 0
 

@@ -359,11 +359,6 @@ def spec_hash(spec):
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _point_spec(spec):
-    """The spec with any sweep stripped, used for one cell's trials."""
-    return replace(spec, sweep=None)
-
-
 def _apply_sweep_value(spec, param, value):
     name, kind, _ = _SPEC_FIELDS[param]
     try:
@@ -378,7 +373,7 @@ def _cells(spec):
     The label is the sweep value, the (d-over-k, l-over-k) pair of a grid
     cell, or None for a point spec.
     """
-    point = _point_spec(spec)
+    point = replace(spec, sweep=None)
     if isinstance(spec.sweep, Sweep):
         return [(v, _apply_sweep_value(point, spec.sweep.param, v)) for v in spec.sweep.values]
     if isinstance(spec.sweep, Grid):
@@ -624,7 +619,8 @@ def _run_forked(spec, workers):
 
 
 def run_point(spec, threads=1):
-    """Run all trials of a single parameter point (the unit of parallelism).
+    """Run all trials of a point spec (the unit of parallelism); a spec with a
+    sweep or grid is refused (run_experiment runs each of its cells here).
 
     Trials run with OpenBLAS pinned to one thread (blas.single_thread).
     threads > 1 runs them in that many processes, the calling one plus
@@ -642,7 +638,11 @@ def run_point(spec, threads=1):
     its share, raises RuntimeError naming it, and the next call forks fresh
     workers.  They are reaped at exit.
     """
-    spec = _point_spec(spec).validate()
+    if spec.shape != "point":
+        raise ConfigurationError(
+            f"run_point runs a point spec, got shape {spec.shape!r}; run it with run_experiment"
+        )
+    spec = spec.validate()
     if threads < 1:
         threads = os.cpu_count() or 1
     threads = min(threads, spec.trials)
@@ -667,7 +667,7 @@ class ExperimentResult:
 
 #: Each spec shape's output columns and its rows for one cell, as a function
 #: of (spec, cell label, PointResult) giving one tuple of column values per
-#: row.  The CSV writer and the JSON mirror both read this table.
+#: row; a sweep value is written as its key's kind writes it.
 _TABLES = {
     "point": (
         ("trial", "method", "error", "degenerate"),
@@ -681,7 +681,7 @@ _TABLES = {
         ("sweep_param", "value", "method", "p95", "median", "mean", "trials", "degenerate"),
         lambda spec, value, point: [
             (
-                spec.sweep.param, value.item() if isinstance(value, np.generic) else value,
+                spec.sweep.param, _SPEC_FIELDS[spec.sweep.param][1].write(value),
                 method, point.percentile(method), point.median(method),
                 point.mean(method), point.spec.trials, point.degenerate_count(method),
             )
@@ -721,8 +721,8 @@ def _fmt(value):
 
 
 def write_csv(result, path):
-    """The result's column header, then one line per row, newline-terminated."""
-    columns = _TABLES[result.spec.shape][0]
+    """A header of the keys of the result's rows, then one line per row, newline-terminated."""
+    columns = list(result.rows[0])
     lines = [",".join(columns)]
     lines += [",".join(_fmt(row[column]) for column in columns) for row in result.rows]
     with open(path, "w", newline="") as fh:

@@ -32,11 +32,11 @@ class Estimate:
 
     h_hat has unit norm and canonical phase; u_hat holds the coefficient
     representation where the solver estimates one (sccc, oracle), else None.
-    lambda_min and gap_ratio (lambda_2 / lambda_max) describe the eigenproblem
-    actually solved.  Where a solver computes no lambda_2, gap_ratio is NaN:
-    oracle solves no eigenproblem, and ls's structured solve only certifies
-    that lambda_2 lies well above lambda_1 (its dense fallback reports NaN
-    alike).
+    lambda_min, gap_ratio (lambda_2 / lambda_max) and spectrum (all eigenvalues,
+    descending; None for oracle and ls) describe the eigenproblem actually solved.
+    Where a solver computes no lambda_2, gap_ratio is NaN: oracle solves no
+    eigenproblem, and ls's structured solve only certifies that lambda_2 lies
+    well above lambda_1 (its dense fallback reports NaN alike).
     """
 
     h_hat: np.ndarray
@@ -46,6 +46,7 @@ class Estimate:
     degenerate: bool
     condition: float | None = None
     ill_posed: bool = False
+    spectrum: np.ndarray | None = None
 
 
 def _normalize(h):
@@ -60,7 +61,7 @@ def solve_cross_conv(ys, filter_len):
     eig = eig_hermitian(cross_corr_matrix(ys, filter_len), overwrite_a=True)
     return Estimate(
         h_hat=_normalize(eig.vector), u_hat=None, lambda_min=eig.lambda_min,
-        gap_ratio=eig.gap_ratio, degenerate=eig.degenerate,
+        gap_ratio=eig.gap_ratio, degenerate=eig.degenerate, spectrum=eig.eigenvalues,
     )
 
 
@@ -108,6 +109,7 @@ def solve_subspace_cross_conv(ys, bases, noise_var):
     return Estimate(
         h_hat=_normalize(apply_bases(bases, eig.vector).reshape(-1)), u_hat=eig.vector,
         lambda_min=eig.lambda_min, gap_ratio=eig.gap_ratio, degenerate=eig.degenerate,
+        spectrum=eig.eigenvalues,
     )
 
 

@@ -125,9 +125,9 @@ class TestGapCommand:
         cfg.write_text(json.dumps({"k": 16, "m": 4, "d": 5, "l-over-k": 3, "seed": 11}))
         fast, slow = tmp_path / "fast.txt", tmp_path / "slow.txt"
         assert main(["gap", "--config", str(cfg), "--out", str(fast)]) == 0
-        eig_hermitian = cli.eig_hermitian
-        monkeypatch.setattr(cli, "eig_hermitian", lambda a, overwrite_a=False: eig_hermitian(a))
-        monkeypatch.setattr(cli, "debiased_compressed_gram",
+        eig_hermitian = solvers.eig_hermitian
+        monkeypatch.setattr(solvers, "eig_hermitian", lambda a, overwrite_a=False: eig_hermitian(a))
+        monkeypatch.setattr(solvers, "debiased_compressed_gram",
                             lambda ys, bases, noise_var: xcorr.compressed_cross_corr(ys, bases))
         assert main(["gap", "--config", str(cfg), "--out", str(slow)]) == 0
         assert fast.read_bytes() == slow.read_bytes()
@@ -390,7 +390,7 @@ class TestRunCommands:
     def test_unreadable_config_exits_nonzero_naming_it(self, tmp_path, capsys, monkeypatch,
                                                        command):
         monkeypatch.setattr(harness, "run_trial", no_work)
-        monkeypatch.setattr(cli, "eig_hermitian", no_work)
+        monkeypatch.setattr(harness, "draw_instance", no_work)
         folder = tmp_path / "configs"
         folder.mkdir()
         out = tmp_path / "out.csv"
@@ -402,7 +402,7 @@ class TestRunCommands:
     def test_missing_out_directory_exits_nonzero_before_running(
             self, tmp_path, capsys, monkeypatch, command):
         monkeypatch.setattr(harness, "run_trial", no_work)
-        monkeypatch.setattr(cli, "eig_hermitian", no_work)
+        monkeypatch.setattr(harness, "draw_instance", no_work)
         configs = {
             "gap": {"k": 8, "m": 3, "d": 2},
             "trial": {},
@@ -426,7 +426,7 @@ class TestRunCommands:
         # permission bits do not bind root, so write access is refused by hand:
         # to an existing output file, or else to the folder that would hold it
         monkeypatch.setattr(harness, "run_trial", no_work)
-        monkeypatch.setattr(cli, "eig_hermitian", no_work)
+        monkeypatch.setattr(harness, "draw_instance", no_work)
         out = tmp_path / "out.csv"
         if existing:
             out.write_text("kept\n")
@@ -557,6 +557,22 @@ class TestFreedMemoryKept:
         monkeypatch.setattr(cli.ctypes, "CDLL", libc_without_mallopt)
         assert_cli_matches_a_fresh_run(tmp_path, 1)
         assert opened == [None]
+
+
+@pytest.mark.parametrize("command,overrides", [
+    ("gap", {}),
+    ("trial", {}),
+    ("sweep", {"sweep": {"param": "snr-db", "values": [None, 20]}}),
+    ("phase", {"sweep": {"d-over-k": [0.25], "l-over-k": [4]}}),
+])
+def test_every_output_has_a_provenance_sidecar(tmp_path, command, overrides):
+    cfg = write_config(tmp_path, trials=2, **overrides)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    sidecar = json.loads((tmp_path / "out.csv.provenance.json").read_text())
+    spec = harness.spec_from_dict(json.loads(cfg.read_text()))
+    assert sidecar["provenance"] == harness.spec_hash(spec)
+    assert sidecar["spec"] == harness.spec_to_dict(spec)
 
 
 @pytest.mark.parametrize("command", ["gap", "trial", "sweep", "phase"])

@@ -609,6 +609,22 @@ class TestRunPoint:
         with pytest.raises(ConfigurationError, match="has no os.fork"):
             harness.run_point(small_spec(trials=2), threads=2)
 
+    @pytest.mark.parametrize("dim,sweep", [
+        (2, harness.Sweep("d", (1, 2))),
+        (9, harness.Sweep("d", (1, 2))),
+        (2, harness.Grid(d_over_k=(0.25,), l_over_k=(4,))),
+    ])
+    def test_sweep_or_grid_is_refused_before_any_trial(self, monkeypatch, dim, sweep):
+        # run_point runs one point: a sweep is neither dropped for its base
+        # point nor checked at a base dimension no cell runs
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", no_trials)
+        spec = harness.ExperimentSpec(8, 3, dim, sweep=sweep)
+        with pytest.raises(ConfigurationError, match="point spec, got shape .*run_experiment"):
+            harness.run_point(spec)
+
     def test_pooled_run_leaves_warning_filters_alone(self):
         # short windows (L = 2K), the regime sweeps probe on purpose, must
         # leave no trace in the process-wide warning filters

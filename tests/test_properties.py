@@ -5,6 +5,8 @@ the same examples and the suite stays deterministic and fast.
 """
 
 import json
+import os
+import tempfile
 from dataclasses import fields, replace
 
 import numpy as np
@@ -110,6 +112,44 @@ def test_numpy_scalar_fields_validate_and_hash_like_python_ones(spec):
         return
     twin.validate()
     assert harness.spec_hash(twin) == harness.spec_hash(spec)
+
+
+def respell(value):
+    """The same sweep value spelled another way: an integer as the whole float
+    and back, None as "noiseless" and back."""
+    if value is None or value == "noiseless":
+        return "noiseless" if value is None else None
+    return float(value) if isinstance(value, int) else int(value)
+
+
+@st.composite
+def respelled_sweeps(draw):
+    """(param, values, the values respelled) of a small sweep."""
+    param = draw(st.sampled_from(harness.SWEEP_PARAMS))
+    low, high = {"d": (1, 4), "m": (2, 4), "l-over-k": (2, 6), "snr-db": (0, 40)}[param]
+    value = st.integers(low, high) | (st.none() if param == "snr-db" else st.nothing())
+    values = draw(st.lists(value, min_size=1, max_size=3, unique=True))
+    values = tuple(respell(v) if draw(st.booleans()) else v for v in values)
+    return param, values, tuple(map(respell, values))
+
+
+@PROPERTY
+@given(respelled_sweeps())
+def test_respelled_sweep_values_hash_and_write_alike(case):
+    # spec_hash promises one provenance per spec, so two spellings of one
+    # spec must write the same bytes
+    param, values, respelled = case
+    spec = harness.ExperimentSpec(8, 3, 2, trials=1, seed=5, sweep=harness.Sweep(param, values))
+    twin = replace(spec, sweep=harness.Sweep(param, respelled))
+    assert harness.spec_hash(twin) == harness.spec_hash(spec)
+    results = [harness.run_experiment(s) for s in (spec, twin)]
+    assert harness.result_to_json(results[1]) == harness.result_to_json(results[0])
+    with tempfile.TemporaryDirectory() as folder:
+        paths = [os.path.join(folder, name) for name in ("spec.csv", "twin.csv")]
+        for result, path in zip(results, paths):
+            harness.write_csv(result, path)
+        with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
+            assert b.read() == a.read()
 
 
 # ---------------------------------------------------------------------------

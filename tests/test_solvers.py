@@ -394,7 +394,7 @@ def test_sccc_hand_over_keeps_the_copying_paths_bytes(monkeypatch, kind, debiase
     monkeypatch.setattr(solvers, "debiased_compressed_gram", copying_debiased_gram)
     monkeypatch.setattr(solvers, "eig_hermitian", lambda a, overwrite_a=False: eig_hermitian(a))
     slow = solvers.solve_subspace_cross_conv(ys, bases, noise_var)
-    for field in ("h_hat", "u_hat", "lambda_min", "gap_ratio", "degenerate"):
+    for field in ("h_hat", "u_hat", "lambda_min", "gap_ratio", "degenerate", "spectrum"):
         assert np.asarray(getattr(fast, field)).tobytes() == np.asarray(getattr(slow, field)).tobytes()
 
 
