@@ -221,9 +221,11 @@ def check_compress_vs_explicit(rng):
 
 
 def check_xcorr_hermitian_psd(rng):
-    """The Gram is exactly Hermitian (eig_hermitian reads only its lower
-    triangle when cc hands it over) and positive semidefinite."""
+    """The Gram is exactly Hermitian and Fortran-ordered complex128, and
+    positive semidefinite.  cc hands it to eig_hermitian as it is, which
+    reads both triangles, so exactly Hermitian storage is load-bearing."""
     asymmetric = 0
+    not_fortran = 0
     worst_neg = 0.0
     for _ in range(50):
         M = int(rng.integers(2, 5))
@@ -232,16 +234,19 @@ def check_xcorr_hermitian_psd(rng):
         ys = [complex_gaussian(rng, L) for _ in range(M)]
         a = xcorr.cross_corr_matrix(ys, K)
         asymmetric += int(np.count_nonzero(a != a.conj().T))
+        not_fortran += not (a.flags.f_contiguous and a.dtype == np.complex128)
         w = np.linalg.eigvalsh(a)
         worst_neg = max(worst_neg, -w[0] / w[-1])
-    ok = asymmetric == 0 and worst_neg <= 1e-10
-    return ok, f"entries off Hermitian {asymmetric}, min eig ratio {-worst_neg:.2e}"
+    ok = asymmetric == 0 and not_fortran == 0 and worst_neg <= 1e-10
+    return ok, (f"entries off Hermitian {asymmetric}, not Fortran-ordered complex128 "
+                f"{not_fortran}, min eig ratio {-worst_neg:.2e}")
 
 
 def check_debiased_gram_hermitian(rng):
     """The matrix sccc eigendecomposes is exactly Hermitian and Fortran-ordered
-    complex128, noiseless and debiased alike (eig_hermitian reads only its
-    lower triangle when sccc hands it over)."""
+    complex128, noiseless and debiased alike.  sccc hands it to eig_hermitian
+    as it is, which reads both triangles, so exactly Hermitian storage is
+    load-bearing."""
     asymmetric = 0
     not_fortran = 0
     for i in range(50):

@@ -10,6 +10,7 @@ parts N(0, s^2/2), so E|g|^2 = s^2.  The expectation identities the library
 checks hold with exactly this normalization.
 """
 
+import functools
 import hashlib
 
 import numpy as np
@@ -17,6 +18,20 @@ import numpy as np
 from .exceptions import ConfigurationError, DimensionError, InputError
 from .sigops import as_signal
 from .spectral import hermitian_part_t
+
+
+def _uint32_words(n):
+    """The uint32 words numpy's seeding makes of a non-negative int: least
+    significant first, (0,) for 0."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    return tuple((n >> shift) & 0xFFFFFFFF for shift in range(0, max(n.bit_length(), 1), 32))
+
+
+@functools.lru_cache(maxsize=64)
+def _label_words(label):
+    """The uint32 words of a label's tag, the first 8 bytes of its SHA-256."""
+    return _uint32_words(int.from_bytes(hashlib.sha256(label.encode()).digest()[:8], "little"))
 
 
 class RngStreams:
@@ -29,10 +44,13 @@ class RngStreams:
 
     def __init__(self, master_seed):
         self.master_seed = int(master_seed)
+        self._seed_words = _uint32_words(self.master_seed)
 
     def stream(self, label, index=0):
-        tag = int.from_bytes(hashlib.sha256(label.encode()).digest()[:8], "little")
-        return np.random.default_rng([self.master_seed, tag, int(index)])
+        """The generator of np.random.default_rng([master_seed, tag, index]),
+        seeded with the uint32 words numpy would make of that list."""
+        words = self._seed_words + _label_words(label) + _uint32_words(int(index))
+        return np.random.default_rng(np.array(words, dtype=np.uint32))
 
 
 def complex_gaussian(rng, *shape, var=1.0):

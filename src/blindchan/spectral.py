@@ -104,9 +104,10 @@ def eig_hermitian(A, overwrite_a=False):
     The input is copied and symmetrized first.  With overwrite_a=True a
     caller that owns an exactly Hermitian, Fortran-ordered complex128 array
     (xcorr.cross_corr_matrix's Gram, solvers.debiased_compressed_gram's
-    matrix) hands that buffer over instead: no copy
-    and no symmetrize pass, only its lower triangle is read, and it is
-    destroyed.  Any other buffer raises ValueError there.  Eigenvalues are
+    matrix) hands that buffer over instead: no copy and no symmetrize pass;
+    both triangles are read, so the storage must be exactly Hermitian, and
+    the buffer is destroyed.  Any buffer that is not Fortran-ordered
+    complex128 raises ValueError there.  Eigenvalues are
     eigvalsh's, sorted descending.  The eigenvector of lambda_min is found by
     inverse iteration on the tridiagonal matrix that the spectrum's own
     Householder reduction produced, so the O(n^3) work is done once; its

@@ -4,8 +4,9 @@ For M channel outputs y_1..y_M of a common source, the commutativity of
 convolution gives one length-L linear constraint block per channel pair; the
 stacked constraint matrix has M(M-1)/2 * L rows and M*K columns.  Its Gram
 matrix is what the classical estimator eigendecomposes.  The Gram is
-assembled here block-wise from M(M+1)/2 length-L FFT cross-correlations,
-never forming the tall constraint matrix.  The subspace estimator needs only
+assembled here block-wise from length-L FFT cross-correlations, one
+channel row of pairs at a time and straight into the Gram, never forming
+the tall constraint matrix.  The subspace estimator needs only
 the Gram compressed by the model bases.  Each K x K block reads the lags
 |l| < K of one pair correlation, so the compression is built from those lags
 alone, at DFT length N = min(L, 2K): its cost beyond the correlations
@@ -88,10 +89,13 @@ def cross_corr_matrix(ys, filter_len):
     channels; block (n, m) for n != m is minus the (m, n) cross-correlation
     block.  Returns the MK x MK matrix cross_relation_matrix(ys, K)^H @
     cross_relation_matrix(ys, K) as a Fortran-ordered complex128 array that
-    is exactly Hermitian, so that spectral.eig_hermitian can take it with
-    overwrite_a=True: the off-diagonal blocks are placed as the conjugate
-    pairs they are, and each diagonal block is stored as its Hermitian part
-    by spectral.hermitian_part_t, the bits eig_hermitian's copy would hold.
+    is exactly Hermitian in full storage, so that spectral.eig_hermitian can
+    take it with overwrite_a=True: the off-diagonal blocks are written as
+    the conjugate pairs they are, and each diagonal block is stored as its
+    Hermitian part by spectral.hermitian_part_t, the bits eig_hermitian's
+    copy would hold.  The pairs are correlated one channel row at a time,
+    straight into the Gram, so beside it only the channel spectra and one
+    row's M - 1 correlations and blocks are held.
     """
     ys = _check_channels(ys, filter_len)
     M, L = ys.shape
@@ -99,33 +103,38 @@ def cross_corr_matrix(ys, filter_len):
     # Correlation block (a, b) = T_{y_a}^H T_{y_b} is the top-left K x K corner
     # of the circulant C_a^H C_b, whose (i, j) entry is r[(i-j) mod L] with
     # r = ifft(conj(fft(a)) * fft(b)); block (b, a) is its conjugate transpose.
-    # The M(M-1)/2 blocks with a < b are allocated before the spectra and
-    # correlations, so that these, once freed, leave one free run at the heap
-    # top, where the Gram is then allocated.
-    blocks = np.empty((M * (M - 1) // 2, K, K), dtype=np.complex128)
-    a, b, spectra = _pair_spectra(ys)
-    corr = np.fft.ifft(spectra, axis=1)
-    del spectra
+    fhat = np.fft.fft(ys, axis=1)
     idx = (np.arange(K)[:, None] - np.arange(K)[None, :]) % L
-    pair = np.flatnonzero(a != b)
-    diag = corr[np.flatnonzero(a == b)[:, None, None], idx]
+    n = np.arange(M)
+    corr = np.fft.ifft(np.conjugate(fhat) * fhat, axis=1)
+    diag = corr[n[:, None, None], idx]  # C-ordered, so the sum keeps its order
+    del corr
     diag = diag.sum(axis=0) - diag
     herm = hermitian_part_t(diag.transpose(0, 2, 1))  # block (n, n) as g stores it
     del diag
-    # blocks[i] = corr[pair[i]][idx]; mode="clip" writes straight into blocks
-    np.take(corr, pair[:, None, None] * L + idx, out=blocks, mode="clip")
-    del corr  # free before the Gram is allocated
-    np.negative(blocks, out=blocks)
-    a, b = a[pair], b[pair]
     # the Gram is built transposed in g, a C-ordered view of the Fortran-ordered
     # result: g[m, q, n, p] is entry (n K + p, m K + q), so g[m, :, n] holds
     # block (n, m) transposed
     out = np.empty((M * K, M * K), dtype=np.complex128, order="F")
     g = out.T.reshape(M, K, M, K)
-    g[a, :, b] = blocks.transpose(0, 2, 1)  # block (b, a) = -B_ab
-    g[b, :, a] = np.conjugate(blocks, out=blocks)  # block (a, b) = -B_ab^H
-    n = np.arange(M)
     g[n, :, n] = herm
+    del herm
+    for a in range(M - 1):
+        # conj(fft(y_a)) * fft(y_b) over two contiguous operands of one shape:
+        # numpy's complex product takes another loop, with other bits, for a
+        # broadcast operand or a one-element in-place product
+        spectra = np.repeat(np.conjugate(fhat[a : a + 1]), M - a - 1, axis=0) * fhat[a + 1 :]
+        corr = np.fft.ifft(spectra, axis=1)
+        del spectra
+        # negated through the float64 view: the bits of numpy's complex
+        # negative, several times faster
+        parts = corr.view(np.float64)
+        np.negative(parts, out=parts)
+        blocks = corr[:, idx]  # blocks[b - a - 1] = -B_ab
+        del corr, parts
+        g[a, :, a + 1 :] = blocks.transpose(2, 0, 1)  # block (b, a) = -B_ab
+        g[a + 1 :, :, a] = np.conjugate(blocks, out=blocks)  # block (a, b) = -B_ab^H
+        del blocks  # before the next row's are gathered
     return out
 
 

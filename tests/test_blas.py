@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blindchan import blas, harness, solvers, spectral
+from blindchan import blas, harness, solvers, spectral, xcorr
 from blindchan.metrics import sin_angle
 from blindchan.models import complex_gaussian
 
@@ -73,14 +73,70 @@ def test_cc_recovers_outputs_of_extreme_scale():
     assert sin_angle(got.h_hat, want.h_hat) <= 1e-9
 
 
+def unit_part_hermitian(n):
+    """A Hermitian n x n matrix whose largest |Re a_ij| and |Im a_ij| is exactly
+    1, at entry (1, 0) = 1 + 1j, where |a_ij| = sqrt(2) is the largest."""
+    a = complex_gaussian(np.random.default_rng(n), n, n) / 16
+    a = (a + a.conj().T) / 2
+    a[1, 0], a[0, 1] = 1 + 1j, 1 - 1j
+    assert np.abs(a.view(np.float64)).max() == 1 and np.abs(a).max() == np.sqrt(2)
+    return a
+
+
+@needs_openblas
+@pytest.mark.parametrize("n", [9, 64])
+@pytest.mark.parametrize("largest_part", [
+    pytest.param(2.0**-486, id="2^-486"),
+    pytest.param(np.nextafter(2.0**-485, 0), id="below-2^-485"),
+    pytest.param(2.0**-485, id="at-2^-485"),
+    pytest.param(2.0**484, id="at-2^484"),
+    pytest.param(np.nextafter(2.0**484, np.inf), id="above-2^484"),
+    pytest.param(2.0**485, id="2^485"),
+])
+def test_the_range_check_keeps_eigvalsh_bits_and_the_vector(n, largest_part):
+    # with max(|Re a_ij|, |Im a_ij|) in [2**-485, 2**484] the eigensolve skips
+    # zlanhe, as zheevd's max |a_ij| is inside its scaling bounds; just outside,
+    # zlanhe decides, and at 2**-486 and 2**485 (max |a_ij| = sqrt(2) times
+    # either) zheevd scales.  Scaling by a real factor keeps `a` exactly Hermitian
+    a = unit_part_hermitian(n)
+    with blas.single_thread():
+        res = spectral.eig_hermitian(a * largest_part)
+        np.testing.assert_array_equal(
+            res.eigenvalues[::-1], np.linalg.eigvalsh(a * largest_part))
+        assert np.all(np.isfinite(res.vector))
+        assert sin_angle(res.vector, spectral.eig_hermitian(a).vector) <= 1e-12
+
+
+class LibSpy:
+    """blas.LIB with a record of the names of the routines called through it."""
+
+    def __init__(self, lib):
+        self.lib, self.calls = lib, []
+
+    def __getattr__(self, name):
+        fn = getattr(self.lib, name)
+
+        def call(*args):
+            self.calls.append(name)
+            return fn(*args)
+
+        return call
+
+
+@needs_openblas
+@pytest.mark.parametrize("scale, zlanhe_calls", [(1.0, 0), (1e-160, 1)])
+def test_zlanhe_runs_only_outside_the_range_check(monkeypatch, scale, zlanhe_calls):
+    gram = xcorr.cross_corr_matrix(complex_gaussian(np.random.default_rng(6), 4, 64), 8)
+    spy = LibSpy(blas.LIB)
+    monkeypatch.setattr(blas, "LIB", spy)
+    spectral.eig_hermitian(gram * scale, overwrite_a=True)
+    assert spy.calls.count("scipy_LAPACKE_zlanhe64_") == zlanhe_calls
+
+
 def test_a_lapack_failure_names_the_routine(monkeypatch):
     class Failing:
         @staticmethod
-        def scipy_LAPACKE_zlanhe64_(*args):
-            return 1.0  # max |a_ij| of the identity
-
-        @staticmethod
-        def scipy_LAPACKE_zhetrd64_(*args):
+        def scipy_LAPACKE_zhetrd_work64_(*args):
             return -4  # LAPACK's "argument 4 is illegal"
 
     monkeypatch.setattr(blas, "LIB", Failing())

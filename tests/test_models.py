@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,22 @@ class TestRngStreams:
         _ = s2.stream("b", 0).standard_normal(4)
         again = s2.stream("a", 0).standard_normal(4)
         np.testing.assert_array_equal(first, again)
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3])
+    @pytest.mark.parametrize("index", [0, 2**33])
+    def test_draws_are_those_of_the_seed_list(self, seed, index):
+        # stream hands default_rng the uint32 words numpy makes of the list
+        tag = int.from_bytes(hashlib.sha256(b"noise").digest()[:8], "little")
+        want = np.random.default_rng([seed, tag, index])
+        got = models.RngStreams(seed).stream("noise", index)
+        assert got.bit_generator.state == want.bit_generator.state
+        np.testing.assert_array_equal(got.standard_normal(8), want.standard_normal(8))
+
+    def test_a_negative_seed_is_refused_as_numpy_refuses_it(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            np.random.default_rng([-1, 0, 0])
+        with pytest.raises(ValueError, match="non-negative"):
+            models.RngStreams(-1).stream("noise")
 
 
 class TestGaussianSubspace:
