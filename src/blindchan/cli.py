@@ -8,10 +8,11 @@ harness._SOLVERS) and writes the normalized spectrum of the matrix that
 method's estimator solved (Estimate.spectrum).  The Monte Carlo commands
 (trial, sweep, phase) also take `--format` and `--threads N`, the number of
 processes that run the trials: the calling one plus N - 1 forked workers
-(0 = one per CPU).  It does not affect results.  The workers are forked at
-the first point and serve every later cell of a sweep or grid (and every
-later `main` call of a program that calls it in-process) until the process
-exits, when they are reaped; a lone `trial` run forks once.  Every command
+(0 = one per CPU where processes can be forked, else 1).  It does not
+affect results.  The workers are forked at the first point and serve every
+later cell of a sweep or grid (and every later `main` call of a program that
+calls it in-process) until the process exits, when they are reaped; a lone
+`trial` run forks once.  Every command
 that writes an output echoes its resolved spec and the BLAS thread setting
 to a `.provenance.json` sidecar next to it.
 Every command runs with OpenBLAS pinned to one thread, so its output does
@@ -37,10 +38,11 @@ from .exceptions import BlindchanError, ConfigurationError
 def _keep_freed_memory():
     """Have glibc's malloc serve blocks up to 32 MiB (the 64-bit ceiling of its mmap
     threshold) from the heap and never trim the heap top, for the life of this process.
-    Nothing happens where libc has no mallopt."""
+    Nothing happens where libc has no mallopt, or where CDLL(None) opens no
+    library at all (a TypeError on Windows)."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
+    except (OSError, AttributeError, TypeError):
         return
     mallopt.restype, mallopt.argtypes = ctypes.c_int, [ctypes.c_int, ctypes.c_int]
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
@@ -173,7 +175,8 @@ def build_parser():
         p_run.add_argument("--format", choices=("csv", "json"), default="csv")
         p_run.add_argument(
             "--threads", type=int, default=0,
-            help="processes running trials: this one plus N - 1 forked workers (0 = one per CPU)",
+            help="processes running trials: this one plus N - 1 forked workers "
+            "(0 = one per CPU where processes can be forked, else 1)",
         )
         p_run.set_defaults(fn=cmd_run)
 

@@ -19,7 +19,7 @@ import signal
 import threading
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -204,40 +204,27 @@ def _write_sweep(sweep):
 #: No sweep (None), a 1-D Sweep or a 2-D Grid.
 SWEEP = optional(Kind(_read_sweep, _holds_sweep, _write_sweep))
 
-#: Default of a key-table entry whose key must be present.
-REQUIRED = object()
 
-#: JSON key -> (ExperimentSpec field, kind, default or REQUIRED).
-_SPEC_FIELDS = {
-    "k": ("filter_len", INT, REQUIRED),
-    "m": ("n_channels", INT, REQUIRED),
-    "d": ("subspace_dim", INT, REQUIRED),
-    "l-over-k": ("l_over_k", NUMBER, 20),
-    "snr-db": ("snr_db", SNR, "noiseless"),
-    "trials": ("trials", COUNT, 200),
-    "methods": ("methods", LIST, ("cc", "sccc")),
-    "basis": ("basis", TEXT, "gaussian"),
-    "source": ("source", TEXT, "gaussian"),
-    "percentile": ("percentile", PERCENTILE, 95),
-    "seed": ("seed", SEED, 0),
-    "sweep": ("sweep", SWEEP, None),
-}
+def _key(json_key, kind, default=MISSING):
+    """An ExperimentSpec field that config key json_key sets, read, checked and
+    written by kind; with no default, the key is required."""
+    return field(default=default, metadata={"key": json_key, "kind": kind})
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    filter_len: int
-    n_channels: int
-    subspace_dim: int
-    l_over_k: float = 20.0
-    snr_db: float | None = None  # None means noiseless
-    trials: int = 200
-    methods: tuple = ("cc", "sccc")
-    basis: str = "gaussian"
-    source: str = "gaussian"
-    percentile: float = 95.0
-    seed: int = 0
-    sweep: Sweep | Grid | None = None
+    filter_len: int = _key("k", INT)
+    n_channels: int = _key("m", INT)
+    subspace_dim: int = _key("d", INT)
+    l_over_k: float = _key("l-over-k", NUMBER, 20.0)
+    snr_db: float | None = _key("snr-db", SNR, None)  # None means noiseless
+    trials: int = _key("trials", COUNT, 200)
+    methods: tuple = _key("methods", LIST, ("cc", "sccc"))
+    basis: str = _key("basis", TEXT, "gaussian")
+    source: str = _key("source", TEXT, "gaussian")
+    percentile: float = _key("percentile", PERCENTILE, 95.0)
+    seed: int = _key("seed", SEED, 0)
+    sweep: Sweep | Grid | None = _key("sweep", SWEEP, None)
 
     def validate(self):
         """Check the spec and every cell it expands to; raise ConfigurationError."""
@@ -290,16 +277,21 @@ class ExperimentSpec:
         return "sweep" if isinstance(self.sweep, Sweep) else "grid"
 
 
+#: JSON key -> (ExperimentSpec field, kind, required), in field order.
+_SPEC_FIELDS = {
+    f.metadata["key"]: (f.name, f.metadata["kind"], f.default is MISSING)
+    for f in fields(ExperimentSpec)
+}
+
+
 def check_dimensions(filter_len, n_channels, subspace_dim, signal_len, where=""):
-    """Raise ConfigurationError naming the key unless m >= 2, 1 <= d <= k,
-    k >= 1 and L = round(l-over-k * k) >= k."""
+    """Raise ConfigurationError naming the key unless m >= 2, 1 <= d <= k
+    and L = round(l-over-k * k) >= k."""
     K, M, D, L = filter_len, n_channels, subspace_dim, signal_len
     if M < 2:
         raise ConfigurationError(f"{where}need m >= 2 channels, got m={M}")
     if not 1 <= D <= K:
         raise ConfigurationError(f"{where}need 1 <= d <= k, got d={D}, k={K}")
-    if K < 1:
-        raise ConfigurationError(f"{where}need k >= 1, got k={K}")
     if L < K:
         raise ConfigurationError(f"{where}need round(l-over-k * k) >= k, got {L} < {K}")
 
@@ -335,15 +327,16 @@ def spec_from_dict(raw):
     """
     data = dict(raw)
     _reject_unknown(data, _SPEC_FIELDS, "spec")
-    fields = {}
-    for key, (name, kind, default) in _SPEC_FIELDS.items():
-        if key not in data and default is REQUIRED:
+    given = {}
+    for key, (name, kind, required) in _SPEC_FIELDS.items():
+        if key in data:
+            try:
+                given[name] = kind.read(data[key])
+            except TypeError:
+                raise ConfigurationError(f"spec key {key!r} has a bad value {data[key]!r}") from None
+        elif required:
             raise ConfigurationError(f"spec is missing required key {key!r}")
-        try:
-            fields[name] = kind.read(data.get(key, default))
-        except TypeError:
-            raise ConfigurationError(f"spec key {key!r} has a bad value {data[key]!r}") from None
-    return ExperimentSpec(**fields).validate()
+    return ExperimentSpec(**given).validate()
 
 
 def spec_to_dict(spec):
@@ -625,9 +618,9 @@ def run_point(spec, threads=1):
     Trials run with OpenBLAS pinned to one thread (blas.single_thread).
     threads > 1 runs them in that many processes, the calling one plus
     threads - 1 forked workers, worker w taking trials w, w + threads, ...;
-    threads < 1 means one process per CPU (os.cpu_count()).  No more
-    processes than trials run, so a one-trial spec forks nothing.  Results
-    are the same at any thread count.
+    threads < 1 means one process per CPU (os.cpu_count()) where processes
+    can be forked, else 1.  No more processes than trials run, so a
+    one-trial spec forks nothing.  Results are the same at any thread count.
 
     Workers are forked on first use and serve every later point of this
     process, so a sweep or grid forks once.  They keep the code and the
@@ -644,7 +637,7 @@ def run_point(spec, threads=1):
         )
     spec = spec.validate()
     if threads < 1:
-        threads = os.cpu_count() or 1
+        threads = (os.cpu_count() or 1) if hasattr(os, "fork") else 1
     threads = min(threads, spec.trials)
     if threads > 1 and not hasattr(os, "fork"):
         raise ConfigurationError(

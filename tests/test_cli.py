@@ -3,6 +3,7 @@ import os
 import platform
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -558,6 +559,18 @@ class TestFreedMemoryKept:
         assert_cli_matches_a_fresh_run(tmp_path, 1)
         assert opened == [None]
 
+    def test_runs_where_cdll_cannot_open_the_process(self, tmp_path, monkeypatch):
+        # Windows' CDLL(None) raises TypeError: its loader tests '/' in name
+        opened = []
+
+        def cdll_without_a_process_handle(name):
+            opened.append(name)
+            raise TypeError("argument of type 'NoneType' is not iterable")
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll_without_a_process_handle)
+        assert_cli_matches_a_fresh_run(tmp_path, 1)
+        assert opened == [None]
+
 
 @pytest.mark.parametrize("command,overrides", [
     ("gap", {}),
@@ -672,19 +685,35 @@ class TestShippedConfigs:
 
 
 def readme_key_tables():
-    """The keys of each `| key | meaning | default |` table in the README, in order."""
-    tables, keys = [], None
+    """The (key, default cell) rows of each `| key | meaning | default |` table
+    in the README, in order."""
+    tables, rows = [], None
     for line in (REPRODUCE.parent / "README.md").read_text().splitlines():
         if line.startswith("| key |"):
-            keys = []
-            tables.append(keys)
-        elif keys is not None and line.startswith("| `"):
-            keys.append(line.split("`")[1])
+            rows = []
+            tables.append(rows)
+        elif rows is not None and line.startswith("| `"):
+            rows.append((line.split("`")[1], line.rstrip(" |").rsplit("|", 1)[1]))
         elif not line.startswith("|"):
-            keys = None
+            rows = None
     return tables
 
 
+def readme_cell(cell):
+    """A table cell without its backticks: its JSON value where it parses, else the bare word."""
+    text = cell.replace("`", "").strip()
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
 def test_readme_schema_tables_list_exactly_the_key_tables():
-    # a key added to a table is documented, and a documented key exists
-    assert readme_key_tables() == [list(harness._SPEC_FIELDS)]
+    # a key added to a table is documented with its default, and a documented key exists
+    tables = readme_key_tables()
+    assert [[key for key, _ in rows] for rows in tables] == [list(harness._SPEC_FIELDS)]
+    defaults = {f.name: f.default for f in fields(harness.ExperimentSpec)}
+    for key, cell in tables[0]:
+        name, kind, required = harness._SPEC_FIELDS[key]
+        written = "required" if required else kind.write(defaults[name])
+        assert readme_cell(cell) == ("absent" if written is None else written), key

@@ -9,7 +9,7 @@ import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields, replace
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -83,10 +83,6 @@ class TestSpecRoundtrip:
 
     def test_keys_with_a_default_read_to_the_dataclass_default(self):
         # a config and a Python-built spec that leave a key out get one value
-        defaults = {f.name: f.default for f in fields(harness.ExperimentSpec)}
-        for key, (name, kind, default) in harness._SPEC_FIELDS.items():
-            if default is not harness.REQUIRED:
-                assert kind.read(default) == defaults[name], key
         assert harness.ExperimentSpec(8, 3, 2) == harness.spec_from_dict({"k": 8, "m": 3, "d": 2})
 
     def test_equal_sweeps_hash_equal(self):
@@ -121,6 +117,24 @@ def point_config(**overrides):
     raw = {"k": 8, "m": 3, "d": 2, "l-over-k": 5, "snr-db": 20, "trials": 3}
     raw.update(overrides)
     return raw
+
+
+def shipped_configs():
+    """Each reproduce/ config by file stem, and batch 0 of each benchmark
+    workload at seed 0 by workload name."""
+    root = Path(__file__).resolve().parent.parent
+    configs = {
+        path.stem: json.loads(path.read_text())
+        for path in sorted((root / "reproduce").glob("*.json"))
+    }
+    loader = importlib.util.spec_from_file_location(
+        "bench_workloads", root / "benchmarks" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(workloads)
+    for name, w in workloads.WORKLOADS.items():
+        configs[name] = workloads.spec_config(w, 0, 0, w.batch_trials)
+    return configs
 
 
 class TestStrictSpec:
@@ -185,6 +199,7 @@ class TestStrictSpec:
             ({"trials": 0}, "spec key .trials. has a bad value 0"),
             ({"percentile": 0}, "spec key .percentile. has a bad value 0"),
             ({"percentile": 100.5}, "spec key .percentile. has a bad value 100.5"),
+            ({"methods": []}, "at least one method must be requested"),
         ],
     )
     def test_bad_point_rejected(self, overrides, message):
@@ -330,6 +345,7 @@ class TestStrictSpec:
             ({"d-over-k": [0.25], "l-over-k": [10**400]}, "numeric d-over-k and l-over-k"),
             ({"param": "d", "values": [2], "value": 3}, r"^unknown sweep key\(s\) 'value'"),
             ({"d-over-k": [0.25], "l-over-k": [4], "dk": 1}, r"^unknown grid key\(s\) 'dk'"),
+            ({"param": "d", "values": []}, "sweep needs a nonempty value list"),
         ],
     )
     def test_malformed_sweep_rejected(self, sweep, message):
@@ -337,22 +353,29 @@ class TestStrictSpec:
             harness.spec_from_dict(point_config(sweep=sweep))
 
     def test_shipped_and_benchmark_specs_parse(self):
-        root = Path(__file__).resolve().parent.parent
-        configs = [
-            json.loads(path.read_text())
-            for path in sorted((root / "reproduce").glob("*.json"))
-        ]
-        loader = importlib.util.spec_from_file_location(
-            "bench_workloads", root / "benchmarks" / "workloads.py"
-        )
-        workloads = importlib.util.module_from_spec(loader)
-        loader.loader.exec_module(workloads)
-        configs += [
-            workloads.spec_config(w, 0, 0, w.batch_trials) for w in workloads.WORKLOADS.values()
-        ]
+        configs = shipped_configs()
         assert len(configs) >= 9  # 6 configs in reproduce/ and 3 workloads
-        for raw in configs:
+        for raw in configs.values():
             harness.spec_from_dict(raw)
+
+    def test_shipped_and_benchmark_spec_hashes_are_pinned(self):
+        # the provenance hash each shipped spec records; a change to how a key
+        # is read, defaulted or written moves one
+        hashes = {
+            name: harness.spec_hash(harness.spec_from_dict(raw))
+            for name, raw in shipped_configs().items()
+        }
+        assert hashes == {
+            "error_vs_channels": "bcef4f61b5426925",
+            "error_vs_dimension": "cb8ef0fb4e5ad432",
+            "error_vs_length": "6b0a751a09b5d6f9",
+            "pca_snr_sweep": "5962202683e4d30f",
+            "phase_grid": "e9a2c311787ce2cf",
+            "spectral_gap": "ef1ec2b50967a60a",
+            "pca_dense": "6c64c14d7cc2d60b",
+            "long_filter": "21848e8d91a10ee5",
+            "small_cells": "6c90b324c66bcedf",
+        }
 
     def test_pca_spec_refused_exactly_when_the_generator_refuses(self):
         rng = np.random.default_rng(0)
@@ -608,6 +631,12 @@ class TestRunPoint:
         monkeypatch.setattr(harness, "run_trial", no_trials)
         with pytest.raises(ConfigurationError, match="has no os.fork"):
             harness.run_point(small_spec(trials=2), threads=2)
+
+    def test_automatic_thread_count_is_one_without_fork(self, monkeypatch):
+        spec = small_spec(trials=2)
+        serial = harness.run_point(spec, threads=1)
+        monkeypatch.delattr(os, "fork")
+        assert harness.run_point(spec, threads=0).errors == serial.errors
 
     @pytest.mark.parametrize("dim,sweep", [
         (2, harness.Sweep("d", (1, 2))),
