@@ -27,11 +27,12 @@ set before the process starts.
 
 import argparse
 import ctypes
+import functools
 import json
 import os
 import sys
 
-from . import blas, checks, harness
+from . import blas, harness
 from .exceptions import BlindchanError, ConfigurationError
 
 
@@ -147,6 +148,8 @@ def cmd_run(args):
 
 
 def cmd_check(args):
+    from . import checks  # only `check` loads the suite
+
     failures = checks.run_checks(level=args.level)
     if failures:
         print(f"{len(failures)} invariant(s) violated: {', '.join(failures)}")
@@ -155,7 +158,10 @@ def cmd_check(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The one parser of this process; each subcommand's `fn` default names the
+    module-level command function that `main` looks up when it runs."""
     parser = argparse.ArgumentParser(
         prog="blindchan",
         description="Multichannel blind deconvolution via spectral methods",
@@ -169,7 +175,7 @@ def build_parser():
         return p
 
     p_gap = add_common(sub.add_parser("gap", help="eigenvalue spectra of trial 0 of a point spec"))
-    p_gap.set_defaults(fn=cmd_gap)
+    p_gap.set_defaults(fn="cmd_gap")
     for name, (text, _) in _RUNS.items():
         p_run = add_common(sub.add_parser(name, help=text))
         p_run.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -178,11 +184,11 @@ def build_parser():
             help="processes running trials: this one plus N - 1 forked workers "
             "(0 = one per CPU where processes can be forked, else 1)",
         )
-        p_run.set_defaults(fn=cmd_run)
+        p_run.set_defaults(fn="cmd_run")
 
     p_check = sub.add_parser("check", help="run the named invariant suite")
     p_check.add_argument("--level", choices=("fast", "full"), default="fast")
-    p_check.set_defaults(fn=cmd_check)
+    p_check.set_defaults(fn="cmd_check")
 
     return parser
 
@@ -192,7 +198,7 @@ def main(argv=None):
     _keep_freed_memory()
     try:
         with blas.single_thread():
-            return args.fn(args)
+            return globals()[args.fn](args)
     except (BlindchanError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -31,6 +31,7 @@ from .models import (
     SOURCES,
     RngStreams,
     add_noise,
+    check_dim,
     check_pca_dim,
     gen_channels_in_subspace,
     gen_gaussian_subspace,
@@ -290,8 +291,7 @@ def check_dimensions(filter_len, n_channels, subspace_dim, signal_len, where="")
     K, M, D, L = filter_len, n_channels, subspace_dim, signal_len
     if M < 2:
         raise ConfigurationError(f"{where}need m >= 2 channels, got m={M}")
-    if not 1 <= D <= K:
-        raise ConfigurationError(f"{where}need 1 <= d <= k, got d={D}, k={K}")
+    check_dim(K, D, where)
     if L < K:
         raise ConfigurationError(f"{where}need round(l-over-k * k) >= k, got {L} < {K}")
 

@@ -74,10 +74,15 @@ def apply_bases(bases, u):
     return np.einsum("mkd,md->mk", bases, u.reshape(M, D))
 
 
+def check_dim(filter_len, dim, where=""):
+    """Raise ConfigurationError, prefixed by `where`, unless 1 <= D <= K."""
+    if not 1 <= dim <= filter_len:
+        raise ConfigurationError(f"{where}need 1 <= d <= k, got d={dim}, k={filter_len}")
+
+
 def gen_gaussian_subspace(filter_len, dim, n_channels, rng):
     """Generic model: (M, K, D) bases with iid CN(0,1) entries."""
-    if not 1 <= dim <= filter_len:
-        raise ConfigurationError(f"need 1 <= D <= K, got D={dim}, K={filter_len}")
+    check_dim(filter_len, dim)
     return complex_gaussian(rng, n_channels, filter_len, dim)
 
 

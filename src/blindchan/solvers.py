@@ -113,6 +113,28 @@ def solve_subspace_cross_conv(ys, bases, noise_var):
     )
 
 
+#: Largest ||R||_F ||R^-1||_F that _well_conditioned accepts: 10x below the
+#: oracle's 1e-12 singular-value ratio, a margin for the computed inverse's error.
+_ORACLE_KAPPA_BOUND = 1e11
+
+
+def _well_conditioned(r):
+    """True when every square factor in the stack r has ||R||_F ||R^-1||_F <= 1e11.
+
+    The product bounds sigma_max / sigma_min from above, and the computed
+    inverse is off by about kappa * eps relative, so a True here means the
+    singular values would pass the oracle's 1e-12 ratio test.  A singular or
+    non-finite stack, or one above the bound, gives False.
+    """
+    try:
+        inverse = np.linalg.inv(r)
+    except np.linalg.LinAlgError:
+        return False
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = np.linalg.norm(r, axis=(1, 2)) * np.linalg.norm(inverse, axis=(1, 2))
+    return bool(np.all(bound <= _ORACLE_KAPPA_BOUND))
+
+
 def solve_oracle_ls(ys, x, bases):
     """Non-blind baseline: per-channel least squares with the source known exactly.
 
@@ -122,7 +144,8 @@ def solve_oracle_ls(ys, x, bases):
     Q_m^H y_m, so u_m solves R_m u_m = Q_m^H y_m and Q_m is never formed.
     The singular values of R_m are those of A_m: a design whose smallest is
     at most 1e-12 times its largest is refused as rank deficient, naming the
-    first such channel.
+    first such channel.  The SVD that decides this runs only when
+    _well_conditioned cannot vouch for every R_m.
     """
     M, K, D = bases.shape
     ys = _check_channels(ys, K, M)
@@ -135,14 +158,15 @@ def solve_oracle_ls(ys, x, bases):
     augmented = np.concatenate([designs, ys[:, None]], axis=1).swapaxes(1, 2)  # M x L x (D + 1)
     r = np.linalg.qr(augmented, mode="r")
     r, qhy = r[:, :D, :D], r[:, :D, D:]
-    svals = np.linalg.svd(r, compute_uv=False)
-    deficient = np.flatnonzero(svals[:, -1] <= svals[:, 0] * 1e-12)
-    if len(deficient):
-        m = deficient[0]
-        raise ConfigurationError(
-            f"channel {m}: source/basis design matrix is rank deficient "
-            f"(smallest singular value {svals[m, -1]:.3e})"
-        )
+    if not _well_conditioned(r):
+        svals = np.linalg.svd(r, compute_uv=False)
+        deficient = np.flatnonzero(svals[:, -1] <= svals[:, 0] * 1e-12)
+        if len(deficient):
+            m = deficient[0]
+            raise ConfigurationError(
+                f"channel {m}: source/basis design matrix is rank deficient "
+                f"(smallest singular value {svals[m, -1]:.3e})"
+            )
     u_flat = np.linalg.solve(r, qhy).reshape(-1)
     return Estimate(
         h_hat=_normalize(apply_bases(bases, u_flat).reshape(-1)), u_hat=u_flat, lambda_min=0.0,
@@ -209,8 +233,8 @@ def _ls_smallest_pair(energy, w):
     scale = energy.max()
     tol = _LS_RESIDUAL_EPS * np.finfo(float).eps * scale
 
-    def secular(lam):
-        """(z, s') at lam, or None when lam >= mu_1."""
+    def below_mu1(lam):
+        """(e' - lam, T(lam)) when T(lam) is positive definite, else None (lam >= mu_1)."""
         d = e_rest - lam
         if d.min() <= 0:
             return None
@@ -219,16 +243,17 @@ def _ls_smallest_pair(energy, w):
             np.linalg.cholesky(t)
         except np.linalg.LinAlgError:
             return None
-        z = np.linalg.solve(t, w0)
-        return z, (w_rest @ z) / d
+        return d, t
 
     lo, hi, lam = 0.0, e0, e0
     for _ in range(_LS_MAX_STEPS):
-        got = secular(lam)
+        got = below_mu1(lam)
         if got is None:
             hi, lam = lam, (lo + lam) / 2
             continue
-        z, s_rest = got
+        d, t = got
+        z = np.linalg.solve(t, w0)
+        s_rest = (w_rest @ z) / d
         norm2 = 1 + np.vdot(s_rest, s_rest).real
         g = e0 - lam - np.vdot(w0, z).real
         if abs(g) <= tol * np.sqrt(norm2):
@@ -245,7 +270,7 @@ def _ls_smallest_pair(energy, w):
     s[rest] = s_rest
     s /= np.sqrt(norm2)
     residual = energy * s - w @ (w.conj().T @ s) - lam * s
-    if np.linalg.norm(residual) > tol or secular(lam + abs(g) + DEGENERACY_RTOL * scale) is None:
+    if np.linalg.norm(residual) > tol or below_mu1(lam + abs(g) + DEGENERACY_RTOL * scale) is None:
         return None
     return lam, s
 

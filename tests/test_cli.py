@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import platform
@@ -600,6 +601,53 @@ def test_malformed_config_file_exits_nonzero(tmp_path, capsys, command, text, re
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {cfg}: {reason}")
     assert not out.exists()
+
+
+class TestParserBuiltOnce:
+    """main builds one parser per process and finds each command by name when it runs."""
+
+    def test_two_calls_construct_one_parser_and_its_subparsers(self, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        cli.build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        missing = str(tmp_path / "missing.json")
+        for _ in range(2):
+            assert main(["trial", "--config", missing, "--out", str(tmp_path / "t.csv")]) == 2
+        assert len(built) == 6  # blindchan and its five subcommands
+
+    @pytest.mark.parametrize("command,name", [
+        ("gap", "cmd_gap"), ("trial", "cmd_run"), ("phase", "cmd_run"), ("check", "cmd_check"),
+    ])
+    def test_a_command_rebound_after_the_first_call_is_the_one_that_runs(
+            self, tmp_path, monkeypatch, command, name):
+        cli.build_parser.cache_clear()
+        missing = str(tmp_path / "missing.json")
+        assert main(["trial", "--config", missing, "--out", str(tmp_path / "t.csv")]) == 2
+        ran = []
+        monkeypatch.setattr(cli, name, lambda args: ran.append(args.command) or 7)
+        argv = [command] if command == "check" else [
+            command, "--config", missing, "--out", str(tmp_path / "t.csv")]
+        assert main(argv) == 7
+        assert ran == [command]
+
+    def test_only_the_check_command_loads_the_suite(self):
+        result = run_isolated(
+            "import blindchan.cli\n"
+            "print('blindchan.checks' in sys.modules)\n"
+            "status = blindchan.cli.main(['check', '--level', 'fast'])\n"
+            "print(status, 'blindchan.checks' in sys.modules)\n"
+        )
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert lines[0] == "False"
+        assert "FAIL" not in result.stdout
+        assert lines[-1] == "0 True"
 
 
 class TestCheckCommand:

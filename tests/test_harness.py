@@ -396,6 +396,22 @@ class TestStrictSpec:
                     generator_ok = False
                 assert spec_ok == generator_ok, (k, d)
 
+    def test_gaussian_spec_refused_exactly_when_the_generator_refuses(self):
+        # one 1 <= d <= k rule, with one message, for the spec and the generator
+        rng = np.random.default_rng(0)
+        for k in range(1, 10):
+            for d in range(-1, k + 3):
+                spec = small_spec(filter_len=k, subspace_dim=d, l_over_k=4, methods=("sccc",))
+                outcomes = []
+                for attempt in (spec.validate, lambda: harness.gen_gaussian_subspace(k, d, 2, rng)):
+                    try:
+                        attempt()
+                        outcomes.append(None)
+                    except ConfigurationError as err:
+                        outcomes.append(str(err))
+                assert outcomes[0] == outcomes[1], (k, d)
+                assert (outcomes[0] is None) == (1 <= d <= k), (k, d)
+
 
 class TestRunTrial:
     def test_noiseless_all_methods_recover(self):

@@ -17,7 +17,7 @@ from blindchan.models import (
 from blindchan.sigops import convolve_short
 from blindchan.spectral import EigenResult, canonical_phase
 from blindchan.xcorr import compressed_cross_corr, cross_corr_matrix, noise_gram_mean
-from blindchan import solvers
+from blindchan import harness, solvers
 
 from conftest import make_instance, noisy_outputs
 
@@ -180,6 +180,67 @@ class TestOracleLs:
         broken[1][:, 2] = 0.0  # kill one basis column
         with pytest.raises(ConfigurationError, match="channel 1"):
             solvers.solve_oracle_ls(ys, x, broken)
+
+    @staticmethod
+    def outcome(ys, x, bases):
+        """The estimate's bytes, or the refusal's message."""
+        try:
+            est = solvers.solve_oracle_ls(ys, x, bases)
+        except ConfigurationError as err:
+            return str(err)
+        return est.h_hat.tobytes() + est.u_hat.tobytes()
+
+    @pytest.mark.parametrize("kappa,accepted", [
+        (1e9, True), (0.99e11, True), (1.01e11, True), (0.99e12, True),
+        (1.01e12, False), (1e14, False),
+    ])
+    def test_rank_decision_is_the_svds_at_a_set_condition_number(
+            self, monkeypatch, kappa, accepted):
+        # with a unit-impulse source the design of channel m is its basis, zero-padded,
+        # so channel 1's design has condition number kappa; forcing the inverse to fail
+        # runs the SVD rule alone, which every decision, message and byte must match
+        M, K, D, L = 3, 8, 4, 16
+        rng = np.random.default_rng(5)
+        bases = gen_gaussian_subspace(K, D, M, rng)
+        left = np.linalg.qr(complex_gaussian(rng, K, D))[0]
+        right = np.linalg.qr(complex_gaussian(rng, D, D))[0]
+        bases[1] = (left * np.geomspace(1, 1 / kappa, D)) @ right
+        x = np.zeros(L, dtype=complex)
+        x[0] = 1
+        ys = complex_gaussian(rng, M, L)
+        svd = np.linalg.svd
+        svd_calls = []
+
+        def counting_svd(*args, **kwargs):
+            svd_calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        got = self.outcome(ys, x, bases)
+        assert isinstance(got, bytes) == accepted
+        assert bool(svd_calls) == (kappa > 1e11)
+        if not accepted:
+            assert got.startswith("channel 1: source/basis design matrix is rank deficient")
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        assert self.outcome(ys, x, bases) == got
+
+    def test_seeded_small_cells_trials_run_no_svd(self, monkeypatch):
+        spec = harness.ExperimentSpec(
+            filter_len=32, n_channels=4, subspace_dim=8, l_over_k=2, trials=10,
+            methods=("sccc", "oracle"), seed=0,
+        )
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("an SVD ran")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        for trial in range(spec.trials):
+            errors, _ = harness.run_trial(spec, trial)
+            assert 0 <= errors["oracle"] <= 1
 
 
 @pytest.mark.parametrize("solve", [
